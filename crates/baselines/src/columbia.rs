@@ -314,18 +314,18 @@ impl Node for MsrNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     // Captured home-mobile traffic.
                     if self.stack.is_captured(pkt.dst) && !self.stack.is_local_addr(pkt.dst) {
                         let mobile = pkt.dst;
                         self.locate_and_tunnel(ctx, mobile, pkt);
-                        continue;
+                        return;
                     }
                     match pkt.protocol {
                         proto::IPIP => {
-                            let Ok(inner) = ipip_decapsulate(&pkt) else { continue };
+                            let Ok(inner) = ipip_decapsulate(&pkt) else { return };
                             ctx.tele_event(TeleEventKind::Decap);
                             let mobile = inner.dst;
                             if self.has_visitor(mobile, ctx.now()) {
@@ -339,7 +339,7 @@ impl Node for MsrNode {
                             }
                         }
                         proto::UDP => {
-                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
                             if d.dst_port == CONTROL_PORT {
                                 if let Ok(msg) = ColumbiaMessage::decode(&d.payload) {
                                     self.on_control(ctx, pkt.src, msg);
@@ -498,8 +498,8 @@ impl Node for ColumbiaMobileNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             match pkt.protocol {
                 proto::IPIP => {
                     // Popup mode: tunnel terminates at our temp address.
@@ -515,7 +515,7 @@ impl Node for ColumbiaMobileNode {
                                     self.attach_via_msr(ctx, b.agent);
                                 }
                             }
-                            continue;
+                            return;
                         }
                     }
                     self.endpoint.deliver(&mut self.stack, ctx, &pkt);

@@ -149,7 +149,7 @@ impl Node for BaseStationNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { mut pkt, .. } => {
                     // An LSRR packet addressed to us: advance the source
@@ -171,7 +171,7 @@ impl Node for BaseStationNode {
                                 ctx.stats().incr("lsrr.bs_dead_ends");
                                 self.stack.send_host_unreachable(ctx, &pkt);
                             }
-                            continue;
+                            return;
                         }
                     }
                     match pkt.protocol {
@@ -341,10 +341,8 @@ impl LsrrHostNode {
 
 impl Node for LsrrHostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            if let StackEvent::Deliver { pkt, .. } = ev {
-                self.deliver(ctx, pkt);
-            }
+        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
+            self.deliver(ctx, pkt);
         }
     }
 
@@ -456,8 +454,8 @@ impl Node for LsrrMobileNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             if pkt.protocol == proto::UDP {
                 if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
                     if d.dst_port == BEACON_PORT {
@@ -466,7 +464,7 @@ impl Node for LsrrMobileNode {
                                 self.attach_via(ctx, b.agent);
                             }
                         }
-                        continue;
+                        return;
                     }
                 }
             }

@@ -219,7 +219,7 @@ impl PfsNode {
 
 impl Node for PfsNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     if self.stack.is_captured(pkt.dst) && !self.stack.is_local_addr(pkt.dst) {
@@ -227,7 +227,7 @@ impl Node for PfsNode {
                         let mobile = pkt.dst;
                         let Some(&temp) = self.bindings.get(&mobile) else {
                             ctx.stats().incr("iptp.no_binding");
-                            continue;
+                            return;
                         };
                         self.forwarded.incr(ctx.stats());
                         self.overhead_bytes.add(ctx.stats(), IPTP_OVERHEAD as u64);
@@ -247,13 +247,13 @@ impl Node for PfsNode {
                                 n.encode(),
                             );
                         }
-                        continue;
+                        return;
                     }
                     match pkt.protocol {
                         proto::UDP => {
-                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
                             if d.dst_port != CONTROL_PORT {
-                                continue;
+                                return;
                             }
                             if let Ok(IptpMessage::PfsRegister { mobile, temp }) =
                                 IptpMessage::decode(&d.payload)
@@ -328,18 +328,18 @@ impl Node for IptpAgentNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     if pkt.protocol != proto::UDP {
                         if pkt.protocol == proto::ICMP {
                             netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
                         }
-                        continue;
+                        return;
                     }
-                    let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+                    let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
                     if d.dst_port != CONTROL_PORT {
-                        continue;
+                        return;
                     }
                     if let Ok(IptpMessage::TempRequest { mobile }) = IptpMessage::decode(&d.payload)
                     {
@@ -516,10 +516,8 @@ impl Node for MatsushitaMobileNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            if let StackEvent::Deliver { pkt, .. } = ev {
-                self.deliver(ctx, pkt);
-            }
+        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
+            self.deliver(ctx, pkt);
         }
     }
 
@@ -606,8 +604,8 @@ impl Default for MatsushitaHostNode {
 
 impl Node for MatsushitaHostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             match pkt.protocol {
                 proto::UDP => {
                     if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
@@ -618,7 +616,7 @@ impl Node for MatsushitaHostNode {
                                 ctx.stats().incr("iptp.autonomous_enabled");
                                 self.bindings.insert(mobile, temp);
                             }
-                            continue;
+                            return;
                         }
                     }
                     self.endpoint.deliver(&mut self.stack, ctx, &pkt);
@@ -636,7 +634,7 @@ impl Node for MatsushitaHostNode {
                                         let mobile = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
                                         ctx.stats().incr("iptp.fallback_to_forwarding");
                                         self.bindings.remove(&mobile);
-                                        continue;
+                                        return;
                                     }
                                 }
                             }

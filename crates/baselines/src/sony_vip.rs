@@ -350,11 +350,11 @@ impl Node for VipRouterNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => match pkt.protocol {
                     proto::UDP => {
-                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
                         if d.dst_port == CONTROL_PORT {
                             if let Ok(msg) = VipMessage::decode(&d.payload) {
                                 let from = pkt.src;
@@ -614,10 +614,8 @@ impl VipHostNode {
 
 impl Node for VipHostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            if let StackEvent::Deliver { pkt, .. } = ev {
-                self.deliver(ctx, pkt);
-            }
+        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
+            self.deliver(ctx, pkt);
         }
     }
 
@@ -796,10 +794,8 @@ impl Node for VipMobileNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            if let StackEvent::Deliver { pkt, .. } = ev {
-                self.deliver(ctx, pkt);
-            }
+        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
+            self.deliver(ctx, pkt);
         }
     }
 

@@ -188,14 +188,14 @@ impl Default for SpDirectoryNode {
 
 impl Node for SpDirectoryNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             if pkt.protocol != proto::UDP {
-                continue;
+                return;
             }
-            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
             if d.dst_port != CONTROL_PORT {
-                continue;
+                return;
             }
             match SpMessage::decode(&d.payload) {
                 Ok(SpMessage::Register { mobile, forwarder }) => {
@@ -265,12 +265,12 @@ impl Node for SpForwarderNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => match pkt.protocol {
                     PROTO_SPFWD => {
                         let mut pkt = pkt;
-                        let Ok(mobile) = decapsulate(&mut pkt) else { continue };
+                        let Ok(mobile) = decapsulate(&mut pkt) else { return };
                         if self.has_visitor(mobile, ctx.now()) {
                             ctx.stats().incr("sp.delivered");
                             self.stack.send_direct(ctx, self.local_iface, pkt);
@@ -291,7 +291,7 @@ impl Node for SpForwarderNode {
                         }
                     }
                     proto::UDP => {
-                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { continue };
+                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
                         if d.dst_port == CONTROL_PORT {
                             if let Ok(SpMessage::FwdRegister { mobile }) =
                                 SpMessage::decode(&d.payload)
@@ -406,8 +406,8 @@ impl Node for SpMobileNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             if pkt.protocol == proto::UDP {
                 if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
                     if d.dst_port == BEACON_PORT {
@@ -416,7 +416,7 @@ impl Node for SpMobileNode {
                                 self.attach_via(ctx, b.agent);
                             }
                         }
-                        continue;
+                        return;
                     }
                 }
             }
@@ -536,8 +536,8 @@ impl SpHostNode {
 
 impl Node for SpHostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { continue };
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
+            let StackEvent::Deliver { pkt, .. } = ev else { return };
             match pkt.protocol {
                 proto::UDP => {
                     if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
@@ -550,7 +550,7 @@ impl Node for SpHostNode {
                                     self.send_data(ctx, queued);
                                 }
                             }
-                            continue;
+                            return;
                         }
                     }
                     self.endpoint.deliver(&mut self.stack, ctx, &pkt);
@@ -573,7 +573,7 @@ impl Node for SpHostNode {
                                         self.pending.entry(mobile).or_default().push(p);
                                     }
                                     self.query(ctx, mobile);
-                                    continue;
+                                    return;
                                 }
                             }
                         }

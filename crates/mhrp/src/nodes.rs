@@ -223,7 +223,7 @@ impl Node for MhrpRouterNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, iface } => self.deliver(ctx, iface, pkt),
                 StackEvent::ForwardCandidate { pkt, .. } => {
@@ -404,7 +404,7 @@ impl MhrpHostNode {
 
 impl Node for MhrpHostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     deliver_mhrp_host(&mut self.stack, &mut self.endpoint, &mut self.ca, ctx, &pkt);
@@ -534,7 +534,7 @@ impl Node for MobileHostNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => self.deliver(ctx, pkt),
                 StackEvent::ForwardCandidate { .. } => unreachable!("host stack never forwards"),

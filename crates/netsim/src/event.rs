@@ -19,7 +19,10 @@
 //! events keep occupying queue slots until their deadline passes, so
 //! `EventQueue::len` may overcount by the number of pending corpses;
 //! the world surfaces the discard count as the `sim.timers_cancelled`
-//! counter.
+//! counter. A bounded `EventQueue::pop_due(t)` discards only corpses
+//! due at or before `t` — it never looks past `t`, which is what keeps
+//! the wheel's cursor behind the clock (see [`crate::sched`]) — so one
+//! due later is counted when a later run reaches it, not early.
 
 use std::collections::HashMap;
 
@@ -115,23 +118,30 @@ impl EventQueue {
         self.cancelled.insert((node, token), self.wheel.next_seq());
     }
 
+    /// Whether the entry `(seq, kind)` is a timer event cancelled after
+    /// it was armed.
+    fn is_cancelled(
+        cancelled: &HashMap<(NodeId, TimerToken), u64>,
+        seq: u64,
+        kind: &EventKind,
+    ) -> bool {
+        let EventKind::Timer { node, token } = *kind else { return false };
+        // The emptiness test keeps worlds that never cancel from hashing
+        // a key per timer event.
+        !cancelled.is_empty() && cancelled.get(&(node, token)).is_some_and(|&mark| seq < mark)
+    }
+
     /// Discards cancelled timer events sitting at the queue head, so that
-    /// both [`EventQueue::peek_time`] and [`EventQueue::pop`] only ever
-    /// see live events (peek drives `World::run_until`'s time bound — a
-    /// corpse there would stall or overshoot the loop).
+    /// [`EventQueue::peek_time`] only ever reports a live event (a corpse
+    /// there would wake a [`crate::NodeHarness`] driver for nothing).
+    /// Unbounded: stages whatever batch comes next.
     fn skim_cancelled(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
         while let Some((_, seq, kind)) = self.wheel.peek_entry() {
-            let EventKind::Timer { node, token } = *kind else { break };
-            match self.cancelled.get(&(node, token)) {
-                Some(&mark) if seq < mark => {
-                    self.wheel.pop();
-                    self.suppressed += 1;
-                }
-                _ => break,
+            if !Self::is_cancelled(&self.cancelled, seq, kind) {
+                break;
             }
+            self.wheel.pop();
+            self.suppressed += 1;
         }
     }
 
@@ -139,6 +149,13 @@ impl EventQueue {
     /// world drains this into the `sim.timers_cancelled` counter).
     pub fn take_suppressed(&mut self) -> u64 {
         std::mem::take(&mut self.suppressed)
+    }
+
+    /// Batch entries stepped over by below-cursor schedules since the
+    /// last call (the world drains this into the
+    /// `sim.sched.late_scan_steps` counter).
+    pub fn take_late_scan_steps(&mut self) -> u64 {
+        self.wheel.take_late_scan_steps()
     }
 
     /// Time of the next live event (drives [`crate::NodeHarness`]'s
@@ -149,17 +166,23 @@ impl EventQueue {
         self.wheel.peek().map(|(at, _)| at)
     }
 
+    /// Pops the next live event however far ahead it is (single-stepping).
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.skim_cancelled();
-        self.wheel.pop().map(|(at, seq, kind)| ScheduledEvent { at, seq, kind })
+        self.pop_due(SimTime::MAX)
     }
 
-    /// Pops the next event only if it is due at or before `t`. Fuses the
-    /// peek/pop pair in `World::run_until` into one head access (one
-    /// cancellation skim, one wheel advance) per event.
+    /// Pops the next live event only if it is due at or before `t`: the
+    /// one head access per event of `World::run_until`. Cancelled timers
+    /// due by `t` are discarded on the way; nothing past `t` is touched.
     pub fn pop_due(&mut self, t: SimTime) -> Option<ScheduledEvent> {
-        self.skim_cancelled();
-        self.wheel.pop_due(t).map(|(at, seq, kind)| ScheduledEvent { at, seq, kind })
+        loop {
+            let (at, seq, kind) = self.wheel.pop_due(t)?;
+            if Self::is_cancelled(&self.cancelled, seq, &kind) {
+                self.suppressed += 1;
+                continue;
+            }
+            return Some(ScheduledEvent { at, seq, kind });
+        }
     }
 
     /// Pending events, *including* cancelled timers that have not yet
@@ -253,6 +276,41 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_timer_past_the_bound_is_suppressed_once_when_due() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(1), timer(0, 1));
+        q.push(SimTime::from_millis(50), timer(0, 2));
+        q.push(SimTime::from_millis(60), timer(0, 3));
+        q.cancel_timer(NodeId(0), TimerToken(2));
+        // A bounded pop looks no further than its bound: the corpse at
+        // 50 ms is neither counted nor staged by running to 10 ms...
+        assert_eq!(
+            q.pop_due(SimTime::from_millis(10)).map(|e| e.at),
+            Some(SimTime::from_millis(1))
+        );
+        assert!(q.pop_due(SimTime::from_millis(10)).is_none());
+        assert_eq!(q.take_suppressed(), 0);
+        assert_eq!(q.len(), 2);
+        // ...so a burst scheduled now goes into the wheel, not under it.
+        for _ in 0..10 {
+            q.push(SimTime::from_millis(10), timer(1, 9));
+        }
+        assert_eq!(q.take_late_scan_steps(), 0);
+        // When the clock reaches it the corpse is discarded, exactly once,
+        // and the live timer behind it fires.
+        let fired: Vec<u64> = std::iter::from_fn(|| q.pop_due(SimTime::from_millis(55)))
+            .map(|e| match e.kind {
+                EventKind::Timer { token, .. } => token.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(fired, vec![9; 10]);
+        assert_eq!(q.take_suppressed(), 1);
+        assert_eq!(drain_tokens(&mut q), vec![3]);
+        assert_eq!(q.take_suppressed(), 0);
+    }
+
+    #[test]
     fn cancel_of_unknown_timer_is_a_noop() {
         let mut q = EventQueue::new();
         q.cancel_timer(NodeId(3), TimerToken(9));
@@ -275,6 +333,7 @@ mod tests {
             heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
             next_seq: u64,
             cancelled: HashMap<(usize, u64), u64>,
+            suppressed: u64,
         }
 
         impl HeapQueue {
@@ -286,9 +345,15 @@ mod tests {
                 self.cancelled.insert((node, token), self.next_seq);
             }
             fn pop(&mut self) -> Option<(u64, u64)> {
-                while let Some(Reverse((at, seq, node, token))) = self.heap.pop() {
+                self.pop_due(u64::MAX)
+            }
+            /// The next live event due by `t`; corpses due by `t` are
+            /// discarded (and counted) on the way, later ones left alone.
+            fn pop_due(&mut self, t: u64) -> Option<(u64, u64)> {
+                while self.heap.peek().is_some_and(|&Reverse((at, ..))| at <= t) {
+                    let Reverse((at, seq, node, token)) = self.heap.pop().expect("peeked");
                     match self.cancelled.get(&(node, token)) {
-                        Some(&mark) if seq < mark => continue,
+                        Some(&mark) if seq < mark => self.suppressed += 1,
                         _ => return Some((at, seq)),
                     }
                 }
@@ -298,20 +363,46 @@ mod tests {
 
         #[derive(Debug, Clone)]
         enum Op {
-            Schedule { at_ix: usize, node: usize, token: u64 },
-            Cancel { node: usize, token: u64 },
+            Schedule {
+                at_ix: usize,
+                node: usize,
+                token: u64,
+            },
+            Cancel {
+                node: usize,
+                token: u64,
+            },
             Pop,
+            /// Move the clock on by `GAPS_NS[gap_ix]`, then pop what is
+            /// due by then, at most `max` events.
+            PopDue {
+                gap_ix: usize,
+                max: usize,
+            },
+            /// Schedule a same-instant burst at the clock.
+            Burst {
+                n: usize,
+                node: usize,
+                token: u64,
+            },
         }
+
+        /// Idle gaps: none, sub-tick, and past level-0/1/2 slot
+        /// boundaries of the wheel (8.192 µs ticks, 64 slots a level).
+        const GAPS_NS: [u64; 6] = [0, 500, 10_000, 600_000, 40_000_000, 2_200_000_000];
 
         proptest! {
             /// The wheel-backed queue and the reference heap pop
-            /// identical `(at, seq)` sequences under adversarial
-            /// schedule/cancel/pop interleavings, including times at the
-            /// far-future overflow boundary.
+            /// identical `(at, seq)` sequences, and count the same
+            /// discards at every step, under adversarial
+            /// schedule/cancel/pop interleavings — bounded pops across
+            /// idle gaps and bursts at the clock included, and times at
+            /// the far-future overflow boundary.
             #[test]
             fn wheel_queue_matches_reference_heap(
                 // Arms are repeated to weight the uniform choice roughly
-                // 4:2:3 schedule/cancel/pop, keeping queues non-trivial.
+                // 4:2:2:3:1 schedule/cancel/pop/pop-due/burst, keeping
+                // queues non-trivial.
                 ops in prop::collection::vec(
                     prop_oneof![
                         (0usize..10, 0usize..3, 0u64..3)
@@ -328,7 +419,14 @@ mod tests {
                             .prop_map(|(node, token)| Op::Cancel { node, token }),
                         Just(Op::Pop),
                         Just(Op::Pop),
-                        Just(Op::Pop),
+                        (0usize..GAPS_NS.len(), 0usize..6)
+                            .prop_map(|(gap_ix, max)| Op::PopDue { gap_ix, max }),
+                        (0usize..GAPS_NS.len(), 0usize..6)
+                            .prop_map(|(gap_ix, max)| Op::PopDue { gap_ix, max }),
+                        (0usize..GAPS_NS.len(), 0usize..6)
+                            .prop_map(|(gap_ix, max)| Op::PopDue { gap_ix, max }),
+                        (1usize..5, 0usize..3, 0u64..3)
+                            .prop_map(|(n, node, token)| Op::Burst { n, node, token }),
                     ],
                     1..150,
                 ),
@@ -342,6 +440,8 @@ mod tests {
                 ];
                 let mut queue = EventQueue::new();
                 let mut reference = HeapQueue::default();
+                let mut clock = 0u64;
+                let mut suppressed = 0u64;
                 for op in ops {
                     match op {
                         Op::Schedule { at_ix, node, token } => {
@@ -357,7 +457,29 @@ mod tests {
                             let got = queue.pop().map(|e| (e.at.as_nanos(), e.seq));
                             prop_assert_eq!(got, reference.pop());
                         }
+                        Op::PopDue { gap_ix, max } => {
+                            clock += GAPS_NS[gap_ix];
+                            for _ in 0..max {
+                                let got = queue
+                                    .pop_due(SimTime::from_nanos(clock))
+                                    .map(|e| (e.at.as_nanos(), e.seq));
+                                prop_assert_eq!(got, reference.pop_due(clock));
+                                if got.is_none() {
+                                    break;
+                                }
+                            }
+                        }
+                        Op::Burst { n, node, token } => {
+                            for _ in 0..n {
+                                queue.push(SimTime::from_nanos(clock), timer(node, token));
+                                reference.push(clock, node, token);
+                            }
+                        }
                     }
+                    // A corpse is counted when the pop that reaches it
+                    // runs, never earlier and never twice.
+                    suppressed += queue.take_suppressed();
+                    prop_assert_eq!(suppressed, reference.suppressed);
                 }
                 loop {
                     let got = queue.pop().map(|e| (e.at.as_nanos(), e.seq));

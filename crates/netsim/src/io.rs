@@ -238,6 +238,11 @@ impl NodeHarness {
 
     /// Deadline of the earliest pending timer, if any: the latest moment
     /// the driver should call [`Self::tick`] again.
+    ///
+    /// The one unbounded look at the queue: it stages the next timer's
+    /// batch however far ahead that is, so a timer armed below it merges
+    /// into the batch instead of a wheel slot — a batch of one node's
+    /// timers, a handful of entries.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
     }

@@ -33,10 +33,27 @@
 //! the cursor reaches an occupied level-0 slot, the slot's events are
 //! drained into a ready batch and sorted by `(time, seq)`; events
 //! scheduled into the already-drained window (same-instant pushes from a
-//! running handler, or pushes below a batch that [`TimerWheel::peek`]
-//! collected early) are merge-inserted into the batch at their ordered
-//! position. Every golden replay and typed-event-log test holds
-//! byte-identical because pop order is bit-for-bit the heap's pop order.
+//! running handler, or pushes below a batch that an unbounded
+//! [`TimerWheel::peek`] collected early) are merge-inserted into the
+//! batch at their ordered position. Every golden replay and
+//! typed-event-log test holds byte-identical because pop order is
+//! bit-for-bit the heap's pop order.
+//!
+//! # Cursor discipline
+//!
+//! That merge is O(batch) — a binary search plus a `Vec::insert` — so
+//! the O(1) claim rests on schedules landing at or after the cursor. One
+//! rule keeps them there: **the cursor never passes the latest time a
+//! caller asked about.** [`TimerWheel::pop_due`]`(t)` advances only
+//! while the next occupied slot, cascade or overflow jump expires at or
+//! before `t`'s tick; otherwise it returns `None` and leaves the cursor
+//! where it was, so a caller that runs to `t` and then schedules at or
+//! after `t` (a soak tick's burst of sends, every forwarding hop that
+//! follows) gets a slot push. The unbounded [`TimerWheel::peek`] and
+//! [`TimerWheel::pop`] still stage the next batch wherever it is — the
+//! caller is asking about exactly that time — and a later schedule below
+//! it pays for the merge. [`TimerWheel::take_late_scan_steps`] counts
+//! what those merges cost.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -141,6 +158,10 @@ pub struct TimerWheel<T> {
     wheel_len: usize,
     /// Reused buffer for cascading a higher-level slot.
     cascade_scratch: Vec<Entry<T>>,
+    /// Batch entries stepped over (moved by `Vec::insert`) by schedules
+    /// below the cursor since the last
+    /// [`TimerWheel::take_late_scan_steps`].
+    late_scan_steps: u64,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -161,6 +182,7 @@ impl<T> TimerWheel<T> {
             len: 0,
             wheel_len: 0,
             cascade_scratch: Vec::new(),
+            late_scan_steps: 0,
         }
     }
 
@@ -195,6 +217,15 @@ impl<T> TimerWheel<T> {
         self.next_seq
     }
 
+    /// Batch entries stepped over by below-cursor schedules since the
+    /// last call: each such schedule shifts every staged entry due before
+    /// it. Stays near zero while callers keep to the cursor discipline
+    /// (see the module docs); the world surfaces it as the
+    /// `sim.sched.late_scan_steps` counter.
+    pub fn take_late_scan_steps(&mut self) -> u64 {
+        std::mem::take(&mut self.late_scan_steps)
+    }
+
     /// Schedules `value` at `at`, returning the assigned sequence number.
     /// Entries at equal times pop in schedule order.
     pub fn schedule(&mut self, at: SimTime, value: T) -> u64 {
@@ -206,18 +237,14 @@ impl<T> TimerWheel<T> {
         if tick < self.cur {
             // The entry lands inside the window already drained into the
             // ready batch: merge it at its ordered position (the batch is
-            // sorted descending, next pop at the back). The scan from
-            // the back costs one comparison per batch entry at or after
-            // the new deadline — the batch is one tick's events, so it
-            // stays small.
-            let mut i = self.ready.len();
-            while i > 0 {
-                let prev = &self.ready[i - 1];
-                if (prev.at, prev.seq) >= (entry.at, entry.seq) {
-                    break;
-                }
-                i -= 1;
-            }
+            // sorted descending, next pop at the back). The insert shifts
+            // every staged entry due before the new one. Behind a bounded
+            // `pop_due` those are only same-instant events a handler is
+            // still working through; below a batch an unbounded peek or
+            // pop staged early it is the whole batch, each time.
+            let key = (entry.at, entry.seq);
+            let i = self.ready.partition_point(|e| (e.at, e.seq) > key);
+            self.late_scan_steps += (self.ready.len() - i) as u64;
             self.ready.insert(i, entry);
         } else {
             self.insert_wheel(entry, tick);
@@ -225,7 +252,8 @@ impl<T> TimerWheel<T> {
         seq
     }
 
-    /// Time and sequence of the next entry to pop, staging its batch.
+    /// Time and sequence of the next entry to pop, staging its batch
+    /// however far ahead it is (the cursor moves past it).
     pub fn peek(&mut self) -> Option<(SimTime, u64)> {
         self.peek_entry().map(|(at, seq, _)| (at, seq))
     }
@@ -233,27 +261,25 @@ impl<T> TimerWheel<T> {
     /// Time, sequence and payload of the next entry to pop.
     pub fn peek_entry(&mut self) -> Option<(SimTime, u64, &T)> {
         if self.ready.is_empty() {
-            self.advance();
+            self.advance(u64::MAX);
         }
         self.ready.last().map(|e| (SimTime::from_nanos(e.at), e.seq, &e.value))
     }
 
-    /// Removes and returns the earliest `(time, seq)` entry.
+    /// Removes and returns the earliest `(time, seq)` entry, however far
+    /// ahead it is.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        if self.ready.is_empty() {
-            self.advance();
-        }
-        let e = self.ready.pop()?;
-        self.len -= 1;
-        Some((SimTime::from_nanos(e.at), e.seq, e.value))
+        self.pop_due(SimTime::MAX)
     }
 
     /// Removes and returns the earliest entry only if it is due at or
     /// before `t` — the fused peek/pop the simulator's bounded run loop
-    /// performs once per event.
+    /// performs once per event. Looks no further than `t`: a slot that
+    /// expires after `t`'s tick is left where it is, cursor included, so
+    /// whatever the caller schedules next at or after `t` is a slot push.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, u64, T)> {
         if self.ready.is_empty() {
-            self.advance();
+            self.advance(t.as_nanos() >> TICK_SHIFT);
         }
         if self.ready.last()?.at > t.as_nanos() {
             return None;
@@ -287,9 +313,11 @@ impl<T> TimerWheel<T> {
 
     /// Advances the cursor to the next occupied level-0 slot and drains
     /// it into the ready batch, cascading higher-level slots and
-    /// migrating overflow entries along the way. Leaves `ready` sorted
-    /// ascending by `(at, seq)`. No-op when nothing is scheduled.
-    fn advance(&mut self) {
+    /// migrating overflow entries along the way — but only through slots
+    /// that expire at or before tick `limit`, so the cursor ends at most
+    /// one tick past it. Leaves `ready` sorted descending by `(at, seq)`.
+    /// No-op when nothing is scheduled at or before `limit`.
+    fn advance(&mut self, limit: u64) {
         debug_assert!(self.ready.is_empty());
         loop {
             // Overflow entries whose tick now shares the cursor's
@@ -310,11 +338,11 @@ impl<T> TimerWheel<T> {
                 match self.overflow.peek() {
                     // Jump the cursor to the overflow's earliest tick so
                     // the migration above picks its prefix up next loop.
-                    Some(top) => {
+                    Some(top) if top.0.at >> TICK_SHIFT <= limit => {
                         self.cur = top.0.at >> TICK_SHIFT;
                         continue;
                     }
-                    None => return,
+                    _ => return,
                 }
             }
             // The earliest occupied slot across levels. Within a level
@@ -347,6 +375,9 @@ impl<T> TimerWheel<T> {
                 debug_assert_eq!(self.wheel_len, 0);
                 continue;
             };
+            if expiry > limit {
+                return;
+            }
             if level == 0 {
                 // A level-0 slot holds exactly one tick's entries: drain,
                 // sort descending by (at, seq) — sub-tick times and
@@ -499,38 +530,97 @@ mod tests {
         assert_eq!(order, vec!['a', 'b']);
     }
 
+    #[test]
+    fn schedule_after_an_empty_pop_due_is_a_slot_push() {
+        // A far timer is pending, the caller runs to `t` across an idle
+        // gap and then schedules a same-instant burst at t + δ. None of
+        // it may merge into a staged batch, whichever level δ lands on.
+        let tick = |t: u64| SimTime::from_nanos(t << TICK_SHIFT);
+        for delta in [0, 1, 61] {
+            let mut w = TimerWheel::new();
+            w.schedule(tick(3), 0);
+            w.schedule(tick(70_000), 1);
+            let t = 9_000; // past level-1 and level-2 slot boundaries
+            assert_eq!(w.pop_due(tick(t)).map(|(_, _, v)| v), Some(0));
+            assert!(w.pop_due(tick(t)).is_none());
+            for i in 0..50 {
+                w.schedule(tick(t + delta), 10 + i);
+            }
+            assert_eq!(w.take_late_scan_steps(), 0, "delta {delta} ticks");
+            let order: Vec<u32> = std::iter::from_fn(|| w.pop()).map(|(_, _, v)| v).collect();
+            assert_eq!(order, (10..60).chain([1]).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn schedule_below_an_unbounded_peek_counts_its_steps() {
+        let mut w = TimerWheel::new();
+        w.schedule(SimTime::from_millis(5), 0);
+        w.peek(); // stages the 5 ms batch: the cursor is now past it
+        for i in 0..4 {
+            w.schedule(SimTime::from_millis(2), 1 + i);
+        }
+        // Each same-instant push lands behind the ones before it.
+        assert_eq!(w.take_late_scan_steps(), 1 + 2 + 3);
+        assert_eq!(w.take_late_scan_steps(), 0, "take drains the counter");
+    }
+
     mod model {
         use super::*;
         use proptest::prelude::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
 
         /// One step of the adversarial interleaving exercised by
         /// `matches_reference_model_under_interleaving`.
         #[derive(Debug, Clone)]
         enum Op {
-            /// Schedule at a time drawn from the adversarial pool.
+            /// Schedule at an absolute time from the adversarial pool
+            /// (possibly far behind the clock).
             Schedule(usize),
+            /// Schedule a same-instant burst of `n` at clock + `DELTAS[d]`
+            /// — what a run loop's caller does right after `pop_due`
+            /// came back empty.
+            Burst { d: usize, n: usize },
             /// Pop once and compare against the reference.
             Pop,
-            /// Peek (stages a batch and advances the cursor) — must not
-            /// change what subsequently pops.
+            /// Peek (stages a batch and moves the cursor past it) — must
+            /// not change what subsequently pops.
             Peek,
+            /// Move the clock on by `GAPS[g]` and pop at most `max`
+            /// entries due by then, each compared against the reference;
+            /// a `None` must mean the reference has nothing due either.
+            PopDue { g: usize, max: usize },
         }
 
+        /// Idle gaps in ticks: none, sub-slot, and across level-1 (64),
+        /// level-2 (4 096) and level-3 (262 144) slot boundaries.
+        const GAPS: [u64; 8] = [0, 1, 63, 64, 65, 4_096, 4_097 + 64, 262_144 + 5];
+        /// Offsets from the clock in nanoseconds: the same instant, the
+        /// same tick, and 1, 61 and 64 ticks and a level-2 slot ahead.
+        const DELTAS: [u64; 6] =
+            [0, 1, 1 << TICK_SHIFT, 61 << TICK_SHIFT, 64 << TICK_SHIFT, 4_100 << TICK_SHIFT];
+
         proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
             #[test]
             fn matches_reference_model_under_interleaving(
-                // Arms are repeated to weight the uniform choice 3:2:1
-                // towards schedules (a full wheel exercises more paths).
+                // Arms are repeated to weight the uniform choice towards
+                // schedules (a full wheel exercises more paths) and
+                // bounded pops (the run loops' only access).
                 ops in prop::collection::vec(
                     prop_oneof![
                         (0usize..12).prop_map(Op::Schedule),
                         (0usize..12).prop_map(Op::Schedule),
-                        (0usize..12).prop_map(Op::Schedule),
-                        Just(Op::Pop),
+                        (0usize..DELTAS.len(), 1usize..6).prop_map(|(d, n)| Op::Burst { d, n }),
+                        (0usize..DELTAS.len(), 1usize..6).prop_map(|(d, n)| Op::Burst { d, n }),
                         Just(Op::Pop),
                         Just(Op::Peek),
+                        (0usize..GAPS.len(), 0usize..8).prop_map(|(g, max)| Op::PopDue { g, max }),
+                        (0usize..GAPS.len(), 0usize..8).prop_map(|(g, max)| Op::PopDue { g, max }),
+                        (0usize..GAPS.len(), 0usize..8).prop_map(|(g, max)| Op::PopDue { g, max }),
                     ],
-                    1..120,
+                    1..160,
                 ),
             ) {
                 // Times straddling every interesting boundary: sub-tick
@@ -546,39 +636,53 @@ mod tests {
                     u64::MAX,
                 ];
                 let mut wheel: TimerWheel<()> = TimerWheel::new();
-                // Reference: the sorted (at, seq) list the old BinaryHeap
-                // queue would pop, consumed as the wheel pops.
-                let mut model: Vec<(u64, u64)> = Vec::new();
-                let mut next_seq = 0u64;
+                // Reference: the `BinaryHeap` over `(at, seq)` the wheel
+                // replaced.
+                let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+                let mut clock = 0u64;
                 for op in ops {
                     match op {
                         Op::Schedule(i) => {
-                            let at = pool[i];
-                            let seq = wheel.schedule(SimTime::from_nanos(at), ());
-                            prop_assert_eq!(seq, next_seq);
-                            model.push((at, seq));
-                            model.sort_unstable();
-                            next_seq += 1;
+                            let seq = wheel.schedule(SimTime::from_nanos(pool[i]), ());
+                            model.push(Reverse((pool[i], seq)));
+                        }
+                        Op::Burst { d, n } => {
+                            let at = clock.saturating_add(DELTAS[d]);
+                            for _ in 0..n {
+                                let seq = wheel.schedule(SimTime::from_nanos(at), ());
+                                model.push(Reverse((at, seq)));
+                            }
                         }
                         Op::Pop => {
                             let got = wheel.pop().map(|(at, seq, ())| (at.as_nanos(), seq));
-                            let want =
-                                if model.is_empty() { None } else { Some(model.remove(0)) };
-                            prop_assert_eq!(got, want);
+                            prop_assert_eq!(got, model.pop().map(|Reverse(e)| e));
                         }
                         Op::Peek => {
-                            let got = wheel.peek();
-                            let want =
-                                model.first().map(|&(at, seq)| (SimTime::from_nanos(at), seq));
-                            prop_assert_eq!(got, want);
+                            let got = wheel.peek().map(|(at, seq)| (at.as_nanos(), seq));
+                            prop_assert_eq!(got, model.peek().map(|&Reverse(e)| e));
+                        }
+                        Op::PopDue { g, max } => {
+                            clock = clock.saturating_add(GAPS[g] << TICK_SHIFT);
+                            for _ in 0..max {
+                                let got = wheel
+                                    .pop_due(SimTime::from_nanos(clock))
+                                    .map(|(at, seq, ())| (at.as_nanos(), seq));
+                                let due = model.peek().is_some_and(|&Reverse((at, _))| at <= clock);
+                                let want = if due { model.pop().map(|Reverse(e)| e) } else { None };
+                                prop_assert_eq!(got, want);
+                                if got.is_none() {
+                                    break;
+                                }
+                            }
                         }
                     }
+                    prop_assert_eq!(wheel.len(), model.len());
                 }
                 // Drain: the full remaining pop order must match.
                 let rest: Vec<(u64, u64)> = std::iter::from_fn(|| wheel.pop())
                     .map(|(at, seq, ())| (at.as_nanos(), seq))
                     .collect();
-                prop_assert_eq!(rest, model);
+                prop_assert_eq!(rest, model.into_sorted_vec().into_iter().rev().map(|Reverse(e)| e).collect::<Vec<_>>());
                 prop_assert!(wheel.is_empty());
             }
         }

@@ -82,9 +82,13 @@ pub mod metric {
     /// Portal frames injected into this shard's replica at a barrier
     /// (receiving shard; one count per replica injection, not per copy).
     pub const SHARD_INGRESS_FRAMES: MetricId = MetricId(17);
+    /// Staged batch entries stepped over by events scheduled below the
+    /// timer wheel's cursor (see `sched`'s cursor discipline): near zero
+    /// while run loops stay bounded, quadratic in a burst when not.
+    pub const SIM_SCHED_LATE_SCAN_STEPS: MetricId = MetricId(18);
 
     /// Names backing the pre-registered counters, in id order.
-    pub(super) const COUNTER_NAMES: [&str; 18] = [
+    pub(super) const COUNTER_NAMES: [&str; 19] = [
         "link.frames_sent",
         "link.bytes_sent",
         "link.frames_delivered",
@@ -103,6 +107,7 @@ pub mod metric {
         "sim.timers_cancelled",
         "shard.egress_frames",
         "shard.ingress_frames",
+        "sim.sched.late_scan_steps",
     ];
 
     /// Event-queue depth samples (see `World::set_queue_sampling`).

@@ -411,10 +411,13 @@ impl World {
         while let Some(ev) = self.queue.pop_due(t) {
             self.process_event(ev);
         }
-        // Cancelled timers discarded by the pops above (including any
-        // past `t` skimmed by the final one) fold into the counter once
-        // per run, keeping the per-event loop free of stats traffic.
-        self.drain_suppressed();
+        // The final `pop_due` looked no further than `t`: the wheel's
+        // cursor is still behind the clock, so whatever the caller sends
+        // or arms next is a slot push. What the queue counted on the way
+        // (cancelled timers due by `t`, below-cursor merge steps) folds
+        // into the stats once per run, keeping the per-event loop free
+        // of stats traffic.
+        self.fold_queue_counters();
         if t > self.time {
             self.time = t;
         }
@@ -430,19 +433,24 @@ impl World {
     /// empty.
     pub fn step(&mut self) -> bool {
         let popped = self.queue.pop();
-        self.drain_suppressed();
+        self.fold_queue_counters();
         let Some(ev) = popped else { return false };
         self.process_event(ev);
         true
     }
 
-    /// Timer events discarded by cancellation during a pop or peek
-    /// surface as a counter, not as dispatches.
+    /// Timer events discarded by cancellation during a pop, and batch
+    /// entries stepped over by below-cursor schedules, surface as
+    /// counters, not as dispatches.
     #[inline]
-    fn drain_suppressed(&mut self) {
+    fn fold_queue_counters(&mut self) {
         let suppressed = self.queue.take_suppressed();
         if suppressed > 0 {
             self.stats.add_id(metric::SIM_TIMERS_CANCELLED, suppressed);
+        }
+        let late = self.queue.take_late_scan_steps();
+        if late > 0 {
+            self.stats.add_id(metric::SIM_SCHED_LATE_SCAN_STEPS, late);
         }
     }
 
@@ -1544,6 +1552,60 @@ mod tests {
             (trace, counters)
         };
         assert_eq!(run(1994), run(1994));
+    }
+
+    /// Arms one far-future timer on start; relays every frame received
+    /// on interface 0 out of interface 1 to `next_hop`.
+    struct Relay {
+        next_hop: MacAddr,
+    }
+    impl Node for Relay {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_secs(1), TimerToken(1));
+        }
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
+            if iface == IfaceId(0) {
+                let out = IfaceId(1);
+                let fwd =
+                    Frame::new(ctx.mac(out), self.next_hop, frame.ethertype, frame.payload.clone());
+                ctx.send_frame(out, fwd);
+            }
+        }
+    }
+
+    #[test]
+    fn burst_after_idle_gap_schedules_ahead_of_the_cursor() {
+        // The only pending event is the relay's timer at 1 s. Running to
+        // 10 ms crosses an idle gap; if the run loop's final look at the
+        // queue staged that timer's batch, the cursor would sit at 1 s
+        // and every send of the burst below — and every forwarding hop
+        // after it — would merge into the batch under it, stepping over
+        // all the sends before it: ~N²/2 steps per hop.
+        const N: u64 = 2_000;
+        let mut w = World::new(5);
+        let a = w.add_segment(SegmentParams::default());
+        let b = w.add_segment(SegmentParams::default());
+        let src = w.add_node(Counter::new(false));
+        w.add_iface(src, Some(a));
+        let sink = w.add_node(Counter::new(false));
+        w.add_iface(sink, Some(b));
+        let relay = w.add_node(Relay { next_hop: w.iface_mac(sink, IfaceId(0)) });
+        w.add_iface(relay, Some(a));
+        w.add_iface(relay, Some(b));
+        w.start();
+        w.run_until(SimTime::from_millis(10));
+        let relay_mac = w.iface_mac(relay, IfaceId(0));
+        w.with_node::<Counter, _>(src, |_, ctx| {
+            for _ in 0..N {
+                let f =
+                    Frame::new(ctx.mac(IfaceId(0)), relay_mac, EtherType::Other(0x1234), vec![0]);
+                ctx.send_frame(IfaceId(0), f);
+            }
+        });
+        w.run_until(SimTime::from_secs(2));
+        assert_eq!(w.node::<Counter>(sink).rx as u64, N);
+        let steps = w.stats().counter("sim.sched.late_scan_steps");
+        assert!(steps <= N, "{steps} late scan steps for a burst of {N}");
     }
 
     #[test]

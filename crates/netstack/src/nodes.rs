@@ -94,7 +94,7 @@ impl Default for RouterNode {
 
 impl Node for RouterNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     if pkt.protocol == proto::ICMP {
@@ -356,7 +356,7 @@ impl Default for HostNode {
 
 impl Node for HostNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        for ev in self.stack.handle_frame(ctx, iface, frame) {
+        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
             match ev {
                 StackEvent::Deliver { pkt, .. } => {
                     self.endpoint.deliver(&mut self.stack, ctx, &pkt);

@@ -243,27 +243,27 @@ impl IpStack {
         self.ident
     }
 
-    /// Processes a received frame. ARP is consumed internally; IPv4 frames
-    /// yield at most one [`StackEvent`].
+    /// Processes a received frame. ARP is consumed internally; an IPv4
+    /// frame yields at most one [`StackEvent`].
     pub fn handle_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
         iface: IfaceId,
         frame: &Frame,
-    ) -> Vec<StackEvent> {
+    ) -> Option<StackEvent> {
         match frame.ethertype {
             EtherType::Arp => {
                 self.handle_arp(ctx, iface, frame);
-                Vec::new()
+                None
             }
             EtherType::Ipv4 => match Ipv4Packet::decode(&frame.payload) {
                 Ok(pkt) => self.classify(ctx, iface, pkt),
                 Err(_) => {
                     self.counters.rx_malformed.incr(ctx.stats());
-                    Vec::new()
+                    None
                 }
             },
-            EtherType::Other(_) => Vec::new(),
+            EtherType::Other(_) => None,
         }
     }
 
@@ -294,20 +294,25 @@ impl IpStack {
         }
     }
 
-    fn classify(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Ipv4Packet) -> Vec<StackEvent> {
+    fn classify(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        iface: IfaceId,
+        pkt: Ipv4Packet,
+    ) -> Option<StackEvent> {
         self.counters.rx.incr(ctx.stats());
         let dst = pkt.dst;
         let is_broadcast = dst == Ipv4Addr::BROADCAST
             || self.ifaces.iter().flatten().any(|ia| ia.prefix.broadcast() == dst);
         if is_broadcast || self.is_local_addr(dst) || self.capture.contains(&dst) {
             self.counters.delivered.incr(ctx.stats());
-            return vec![StackEvent::Deliver { pkt, iface }];
+            return Some(StackEvent::Deliver { pkt, iface });
         }
         if self.forwarding {
-            return vec![StackEvent::ForwardCandidate { pkt, in_iface: iface }];
+            return Some(StackEvent::ForwardCandidate { pkt, in_iface: iface });
         }
         self.counters.rx_not_for_us.incr(ctx.stats());
-        Vec::new()
+        None
     }
 
     /// Forwards a transit packet: decrements TTL (emitting time-exceeded on

@@ -23,7 +23,6 @@
 use netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use telemetry::Histogram;
 
 /// Bytes of probe header at the front of every payload: flow id and
@@ -179,12 +178,15 @@ pub struct Flow {
     /// Round-trip time of completed closed-loop requests, microseconds.
     pub rtt_us: Histogram,
     rng: StdRng,
-    next_seq: u32,
     started: Option<SimTime>,
     next_at: Option<SimTime>,
     pending: Vec<PendingReq>,
-    sent_at: HashMap<u32, SimTime>,
-    seq_req: HashMap<u32, u64>,
+    /// Send time of every probe, indexed by its `seq` (sequence numbers
+    /// are handed out densely from 0).
+    sent_at: Vec<SimTime>,
+    /// The request each probe of a closed-loop flow carries, indexed by
+    /// `seq`; stays empty on open-loop flows.
+    seq_req: Vec<u64>,
     next_req: u64,
 }
 
@@ -200,12 +202,11 @@ impl Flow {
             latency_us: Histogram::latency_us(),
             rtt_us: Histogram::latency_us(),
             rng,
-            next_seq: 0,
             started: None,
             next_at: None,
             pending: Vec::new(),
-            sent_at: HashMap::new(),
-            seq_req: HashMap::new(),
+            sent_at: Vec::new(),
+            seq_req: Vec::new(),
             next_req: 0,
         }
     }
@@ -218,7 +219,7 @@ impl Flow {
 
     /// When `seq` was put on the wire, if this flow sent it.
     pub fn sent_time(&self, seq: u32) -> Option<SimTime> {
-        self.sent_at.get(&seq).copied()
+        self.sent_at.get(seq as usize).copied()
     }
 
     /// Whether the flow has offered everything its `limit` allows and
@@ -282,8 +283,7 @@ impl Flow {
                 for &i in overdue.iter().rev() {
                     let p = self.pending[i];
                     if p.retries_left > 0 {
-                        let seq = self.fresh_seq(now);
-                        self.seq_req.insert(seq, p.req);
+                        let seq = self.fresh_req_seq(now, p.req);
                         self.pending[i] = PendingReq {
                             req: p.req,
                             deadline_at: now + deadline,
@@ -301,8 +301,7 @@ impl Flow {
                 while self.pending.len() < window && !self.limit_reached() {
                     let req = self.next_req;
                     self.next_req += 1;
-                    let seq = self.fresh_seq(now);
-                    self.seq_req.insert(seq, req);
+                    let seq = self.fresh_req_seq(now, req);
                     self.pending.push(PendingReq {
                         req,
                         deadline_at: now + deadline,
@@ -318,9 +317,9 @@ impl Flow {
 
     /// Records a forward-leg arrival of `seq` at the mobile host.
     pub fn on_delivered(&mut self, seq: u32, at: SimTime) {
-        if let Some(sent) = self.sent_at.get(&seq) {
+        if let Some(sent) = self.sent_time(seq) {
             self.stats.delivered += 1;
-            self.latency_us.record(at.since(*sent).as_micros());
+            self.latency_us.record(at.since(sent).as_micros());
         }
     }
 
@@ -328,12 +327,12 @@ impl Flow {
     /// first response to a still-pending request completes it; anything
     /// else (duplicate, response to an abandoned request) is ignored.
     pub fn on_response(&mut self, seq: u32, at: SimTime) {
-        let Some(&req) = self.seq_req.get(&seq) else { return };
+        let Some(&req) = self.seq_req.get(seq as usize) else { return };
         let Some(i) = self.pending.iter().position(|p| p.req == req) else { return };
         self.pending.remove(i);
         self.stats.completed += 1;
-        if let Some(sent) = self.sent_at.get(&seq) {
-            self.rtt_us.record(at.since(*sent).as_micros());
+        if let Some(sent) = self.sent_time(seq) {
+            self.rtt_us.record(at.since(sent).as_micros());
         }
     }
 
@@ -344,10 +343,19 @@ impl Flow {
         out.push(ProbeSend { seq, bytes: self.cfg.bytes });
     }
 
+    /// A fresh sequence number for a probe carrying closed-loop request
+    /// `req`. Every probe of a closed-loop flow comes through here, which
+    /// is what keeps `seq_req` indexed by `seq`.
+    fn fresh_req_seq(&mut self, now: SimTime, req: u64) -> u32 {
+        let seq = self.fresh_seq(now);
+        debug_assert_eq!(self.seq_req.len(), seq as usize);
+        self.seq_req.push(req);
+        seq
+    }
+
     fn fresh_seq(&mut self, now: SimTime) -> u32 {
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        self.sent_at.insert(seq, now);
+        let seq = self.sent_at.len() as u32;
+        self.sent_at.push(now);
         seq
     }
 }
@@ -518,6 +526,11 @@ mod tests {
         // Unknown seq is ignored.
         f.on_delivered(999, SimTime::ZERO + SimDuration::from_millis(1));
         assert_eq!(f.stats.delivered, 1);
+        assert_eq!(f.sent_time(out[0].seq), Some(SimTime::ZERO));
+        assert_eq!(f.sent_time(999), None);
+        // An open-loop flow has no requests to answer.
+        f.on_response(out[0].seq, SimTime::ZERO + SimDuration::from_millis(1));
+        assert_eq!(f.stats.completed, 0);
     }
 
     #[test]
