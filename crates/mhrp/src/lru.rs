@@ -52,7 +52,10 @@ pub struct LruMap<V> {
 }
 
 impl<V> LruMap<V> {
-    /// Creates a map holding at most `capacity` entries.
+    /// Creates a map holding at most `capacity` entries. Allocates
+    /// nothing: the index and the slab grow with the entries, so a table
+    /// nobody inserts into (an idle host's cache and rate limiter) costs
+    /// only this struct.
     ///
     /// # Panics
     ///
@@ -61,7 +64,7 @@ impl<V> LruMap<V> {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruMap {
             capacity,
-            index: HashMap::with_capacity(capacity.min(1024)),
+            index: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -34,41 +34,112 @@ use crate::sched::TimerWheel;
 use crate::time::SimTime;
 use crate::world::AdminOp;
 
-/// A frame arriving at a node's interface. `segment` records where the
-/// frame was transmitted so delivery can be suppressed if the interface
-/// has moved away in the meantime.
-pub(crate) struct FrameEvent {
-    pub node: NodeId,
-    pub iface: IfaceId,
+/// One frame on the wire: what every queue entry of a transmission
+/// shares. A jittered broadcast to 50 receivers is one record and 50
+/// plain [`EventKind::Rx`] entries; a zero-jitter broadcast is one record
+/// and one [`EventKind::RxBatch`] entry that lists its receivers here.
+/// `segment` records where the frame was transmitted so delivery can be
+/// suppressed if a receiver's interface has moved away in the meantime.
+pub(crate) struct Transmission {
     pub segment: SegmentId,
-    pub frame: Frame,
+    /// `None` while the record is free, and while the world has the frame
+    /// out for one delivery (it goes back unless that was the last).
+    pub frame: Option<Frame>,
+    /// Batch only: every surviving receiver, in attachment order. The
+    /// world only batches when per-receiver delivery times are identical
+    /// and this order matches what per-receiver entries would have
+    /// produced, so processing order is unchanged. The buffer stays with
+    /// the record when it is freed.
+    pub receivers: Vec<(NodeId, IfaceId)>,
+    /// Queue entries that still name this record.
+    pub pending: u32,
 }
 
-/// One broadcast transmission arriving at every surviving receiver of a
-/// zero-jitter segment at the same instant: one queue entry, one pop,
-/// `receivers.len()` deliveries in the recorded order. The world only
-/// batches when per-receiver delivery times are identical and the
-/// receiver order matches what per-receiver frame events would have
-/// produced, so processing order is unchanged.
-pub(crate) struct BatchEvent {
-    pub segment: SegmentId,
-    pub frame: Frame,
-    pub receivers: Vec<(NodeId, IfaceId)>,
+/// The slab of [`Transmission`] records, indexed by the `tx` of the
+/// queue entries. A record is freed by the pop that delivers its last
+/// copy, dropping its frame (and with it the payload reference) there
+/// and then; freed records are reused last-out-first-in, so steady state
+/// allocates nothing and touches a few warm records.
+#[derive(Default)]
+pub(crate) struct Transmissions {
+    records: Vec<Transmission>,
+    free: Vec<u32>,
+}
+
+impl Transmissions {
+    /// Claims a record for a transmission on `segment`: no frame yet, no
+    /// queue entries. Follow with [`Transmissions::arm`] once the entries
+    /// are pushed, or [`Transmissions::release`] if none were.
+    pub fn alloc(&mut self, segment: SegmentId) -> u32 {
+        if let Some(tx) = self.free.pop() {
+            self.records[tx as usize].segment = segment;
+            return tx;
+        }
+        let tx = u32::try_from(self.records.len()).expect("over 2^32 frames in flight");
+        self.records.push(Transmission { segment, frame: None, receivers: Vec::new(), pending: 0 });
+        tx
+    }
+
+    /// Hands `frame` to record `tx`, which `pending` queue entries name.
+    pub fn arm(&mut self, tx: u32, frame: Frame, pending: u32) {
+        let t = &mut self.records[tx as usize];
+        t.frame = Some(frame);
+        t.pending = pending;
+    }
+
+    /// Returns record `tx` to the free list: its last copy's frame has
+    /// been taken out for delivery (or it was never armed), so nothing
+    /// is left in it but the receiver list's buffer.
+    pub fn release(&mut self, tx: u32) {
+        let t = &self.records[tx as usize];
+        debug_assert!(t.frame.is_none() && t.receivers.is_empty(), "released record still in use");
+        self.free.push(tx);
+    }
+
+    /// Records currently in flight (claimed and not yet released).
+    pub fn live(&self) -> usize {
+        self.records.len() - self.free.len()
+    }
+
+    /// Bytes of heap the slab holds (records, free list, the receiver
+    /// lists of batches; not the frames' payloads).
+    pub fn heap_bytes(&self) -> usize {
+        let lists = self.records.iter().map(|t| t.receivers.capacity()).sum::<usize>();
+        self.records.capacity() * std::mem::size_of::<Transmission>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + lists * std::mem::size_of::<(NodeId, IfaceId)>()
+    }
+}
+
+impl std::ops::Index<u32> for Transmissions {
+    type Output = Transmission;
+    fn index(&self, tx: u32) -> &Transmission {
+        &self.records[tx as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Transmissions {
+    fn index_mut(&mut self, tx: u32) -> &mut Transmission {
+        &mut self.records[tx as usize]
+    }
 }
 
 /// What happens when an event fires.
 ///
 /// Every queue entry is copied several times on its way through the
 /// timer wheel (slot push, cascade, drain, pop), so the enum is kept to
-/// pointer-and-a-half size: the payload-carrying variants live behind
-/// boxes. The hot frame boxes are recycled through pools on `World`
-/// (steady state allocates nothing); admin and fault events are rare
-/// enough to pay a real allocation.
+/// pointer-and-a-half size: a frame arrival carries indices, not the
+/// frame, which lives once in the world's [`Transmissions`] slab however
+/// many receivers it has. Admin and fault events are rare enough to pay
+/// a real allocation.
 pub(crate) enum EventKind {
-    /// A frame arrives at a node's interface (box pooled by the world).
-    Frame(Box<FrameEvent>),
-    /// A batched broadcast fan-out (box pooled by the world).
-    FrameBatch(Box<BatchEvent>),
+    /// One receiver's copy of transmission `tx` arrives at `iface` of
+    /// `node` (ids narrowed to `u32`; the world checks they fit).
+    Rx { tx: u32, node: u32, iface: u32 },
+    /// Transmission `tx` arrives at every receiver its record lists, at
+    /// the same instant: one queue entry, one pop, `receivers.len()`
+    /// deliveries in the recorded order.
+    RxBatch { tx: u32 },
     /// A node timer fires.
     Timer { node: NodeId, token: TimerToken },
     /// A scripted world operation executes.
@@ -78,6 +149,8 @@ pub(crate) enum EventKind {
     /// Periodic queue-depth sample (see `World::set_queue_sampling`).
     SampleQueue,
 }
+
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
 
 pub(crate) struct ScheduledEvent {
     pub at: SimTime,
@@ -193,6 +266,12 @@ impl EventQueue {
 
     pub fn is_empty(&self) -> bool {
         self.wheel.is_empty()
+    }
+
+    /// Bytes of heap the queue holds, used or not.
+    pub fn heap_bytes(&self) -> usize {
+        self.wheel.heap_bytes()
+            + self.cancelled.capacity() * std::mem::size_of::<((NodeId, TimerToken), u64)>()
     }
 }
 

@@ -85,6 +85,10 @@ struct Entry<T> {
     value: T,
 }
 
+// The simulator's queue entry: copied at every slot push, cascade, drain
+// and pop, and what a storm's backlog is made of.
+const _: () = assert!(std::mem::size_of::<Entry<crate::event::EventKind>>() <= 40);
+
 /// Overflow entries live in a max-heap; reverse the comparison so the
 /// earliest `(at, seq)` is on top. Payloads never participate in the
 /// ordering (seq is unique, so the order is total without them).
@@ -115,8 +119,29 @@ impl<T> Ord for OverflowEntry<T> {
 /// break the steady-state zero-allocation guarantee the delivery and
 /// timer hot paths hold.
 /// Capacity is conserved thereafter: drains and cascades swap buckets
-/// back in place, so a slot grown once never reallocates at that size.
+/// back in place, so a slot grown once never reallocates at that size —
+/// up to [`RELEASE_ENTRIES`].
 const SLOT_SEED: usize = 4;
+
+/// A bucket whose buffer grew past this many entries hands it back when
+/// it empties (see [`release_burst_buffer`]). Steady-state buckets sit
+/// orders of magnitude below it and keep their capacity, so the
+/// zero-allocation guarantee above is untouched; what goes is the
+/// high-water mark of a burst. Without the rule every higher-level slot
+/// a storm rotates through keeps a buffer sized for the whole backlog
+/// (25 000 hosts registering at once: ~380 MB of capacity around
+/// ~100 MB of entries).
+const RELEASE_ENTRIES: usize = 1 << 15;
+
+/// Shrinks a just-emptied bucket back to its seed if a burst grew it
+/// past [`RELEASE_ENTRIES`].
+#[inline]
+fn release_burst_buffer<T>(bucket: &mut Vec<T>) {
+    debug_assert!(bucket.is_empty());
+    if bucket.capacity() > RELEASE_ENTRIES {
+        bucket.shrink_to(SLOT_SEED);
+    }
+}
 
 /// One wheel level: 64 unsorted slot buckets plus an occupancy bitmap so
 /// the next occupied slot is a `trailing_zeros` away.
@@ -193,7 +218,7 @@ impl<T> TimerWheel<T> {
     /// never reallocates queue storage after warmup.
     pub fn reserve(&mut self, events: usize) {
         self.ready.reserve(events);
-        let per_slot = (events / SLOTS).max(1);
+        let per_slot = (events / SLOTS).clamp(1, RELEASE_ENTRIES);
         for slot in &mut self.levels[0].slots {
             slot.reserve(per_slot);
         }
@@ -208,6 +233,18 @@ impl<T> TimerWheel<T> {
     /// Whether the wheel holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Bytes of heap the wheel holds: the capacity, used or not, of the
+    /// ready batch, every bucket, the cascade scratch and the overflow
+    /// heap.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = self.levels.iter().flat_map(|l| &l.slots).map(Vec::capacity).sum::<usize>();
+        let entries = self.ready.capacity()
+            + slots
+            + self.cascade_scratch.capacity()
+            + self.overflow.capacity();
+        entries * std::mem::size_of::<Entry<T>>()
     }
 
     /// The sequence number the next [`TimerWheel::schedule`] will assign.
@@ -389,6 +426,7 @@ impl<T> TimerWheel<T> {
                 let bucket = &mut self.levels[0].slots[slot];
                 self.wheel_len -= bucket.len();
                 self.ready.extend(bucket.drain(..).rev());
+                release_burst_buffer(bucket);
                 self.levels[0].occupied &= !(1 << slot);
                 self.cur = expiry + 1;
                 let sorted =
@@ -401,7 +439,8 @@ impl<T> TimerWheel<T> {
             // Cascade: the cursor has reached a higher-level slot; move
             // its entries down (each lands at a strictly lower level
             // relative to the new cursor). The scratch swap keeps the
-            // slot's capacity for its next rotation.
+            // slot's capacity for its next rotation, unless a burst grew
+            // it past the release size.
             let mut scratch = std::mem::take(&mut self.cascade_scratch);
             std::mem::swap(&mut scratch, &mut self.levels[level].slots[slot]);
             self.levels[level].occupied &= !(1 << slot);
@@ -411,6 +450,7 @@ impl<T> TimerWheel<T> {
                 let tick = entry.at >> TICK_SHIFT;
                 self.insert_wheel(entry, tick);
             }
+            release_burst_buffer(&mut scratch);
             std::mem::swap(&mut scratch, &mut self.levels[level].slots[slot]);
             self.cascade_scratch = scratch;
         }
@@ -423,6 +463,73 @@ mod tests {
 
     fn drain(w: &mut TimerWheel<u32>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| w.pop()).map(|(at, seq, _)| (at.as_nanos(), seq)).collect()
+    }
+
+    /// Capacity of every level bucket, then of the cascade scratch.
+    fn bucket_capacities<T>(w: &TimerWheel<T>) -> Vec<usize> {
+        let slots = w.levels.iter().flat_map(|l| l.slots.iter().map(Vec::capacity));
+        slots.chain([w.cascade_scratch.capacity()]).collect()
+    }
+
+    #[test]
+    fn burst_buffers_are_released_and_steady_state_ones_kept() {
+        let seeded: usize = bucket_capacities(&TimerWheel::<u64>::new()).iter().sum();
+
+        // A 200k-entry burst due within one tick, a second ahead: it
+        // sits in one level-2 slot, cascades through one level-1 slot and
+        // drains from one level-0 slot — three buffers of 200k+ entries.
+        const BURST: u64 = 200_000;
+        let mut w = TimerWheel::new();
+        let due = 122_070u64 << TICK_SHIFT;
+        for i in 0..BURST {
+            w.schedule(SimTime::from_nanos(due + i % 8_000), i);
+        }
+        assert!(bucket_capacities(&w).iter().any(|&c| c >= BURST as usize));
+        let mut popped = 0;
+        let mut last = (0, 0);
+        while let Some((at, seq, _)) = w.pop_due(SimTime::from_secs(2)) {
+            assert!((at.as_nanos(), seq) > last || popped == 0, "pop order broke");
+            last = (at.as_nanos(), seq);
+            popped += 1;
+        }
+        assert_eq!(popped, BURST);
+        // Once it has drained, everything the burst grew is handed back:
+        // what the buckets retain in total is less than the one buffer a
+        // bucket may keep.
+        let retained: usize = bucket_capacities(&w).iter().sum();
+        assert!(
+            retained <= seeded + RELEASE_ENTRIES,
+            "{retained} entries of bucket capacity retained after a drained burst"
+        );
+
+        // A 1k-entry steady state — pop one, schedule one up to ~4 ms
+        // ahead, so the population rotates through levels 0 to 2 — keeps
+        // every buffer it grew: the rule never fires, so no bucket is
+        // smaller after 400k more operations (`tests/alloc_free.rs` holds
+        // the strict zero-allocation half on a periodic load).
+        let mut w = TimerWheel::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut step = |w: &mut TimerWheel<u64>, now: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            w.schedule(SimTime::from_nanos(now + 1 + x % 4_000_000), x);
+        };
+        for _ in 0..1_000 {
+            step(&mut w, 0);
+        }
+        let mut run = |w: &mut TimerWheel<u64>, ops: usize| {
+            for _ in 0..ops {
+                let (at, _, _) = w.pop().expect("population is constant");
+                step(w, at.as_nanos());
+            }
+        };
+        run(&mut w, 400_000);
+        let warm = bucket_capacities(&w);
+        run(&mut w, 400_000);
+        let after = bucket_capacities(&w);
+        assert!(after.iter().zip(&warm).all(|(a, b)| a >= b), "a steady-state bucket was released");
+        assert!(after.iter().all(|&c| c <= RELEASE_ENTRIES));
     }
 
     #[test]
@@ -438,7 +545,7 @@ mod tests {
 
     #[test]
     fn same_tick_sub_tick_times_sort() {
-        // Distinct nanosecond times inside one 1.024 µs tick must pop in
+        // Distinct nanosecond times inside one 8.192 µs tick must pop in
         // time order, not insertion order.
         let mut w = TimerWheel::new();
         w.schedule(SimTime::from_nanos(700), 0);

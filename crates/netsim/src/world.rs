@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::arena::NodeArena;
-use crate::event::{BatchEvent, EventKind, EventQueue, FrameEvent, ScheduledEvent};
+use crate::event::{EventKind, EventQueue, ScheduledEvent, Transmissions};
 use crate::faults::{FaultOp, FaultPlan};
 use crate::frame::{Frame, Payload};
 use crate::id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
@@ -119,6 +119,13 @@ impl fmt::Debug for AdminOp {
     }
 }
 
+/// The queue entry for one receiver's copy of transmission `tx`.
+#[inline]
+fn rx_event(tx: u32, node: NodeId, iface: IfaceId) -> EventKind {
+    debug_assert!(u32::try_from(iface.0).is_ok());
+    EventKind::Rx { tx, node: node.0 as u32, iface: iface.0 as u32 }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct IfaceBinding {
     mac: MacAddr,
@@ -181,17 +188,9 @@ pub struct World {
     // corrupting the outer call.
     action_scratch: Vec<Action>,
     rx_scratch: Vec<(NodeId, IfaceId)>,
-    // Box pools for the payload-carrying queue events, keeping `EventKind`
-    // pointer-sized without paying an allocation per transmission: a
-    // popped box returns here and its fields are overwritten at the next
-    // transmit (the stale frame inside a pooled box keeps its payload
-    // refcount until then — bounded by the pool's high-water mark).
-    // (clippy::vec_box: the boxing is the point — pooled boxes are moved
-    // into `EventKind` whole, so the allocation itself is what's recycled.)
-    #[allow(clippy::vec_box)]
-    frame_pool: Vec<Box<FrameEvent>>,
-    #[allow(clippy::vec_box)]
-    batch_pool: Vec<Box<BatchEvent>>,
+    // Frames in flight: one record per transmission, named by index from
+    // its queue entries (see `event::Transmissions`).
+    txs: Transmissions,
     // Structured telemetry (see the `telemetry` crate): a bounded ring of
     // typed events plus an optional pcap-ng capture of delivered frames.
     // Both are off by default and cost nothing until enabled.
@@ -229,8 +228,7 @@ impl World {
             iface_infos: Vec::new(),
             action_scratch: Vec::new(),
             rx_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            batch_pool: Vec::new(),
+            txs: Transmissions::default(),
             tele: EventLog::new(),
             pcap: None,
             has_portals: false,
@@ -265,6 +263,7 @@ impl World {
     /// node state cache-local. Nodes live as long as the world.
     pub fn add_node(&mut self, node: impl Node) -> NodeId {
         let id = NodeId(self.nodes.len());
+        assert!(u32::try_from(id.0).is_ok(), "queue entries carry node ids as u32");
         let ptr = self.arena.alloc(node);
         self.nodes.push(Some(ptr));
         self.bindings.push(Vec::new());
@@ -368,23 +367,12 @@ impl World {
                 .filter(|a| frame.dst.is_broadcast() || a.mac == frame.dst)
                 .map(|a| (a.node, a.iface)),
         );
-        for &(rx_node, rx_iface) in &receivers {
-            let fe = match self.frame_pool.pop() {
-                Some(mut fe) => {
-                    fe.node = rx_node;
-                    fe.iface = rx_iface;
-                    fe.segment = segment;
-                    fe.frame = frame.clone();
-                    fe
-                }
-                None => Box::new(FrameEvent {
-                    node: rx_node,
-                    iface: rx_iface,
-                    segment,
-                    frame: frame.clone(),
-                }),
-            };
-            self.queue.push(at, EventKind::Frame(fe));
+        if !receivers.is_empty() {
+            let tx = self.txs.alloc(segment);
+            for &(rx_node, rx_iface) in &receivers {
+                self.queue.push(at, rx_event(tx, rx_node, rx_iface));
+            }
+            self.txs.arm(tx, frame.clone(), receivers.len() as u32);
         }
         receivers.clear();
         self.rx_scratch = receivers;
@@ -461,21 +449,37 @@ impl World {
         self.time = ev.at;
         self.events_processed += 1;
         match ev.kind {
-            EventKind::Frame(fe) => {
-                self.deliver_frame(fe.node, fe.iface, fe.segment, &fe.frame);
-                self.frame_pool.push(fe);
+            EventKind::Rx { tx, node, iface } => {
+                // The frame leaves its record for the length of the
+                // delivery (handlers transmit, which may grow the slab)
+                // and goes back unless this was the last copy.
+                let t = &mut self.txs[tx];
+                let segment = t.segment;
+                let frame = t.frame.take().expect("queue entry names a live transmission");
+                t.pending -= 1;
+                let last = t.pending == 0;
+                self.deliver_frame(NodeId(node as usize), IfaceId(iface as usize), segment, &frame);
+                if last {
+                    self.txs.release(tx);
+                } else {
+                    self.txs[tx].frame = Some(frame);
+                }
             }
-            EventKind::FrameBatch(mut be) => {
+            EventKind::RxBatch { tx } => {
+                let t = &mut self.txs[tx];
+                let segment = t.segment;
+                let frame = t.frame.take().expect("queue entry names a live transmission");
+                let mut receivers = std::mem::take(&mut t.receivers);
                 // One queue entry carrying receivers.len() deliveries:
                 // count each so `events_processed` (and thus bench
                 // throughput figures) match the unbatched scheme exactly.
-                self.events_processed += be.receivers.len() as u64 - 1;
-                for i in 0..be.receivers.len() {
-                    let (node, iface) = be.receivers[i];
-                    self.deliver_frame(node, iface, be.segment, &be.frame);
+                self.events_processed += receivers.len() as u64 - 1;
+                for &(node, iface) in &receivers {
+                    self.deliver_frame(node, iface, segment, &frame);
                 }
-                be.receivers.clear();
-                self.batch_pool.push(be);
+                receivers.clear();
+                self.txs[tx].receivers = receivers;
+                self.txs.release(tx);
             }
             EventKind::Timer { node, token } => {
                 if self.down_nodes[node.0] {
@@ -505,8 +509,8 @@ impl World {
 
     /// Delivers one frame copy to `node`'s `iface`, running the full
     /// arrival pipeline (crash check, moved-away suppression, stats,
-    /// trace, telemetry, pcap, dispatch). Shared by per-receiver `Frame`
-    /// events and batched `FrameBatch` fan-outs.
+    /// trace, telemetry, pcap, dispatch). Shared by per-receiver `Rx`
+    /// events and batched `RxBatch` fan-outs.
     fn deliver_frame(&mut self, node: NodeId, iface: IfaceId, segment: SegmentId, frame: &Frame) {
         if self.down_nodes[node.0] {
             // A crashed node hears nothing.
@@ -870,6 +874,22 @@ impl World {
         self.queue.len()
     }
 
+    /// Transmissions currently in flight: frames sent whose last copy has
+    /// not arrived yet. One per transmission however many receivers it
+    /// has (a per-receiver corrupted copy counts as its own); 0 once the
+    /// queue has drained.
+    pub fn transmissions_in_flight(&self) -> usize {
+        self.txs.live()
+    }
+
+    /// Bytes of heap behind the event queue: the timer wheel's buffers at
+    /// their current capacity and the transmission records. What a
+    /// per-host memory budget leaves out — it follows the load, not the
+    /// population.
+    pub fn queue_heap_bytes(&self) -> usize {
+        self.queue.heap_bytes() + self.txs.heap_bytes()
+    }
+
     /// Total events processed since the world was created (frames, timers
     /// and admin operations). The bench harness divides this by wall time
     /// to report simulator throughput.
@@ -1045,6 +1065,11 @@ impl World {
         receivers.extend(
             self.segments[seg_id.0].receivers(node_id, iface, frame.dst).map(|a| (a.node, a.iface)),
         );
+        if receivers.is_empty() {
+            self.rx_scratch = receivers;
+            return;
+        }
+        let journey = frame.journey;
         if frame.dst.is_broadcast()
             && receivers.len() > 1
             && params.jitter == SimDuration::ZERO
@@ -1052,51 +1077,47 @@ impl World {
         {
             // Batched fan-out: with zero jitter and no per-copy
             // corruption, every surviving receiver gets an identical copy
-            // at the identical instant, and the per-receiver `Frame`
+            // at the identical instant, and the per-receiver `Rx`
             // events the unbatched path would push carry *consecutive*
             // sequence numbers — nothing can order between them. One
-            // `FrameBatch` event therefore reproduces the exact
+            // `RxBatch` event therefore reproduces the exact
             // processing order while costing a single queue operation.
             // Loss is still drawn per receiver, in attachment order, so
             // the RNG stream is bit-identical to the unbatched scheme.
-            let journey = frame.journey;
-            let mut be = match self.batch_pool.pop() {
-                Some(mut be) => {
-                    be.segment = seg_id;
-                    be.frame = frame;
-                    be
-                }
-                None => Box::new(BatchEvent { segment: seg_id, frame, receivers: Vec::new() }),
-            };
-            debug_assert!(be.receivers.is_empty(), "pooled batch not cleared");
-            for &(rx_node, rx_iface) in &receivers {
-                if params.loss > 0.0 && self.rng.random::<f64>() < params.loss {
-                    self.stats.incr_id(metric::LINK_FRAMES_DROPPED);
-                    self.tele_record(
-                        Some(rx_node),
-                        journey,
-                        telemetry::EventKind::FrameDrop { reason: DropReason::Loss },
-                    );
-                    continue;
-                }
-                be.receivers.push((rx_node, rx_iface));
+            if params.loss > 0.0 {
+                receivers.retain(|&(rx_node, _)| {
+                    let lost = self.rng.random::<f64>() < params.loss;
+                    if lost {
+                        self.stats.incr_id(metric::LINK_FRAMES_DROPPED);
+                        self.tele_record(
+                            Some(rx_node),
+                            journey,
+                            telemetry::EventKind::FrameDrop { reason: DropReason::Loss },
+                        );
+                    }
+                    !lost
+                });
             }
-            if be.receivers.is_empty() {
-                // Every copy was lost; recycle the box.
-                self.batch_pool.push(be);
-            } else {
-                self.queue.push(self.time + params.latency, EventKind::FrameBatch(be));
+            if !receivers.is_empty() {
+                let tx = self.txs.alloc(seg_id);
+                self.txs[tx].receivers.extend_from_slice(&receivers);
+                self.txs.arm(tx, frame, 1);
+                self.queue.push(self.time + params.latency, EventKind::RxBatch { tx });
             }
             receivers.clear();
             self.rx_scratch = receivers;
             return;
         }
+        // One record for the whole transmission; every surviving
+        // receiver's queue entry names it.
+        let tx = self.txs.alloc(seg_id);
+        let mut pending = 0;
         for &(rx_node, rx_iface) in &receivers {
             if params.loss > 0.0 && self.rng.random::<f64>() < params.loss {
                 self.stats.incr_id(metric::LINK_FRAMES_DROPPED);
                 self.tele_record(
                     Some(rx_node),
-                    frame.journey,
+                    journey,
                     telemetry::EventKind::FrameDrop { reason: DropReason::Loss },
                 );
                 continue;
@@ -1106,41 +1127,35 @@ impl World {
                 let j = self.rng.random_range(0..=params.jitter.as_nanos());
                 delay += SimDuration::from_nanos(j);
             }
-            // Cloning shares the payload bytes: per-receiver cost is a
-            // refcount bump plus the fixed-size header. Fault-injected
-            // corruption is the one case that pays for a private copy:
-            // exactly one bit of this receiver's copy is flipped, so the
+            // Receivers share the record: per-receiver cost is one plain
+            // queue entry. Fault-injected corruption is the one case that
+            // pays for a private copy: exactly one bit of this receiver's
+            // copy is flipped, in a one-receiver record of its own, so the
             // checksum failure is visible to it alone. The corruption
             // draw comes *after* the loss and jitter draws so that runs
             // with `corrupt == 0` consume the RNG identically to builds
             // without fault injection (the determinism goldens pin this).
-            let mut rx_frame = frame.clone();
+            let mut copy = tx;
             if params.corrupt > 0.0
-                && !rx_frame.payload.is_empty()
+                && !frame.payload.is_empty()
                 && self.rng.random::<f64>() < params.corrupt
             {
-                let bit = self.rng.random_range(0..rx_frame.payload.len() * 8);
-                let mut bytes = rx_frame.payload.to_vec();
+                let bit = self.rng.random_range(0..frame.payload.len() * 8);
+                let mut bytes = frame.payload.to_vec();
                 bytes[bit / 8] ^= 1 << (bit % 8);
-                rx_frame.payload = Payload::from(bytes);
                 self.stats.incr_id(metric::LINK_FRAMES_CORRUPTED);
+                copy = self.txs.alloc(seg_id);
+                self.txs.arm(copy, Frame { payload: Payload::from(bytes), ..frame }, 1);
+            } else {
+                pending += 1;
             }
-            let fe = match self.frame_pool.pop() {
-                Some(mut fe) => {
-                    fe.node = rx_node;
-                    fe.iface = rx_iface;
-                    fe.segment = seg_id;
-                    fe.frame = rx_frame;
-                    fe
-                }
-                None => Box::new(FrameEvent {
-                    node: rx_node,
-                    iface: rx_iface,
-                    segment: seg_id,
-                    frame: rx_frame,
-                }),
-            };
-            self.queue.push(self.time + delay, EventKind::Frame(fe));
+            self.queue.push(self.time + delay, rx_event(copy, rx_node, rx_iface));
+        }
+        if pending > 0 {
+            self.txs.arm(tx, frame, pending);
+        } else {
+            // Every copy was lost or corrupted.
+            self.txs.release(tx);
         }
         receivers.clear();
         self.rx_scratch = receivers;
@@ -1606,6 +1621,55 @@ mod tests {
         assert_eq!(w.node::<Counter>(sink).rx as u64, N);
         let steps = w.stats().counter("sim.sched.late_scan_steps");
         assert!(steps <= N, "{steps} late scan steps for a burst of {N}");
+    }
+
+    #[test]
+    fn jittered_broadcasts_in_flight_cost_one_record_each() {
+        // N broadcasts onto a jittered cell of R receivers put N × R
+        // entries in the queue — and N records, each holding the only
+        // reference to its payload, not N × R frame copies.
+        const N: usize = 40;
+        const R: usize = 25;
+        let mut w = World::new(3);
+        let cell = w.add_segment(SegmentParams {
+            jitter: SimDuration::from_millis(1),
+            ..Default::default()
+        });
+        let sender = w.add_node(Counter::new(false));
+        w.add_iface(sender, Some(cell));
+        let receivers: Vec<NodeId> = (0..R)
+            .map(|_| {
+                let id = w.add_node(Counter::new(false));
+                w.add_iface(id, Some(cell));
+                id
+            })
+            .collect();
+        w.start();
+        w.with_node::<Counter, _>(sender, |_, ctx| {
+            for i in 0..N {
+                let f =
+                    Frame::broadcast(ctx.mac(IfaceId(0)), EtherType::Other(0x1234), vec![i as u8]);
+                ctx.send_frame(IfaceId(0), f);
+            }
+        });
+        assert_eq!(w.queue_len(), N * R);
+        assert_eq!(w.transmissions_in_flight(), N);
+        for tx in 0..N as u32 {
+            let t = &w.txs[tx];
+            assert_eq!(t.pending as usize, R);
+            assert_eq!(t.frame.as_ref().expect("armed").payload.ref_count(), 1);
+        }
+        // Halfway through the arrivals every record is still one record.
+        w.run_until(SimTime::from_micros(1_000));
+        assert!(w.queue_len() > 0 && w.queue_len() < N * R);
+        assert!(w.transmissions_in_flight() <= N);
+        w.run_until(SimTime::from_secs(1));
+        for &id in &receivers {
+            assert_eq!(w.node::<Counter>(id).rx, N);
+        }
+        // The last arrival of each freed its record and dropped its frame.
+        assert_eq!(w.transmissions_in_flight(), 0);
+        assert!((0..N as u32).all(|tx| w.txs[tx].frame.is_none()));
     }
 
     #[test]

@@ -96,4 +96,47 @@ proptest! {
             prop_assert_eq!(p, ptrs[0]);
         }
     }
+
+    /// A frame in flight holds its payload once, however many receivers
+    /// are still to hear it — jittered (one queue entry each) or not
+    /// (one batch entry) — and lets go of it with the last arrival.
+    #[test]
+    fn a_broadcast_in_flight_holds_one_payload_reference(
+        bytes in prop::collection::vec(any::<u8>(), 1..64),
+        receivers in 2usize..12,
+        jitter_us in prop_oneof![Just(0u64), 1u64..2_000],
+    ) {
+        struct Quiet;
+        impl Node for Quiet {
+            fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _i: IfaceId, _f: &Frame) {}
+        }
+
+        let mut w = World::new(5);
+        let seg = w.add_segment(SegmentParams {
+            jitter: SimDuration::from_micros(jitter_us),
+            ..Default::default()
+        });
+        let sender = w.add_node(Quiet);
+        w.add_iface(sender, Some(seg));
+        for _ in 0..receivers {
+            let id = w.add_node(Quiet);
+            w.add_iface(id, Some(seg));
+        }
+        w.start();
+        let ours = Payload::from(bytes);
+        w.with_node::<Quiet, _>(sender, |_, ctx| {
+            let f = Frame::broadcast(ctx.mac(IfaceId(0)), EtherType::Other(0x5a5a), ours.clone());
+            ctx.send_frame(IfaceId(0), f);
+        });
+        prop_assert_eq!(w.queue_len(), if jitter_us == 0 { 1 } else { receivers });
+        prop_assert_eq!(w.transmissions_in_flight(), 1);
+        prop_assert_eq!(ours.ref_count(), 2, "ours plus the one in flight");
+        // Still one while some receivers have heard it and some have not.
+        w.run_until(SimTime::from_micros(500 + jitter_us / 2));
+        prop_assert!(ours.ref_count() <= 2);
+        w.run_until(SimTime::from_millis(10));
+        prop_assert_eq!(w.stats().counter("link.frames_delivered"), receivers as u64);
+        prop_assert_eq!(w.transmissions_in_flight(), 0);
+        prop_assert_eq!(ours.ref_count(), 1);
+    }
 }

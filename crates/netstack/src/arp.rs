@@ -116,9 +116,13 @@ impl ArpModule {
         // is the overwrite path the home agent's interception relies on).
         if !msg.sender_ip.is_unspecified() {
             slot.cache.insert(msg.sender_ip, MacAddr(msg.sender_hw));
-            if let Some(entry) = slot.pending.remove(&msg.sender_ip) {
-                let mac = MacAddr(msg.sender_hw);
-                outcome.flushed = entry.packets.into_iter().map(|(p, j)| (mac, p, j)).collect();
+            // Nearly every reception is a bystander's, with nothing
+            // pending: skip hashing the key for a lookup in an empty map.
+            if !slot.pending.is_empty() {
+                if let Some(entry) = slot.pending.remove(&msg.sender_ip) {
+                    let mac = MacAddr(msg.sender_hw);
+                    outcome.flushed = entry.packets.into_iter().map(|(p, j)| (mac, p, j)).collect();
+                }
             }
         }
         if msg.op == ArpOp::Request {
@@ -266,6 +270,27 @@ mod tests {
         assert!(out.flushed.iter().all(|(m, _, _)| *m == mac(9)));
         // Cache now primed; nothing pending.
         assert_eq!(arp.lookup(IfaceId(0), ip(9)), Some(mac(9)));
+    }
+
+    #[test]
+    fn bystander_reception_learns_sender_and_pending_one_still_flushes() {
+        let mut arp = ArpModule::new();
+        // Nothing pending: the reception is a bystander's, and still
+        // primes the cache.
+        let grat = ArpMessage::gratuitous(mac(5).0, ip(5));
+        let out = arp.handle_message(IfaceId(0), &grat, Some(ip(1)), mac(1));
+        assert!(out.flushed.is_empty() && out.reply.is_none());
+        assert_eq!(arp.lookup(IfaceId(0), ip(5)), Some(mac(5)));
+        // Something pending for another address: a bystander reception
+        // leaves it queued, the awaited sender flushes it.
+        assert!(arp.enqueue(IfaceId(0), ip(9), pkt(), None));
+        let other = ArpMessage::gratuitous(mac(6).0, ip(6));
+        assert!(arp.handle_message(IfaceId(0), &other, Some(ip(1)), mac(1)).flushed.is_empty());
+        assert_eq!(arp.lookup(IfaceId(0), ip(6)), Some(mac(6)));
+        let reply = ArpMessage::reply(mac(9).0, ip(9), mac(1).0, ip(1));
+        let out = arp.handle_message(IfaceId(0), &reply, Some(ip(1)), mac(1));
+        assert_eq!(out.flushed.len(), 1);
+        assert_eq!(arp.retry(IfaceId(0), ip(9)), Ok(false), "flushed entry is gone");
     }
 
     #[test]

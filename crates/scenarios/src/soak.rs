@@ -44,12 +44,18 @@ pub const SOAK_SRC_PORT: u16 = 4100;
 /// topology and the hierarchy generator both qualify — and for any
 /// [`SimWorld`] execution engine: the soak drives a classic [`World`]
 /// and a [`ShardedWorld`] through exactly the same code.
+///
+/// The driver **drains** what it reads: polling empties the client's and
+/// the flow targets' `endpoint.log.udp_rx`, so a soak's memory does not
+/// grow with the probes it has delivered (each `UdpRecord` owns its
+/// payload). Nothing reads those logs after a soak — `bench --bin soak`, the SLO reports
+/// and the benchmark work from [`Flow`] statistics, and `live::sim`
+/// drives its own world without this driver. A caller that wants the
+/// raw records must take them before polling.
 pub struct MhrpIo<'a, W: SimWorld = World> {
     world: &'a mut W,
     client: NodeId,
     flows: Vec<(NodeId, Ipv4Addr)>,
-    client_cursor: usize,
-    mobile_cursors: Vec<usize>,
     responses: Vec<Vec<(u32, SimTime)>>,
 }
 
@@ -59,8 +65,8 @@ impl<'a, W: SimWorld> MhrpIo<'a, W> {
     ///
     /// # Panics
     ///
-    /// Panics if two flows share a mobile node (each flow needs its own
-    /// endpoint log cursor).
+    /// Panics if two flows share a mobile node (polling one flow drains
+    /// its target's endpoint log).
     pub fn new(world: &'a mut W, client: NodeId, flows: Vec<(NodeId, Ipv4Addr)>) -> MhrpIo<'a, W> {
         for (i, (m, _)) in flows.iter().enumerate() {
             assert!(
@@ -68,30 +74,24 @@ impl<'a, W: SimWorld> MhrpIo<'a, W> {
                 "flows must target distinct mobile hosts"
             );
         }
-        let n = flows.len();
-        MhrpIo {
-            world,
-            client,
-            flows,
-            client_cursor: 0,
-            mobile_cursors: vec![0; n],
-            responses: vec![Vec::new(); n],
-        }
+        let responses = vec![Vec::new(); flows.len()];
+        MhrpIo { world, client, flows, responses }
     }
 
     fn demux_client_log(&mut self) {
-        let log = &self.world.node::<MhrpHostNode>(self.client).endpoint.log;
-        for r in &log.udp_rx[self.client_cursor..] {
-            if r.src_port != UDP_ECHO_PORT {
-                continue;
-            }
-            if let Some((flow, seq)) = workload::decode_probe(&r.payload) {
-                if let Some(bucket) = self.responses.get_mut(flow as usize) {
-                    bucket.push((seq, r.at));
+        let responses = &mut self.responses;
+        self.world.with_node::<MhrpHostNode, _>(self.client, |h, _| {
+            for r in h.endpoint.log.udp_rx.drain(..) {
+                if r.src_port != UDP_ECHO_PORT {
+                    continue;
+                }
+                if let Some((flow, seq)) = workload::decode_probe(&r.payload) {
+                    if let Some(bucket) = responses.get_mut(flow as usize) {
+                        bucket.push((seq, r.at));
+                    }
                 }
             }
-        }
-        self.client_cursor = log.udp_rx.len();
+        });
     }
 }
 
@@ -134,15 +134,15 @@ impl<W: SimWorld> SoakIo for MhrpIo<'_, W> {
 
     fn poll_deliveries(&mut self, flow: usize, out: &mut Vec<(u32, SimTime)>) {
         let (mobile, _) = self.flows[flow];
-        let log = &self.world.node::<MobileHostNode>(mobile).endpoint.log;
-        for r in &log.udp_rx[self.mobile_cursors[flow]..] {
-            if let Some((f, seq)) = workload::decode_probe(&r.payload) {
-                if f as usize == flow {
-                    out.push((seq, r.at));
+        self.world.with_node::<MobileHostNode, _>(mobile, |m, _| {
+            for r in m.endpoint.log.udp_rx.drain(..) {
+                if let Some((f, seq)) = workload::decode_probe(&r.payload) {
+                    if f as usize == flow {
+                        out.push((seq, r.at));
+                    }
                 }
             }
-        }
-        self.mobile_cursors[flow] = log.udp_rx.len();
+        });
     }
 
     fn poll_responses(&mut self, flow: usize, out: &mut Vec<(u32, SimTime)>) {

@@ -14,8 +14,36 @@ use mhrp_suite::prelude::*;
 use scenarios::soak::MhrpIo;
 use workload::{
     evaluate, run_soak, Flow, FlowCfg, MoveOp, MovePlan, Pattern, SloMeasurements, SloThresholds,
-    SoakParams,
+    SoakIo, SoakParams, Transmit,
 };
+
+/// Notes when each probe arrived on its way from the driver to the flow:
+/// [`MhrpIo`] drains the mobile's endpoint log as it polls, so the
+/// per-window profile below is read here, not from the log afterwards.
+struct ArrivalTimes<'a> {
+    io: MhrpIo<'a>,
+    at: Vec<SimTime>,
+}
+
+impl SoakIo for ArrivalTimes<'_> {
+    fn run_until(&mut self, t: SimTime) {
+        self.io.run_until(t);
+    }
+    fn now(&self) -> SimTime {
+        self.io.now()
+    }
+    fn transmit(&mut self, t: &Transmit) {
+        self.io.transmit(t);
+    }
+    fn poll_deliveries(&mut self, flow: usize, out: &mut Vec<(u32, SimTime)>) {
+        let seen = out.len();
+        self.io.poll_deliveries(flow, out);
+        self.at.extend(out[seen..].iter().map(|&(_, at)| at));
+    }
+    fn poll_responses(&mut self, flow: usize, out: &mut Vec<(u32, SimTime)>) {
+        self.io.poll_responses(flow, out);
+    }
+}
 
 fn main() {
     println!("== Roaming laptop: a stream that follows the host ==\n");
@@ -55,7 +83,8 @@ fn main() {
     let mut flows = vec![Flow::new(0, cfg)];
     let overhead0 = f.world.stats().counter("mhrp.overhead_bytes");
     let updates0 = f.world.stats().counter("mhrp.updates_sent");
-    let mut io = MhrpIo::new(&mut f.world, f.s, vec![(f.m, m_addr)]);
+    let mut io =
+        ArrivalTimes { io: MhrpIo::new(&mut f.world, f.s, vec![(f.m, m_addr)]), at: Vec::new() };
     run_soak(
         &mut io,
         &mut flows,
@@ -65,6 +94,7 @@ fn main() {
             drain: SimDuration::from_secs(3),
         },
     );
+    let received = io.at;
     let flow = &flows[0];
 
     let mnode = f.world.node::<MobileHostNode>(f.m);
@@ -84,17 +114,10 @@ fn main() {
 
     // Per-5-second delivery profile shows the brief handoff dips.
     println!("\ndelivery per 5-second window:");
-    let received: Vec<_> = mnode
-        .endpoint
-        .log
-        .udp_rx
-        .iter()
-        .filter(|r| workload::decode_probe(&r.payload).is_some())
-        .collect();
     for w in 0..7u64 {
         let lo = SimTime::from_secs(1 + w * 5);
         let hi = SimTime::from_secs(1 + (w + 1) * 5);
-        let n = received.iter().filter(|r| r.at >= lo && r.at < hi).count();
+        let n = received.iter().filter(|&&at| at >= lo && at < hi).count();
         println!("  {:>2}-{:>2}s: {:3} {}", w * 5, (w + 1) * 5, n, "#".repeat(n / 4));
     }
     println!(
