@@ -205,10 +205,16 @@ impl Agent {
                 }
             }
         }
-        self.harness.tick(clock.now(), &mut self.io);
+        let stopped = clock.now();
+        self.harness.tick(stopped, &mut self.io);
 
+        // Handed over, not copied: the log is the run's largest table.
         let udp_rx = match self.role {
-            Role::Mobile(_) => self.harness.node::<MobileHostNode>().log().udp_rx.clone(),
+            Role::Mobile(_) => {
+                self.harness.with_node::<MobileHostNode, _>(stopped, &mut self.io, |m, _| {
+                    std::mem::take(&mut m.endpoint.log.udp_rx)
+                })
+            }
             _ => Vec::new(),
         };
         AgentReport {

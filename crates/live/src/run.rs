@@ -2,6 +2,8 @@
 //! the scenario's probe and mobility timetable in wall time, and
 //! reconstructs per-probe journeys from the merged agent telemetry.
 
+use std::collections::HashMap;
+
 use netsim::time::SimTime;
 use netsim::{Clock, IfaceId, LinkEvent, MacAddr, NodeHarness, NodeId};
 use tokio::net::UdpSocket;
@@ -26,12 +28,32 @@ fn journey_base(node: NodeId) -> u64 {
     ((node.0 as u64) + 1) << 40
 }
 
+/// Node `i`'s role and its harness around a freshly built protocol core
+/// (same construction path as the sim leg).
+fn build_harness(sc: &LoopbackScenario, i: usize) -> (Role, NodeHarness) {
+    let node_id = NodeId(i);
+    let seed = sc.seed ^ i as u64;
+    match sc.build_node(i) {
+        BuiltNode::Router(r) => (Role::Router, NodeHarness::new(node_id, r, seed)),
+        BuiltNode::Host(h) => (Role::HostS, NodeHarness::new(node_id, h, seed)),
+        BuiltNode::Mobile(m) => {
+            (Role::Mobile(i - sc.mobile_index(0)), NodeHarness::new(node_id, m, seed))
+        }
+    }
+}
+
 /// Runs the scenario over real UDP sockets on the loopback interface
 /// inside the current tokio runtime, returning the per-probe outcome.
 ///
 /// Wall time maps 1:1 onto the scenario's timeline: `canonical(1)`
 /// takes about 2.5 s of real time.
 pub async fn run_live(sc: &LoopbackScenario) -> std::io::Result<RunOutcome> {
+    Ok(collect(sc, &run_fleet(sc).await?))
+}
+
+/// Brings the fleet up, replays the timetable and returns every agent's
+/// report.
+async fn run_fleet(sc: &LoopbackScenario) -> std::io::Result<Vec<AgentReport>> {
     let clock = WallClock::new();
     let switchboard = Switchboard::new();
     let plan = sc.iface_plan();
@@ -58,22 +80,14 @@ pub async fn run_live(sc: &LoopbackScenario) -> std::io::Result<RunOutcome> {
         sockets.push(per_iface);
     }
 
-    // Build harnesses (same construction path as the sim leg), wire up
-    // mailboxes and socket readers, and spawn the agents.
+    // Build harnesses, wire up mailboxes and socket readers, and spawn
+    // the agents.
     let mut txs: Vec<UnboundedSender<Cmd>> = Vec::with_capacity(plan.len());
     let mut handles = Vec::with_capacity(plan.len());
     let mut mac_index = 0u64;
     for (i, ifaces) in plan.iter().enumerate() {
         let node_id = NodeId(i);
-        let (role, mut harness) = match sc.build_node(i) {
-            BuiltNode::Router(r) => {
-                (Role::Router, NodeHarness::new(node_id, r, sc.seed ^ i as u64))
-            }
-            BuiltNode::Host(h) => (Role::HostS, NodeHarness::new(node_id, h, sc.seed ^ i as u64)),
-            BuiltNode::Mobile(m) => {
-                (Role::Mobile(i - 6), NodeHarness::new(node_id, m, sc.seed ^ i as u64))
-            }
-        };
+        let (role, mut harness) = build_harness(sc, i);
         for _ in ifaces {
             harness.add_iface(MacAddr::from_index(mac_index), true);
             mac_index += 1;
@@ -170,17 +184,17 @@ pub async fn run_live(sc: &LoopbackScenario) -> std::io::Result<RunOutcome> {
     for h in handles {
         reports.push(h.await.expect("agent task does not panic"));
     }
-    Ok(collect(sc, reports))
+    Ok(reports)
 }
 
 /// Merges agent telemetry into global journeys and matches mobile-side
 /// deliveries to the probe timetable.
-fn collect(sc: &LoopbackScenario, reports: Vec<AgentReport>) -> RunOutcome {
+fn collect(sc: &LoopbackScenario, reports: &[AgentReport]) -> RunOutcome {
     let mut events: Vec<telemetry::Event> = Vec::new();
     let mut overhead_bytes = 0;
     let mut updates_sent = 0;
     let mut send_times: Vec<(u32, u32, SimTime)> = Vec::new();
-    for r in &reports {
+    for r in reports {
         events.extend(r.events.iter().copied());
         overhead_bytes += r.overhead_bytes;
         updates_sent += r.updates_sent;
@@ -190,31 +204,107 @@ fn collect(sc: &LoopbackScenario, reports: Vec<AgentReport>) -> RunOutcome {
     // timeline; a journey's frame deliveries are strictly ordered by
     // real propagation, so sorting by time reconstructs the hop order.
     events.sort_by_key(|e| e.at_nanos);
+    let mut hops_of: HashMap<telemetry::JourneyId, Vec<u32>> = HashMap::new();
+    for e in &events {
+        if let (Some(j), Some(node), telemetry::EventKind::FrameRx { .. }) =
+            (e.journey, e.node, e.kind)
+        {
+            hops_of.entry(j).or_default().push(node);
+        }
+    }
 
     let mut deliveries = Vec::new();
-    for r in &reports {
-        for rec in &r.udp_rx {
-            if rec.dst_port != PROBE_PORT {
-                continue;
-            }
-            let Some((flow, seq)) = decode_probe(&rec.payload) else { continue };
-            let hops = rec
-                .journey
-                .map(|j| {
-                    events
-                        .iter()
-                        .filter(|e| {
-                            e.journey == Some(j)
-                                && matches!(e.kind, telemetry::EventKind::FrameRx { .. })
-                        })
-                        .filter_map(|e| e.node)
-                        .collect()
-                })
-                .unwrap_or_default();
-            deliveries.push(RawDelivery { flow, seq, at: rec.at, hops });
+    for rec in reports.iter().flat_map(|r| &r.udp_rx) {
+        if rec.dst_port != PROBE_PORT {
+            continue;
         }
+        let Some((flow, seq)) = decode_probe(&rec.payload) else { continue };
+        let hops = rec.journey.and_then(|j| hops_of.get(&j)).cloned().unwrap_or_default();
+        deliveries.push(RawDelivery { flow, seq, at: rec.at, hops });
     }
 
     let wall_seconds = sc.end.as_secs_f64();
     assemble("live", sc, deliveries, &send_times, wall_seconds, overhead_bytes, updates_sent)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roles_follow_the_scenario_layout() {
+        let sc = LoopbackScenario::canonical(3);
+        let roles: Vec<Role> = (0..sc.node_count()).map(|i| build_harness(&sc, i).0).collect();
+        for (i, role) in roles.iter().enumerate() {
+            let expected = match i {
+                i if i == sc.s_index() => Role::HostS,
+                i if i >= sc.mobile_index(0) => Role::Mobile(i - sc.mobile_index(0)),
+                _ => Role::Router,
+            };
+            assert_eq!(*role, expected, "node {i}");
+        }
+        // What the agents and `iface_plan` assume of the layout: the
+        // mobiles are the last nodes, in index order.
+        assert_eq!(sc.mobile_index(0), sc.node_count() - sc.mobiles);
+        assert_eq!(roles[sc.mobile_index(2)], Role::Mobile(2));
+    }
+
+    /// `collect` as it was before journeys were grouped once: a filter
+    /// over the whole merged event list per delivered probe. Kept as the
+    /// oracle.
+    fn collect_by_filtering(sc: &LoopbackScenario, reports: &[AgentReport]) -> RunOutcome {
+        let mut events: Vec<telemetry::Event> = Vec::new();
+        let mut overhead_bytes = 0;
+        let mut updates_sent = 0;
+        let mut send_times: Vec<(u32, u32, SimTime)> = Vec::new();
+        for r in reports {
+            events.extend(r.events.iter().copied());
+            overhead_bytes += r.overhead_bytes;
+            updates_sent += r.updates_sent;
+            send_times.extend(r.probe_sends.iter().copied());
+        }
+        events.sort_by_key(|e| e.at_nanos);
+
+        let mut deliveries = Vec::new();
+        for r in reports {
+            for rec in &r.udp_rx {
+                if rec.dst_port != PROBE_PORT {
+                    continue;
+                }
+                let Some((flow, seq)) = decode_probe(&rec.payload) else { continue };
+                let hops = rec
+                    .journey
+                    .map(|j| {
+                        events
+                            .iter()
+                            .filter(|e| {
+                                e.journey == Some(j)
+                                    && matches!(e.kind, telemetry::EventKind::FrameRx { .. })
+                            })
+                            .filter_map(|e| e.node)
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                deliveries.push(RawDelivery { flow, seq, at: rec.at, hops });
+            }
+        }
+
+        let wall_seconds = sc.end.as_secs_f64();
+        assemble("live", sc, deliveries, &send_times, wall_seconds, overhead_bytes, updates_sent)
+    }
+
+    #[test]
+    fn collect_in_one_pass_matches_the_per_probe_filter() {
+        for mobiles in [1, 4] {
+            let sc = LoopbackScenario::canonical(mobiles);
+            let rt = tokio::runtime::Runtime::new().expect("runtime");
+            let reports = rt.block_on(run_fleet(&sc)).expect("live run");
+            let (got, want) = (collect(&sc, &reports), collect_by_filtering(&sc, &reports));
+            assert_eq!(got.probes.len(), 9 * mobiles);
+            assert!(got.probes.iter().all(|p| p.delivered && !p.hops.is_empty()), "{got:?}");
+            assert_eq!(got.label, want.label);
+            assert_eq!(got.probes, want.probes);
+            assert_eq!(got.report, want.report);
+        }
+    }
 }

@@ -196,7 +196,7 @@ impl LoopbackScenario {
                 BuiltNode::Host(h)
             }
             i => {
-                let m = i - 6;
+                let m = i - self.mobile_index(0);
                 assert!(m < self.mobiles, "node index {i} out of range");
                 BuiltNode::Mobile(MobileHostNode::new(
                     self.mobile_addr(m),
