@@ -158,8 +158,17 @@ impl HomeAgentCore {
                 self.arm(stack, ctx, mobile);
             }
         }
+        self.journal(mobile);
+    }
+
+    /// Mirrors `mobile`'s binding, or its absence, to the disk copy: the
+    /// one entry a registration changed, not the whole database.
+    fn journal(&mut self, mobile: Ipv4Addr) {
         if let Some(disk) = &mut self.disk {
-            disk.clone_from(&self.bindings);
+            match self.bindings.get(&mobile) {
+                Some(&fa) => disk.insert(mobile, fa),
+                None => disk.remove(&mobile),
+            };
         }
     }
 
@@ -540,5 +549,51 @@ mod tests {
         let pkt = with_ctx(|ctx| ha.ack_packet(&mut stack, ctx, a(7), &ack));
         assert_eq!(pkt.protocol, proto::UDP);
         assert_eq!(pkt.dst, a(7));
+    }
+
+    mod journal {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Mirroring one binding per registration leaves the disk copy
+            /// exactly where copying the whole database did, across
+            /// registrations, moves home (a zero foreign agent) and
+            /// reboots that reload from it.
+            #[test]
+            fn per_binding_journal_matches_a_full_copy(
+                // (mobile, foreign agent; 0 = back home), or a reboot.
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        Just(None),
+                    ],
+                    1..60,
+                ),
+            ) {
+                let mut stack = home_stack();
+                let mut ha = HomeAgentCore::new(IfaceId(0), true);
+                let mut full_copy = HashMap::new();
+                with_ctx(|ctx| {
+                    for op in ops {
+                        match op {
+                            Some((m, fa)) => {
+                                let fa = if fa == 0 { Ipv4Addr::UNSPECIFIED } else { a(100 + fa) };
+                                ha.apply_binding(&mut stack, ctx, a(m), fa);
+                                full_copy.clone_from(&ha.bindings);
+                            }
+                            None => {
+                                ha.reboot(&mut stack, ctx);
+                                prop_assert_eq!(&ha.bindings, &full_copy);
+                            }
+                        }
+                        prop_assert_eq!(ha.disk.as_ref(), Some(&full_copy));
+                    }
+                    Ok(())
+                })?;
+            }
+        }
     }
 }

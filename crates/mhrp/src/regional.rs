@@ -126,9 +126,14 @@ impl RegionalAgentCore {
         TimerToken(REGIONAL_TIMER_BIT | u64::from(u32::from(mobile)))
     }
 
-    fn journal(&mut self) {
+    /// Mirrors `mobile`'s binding, or its absence, to the disk copy: the
+    /// one entry a registration changed, not the whole database.
+    fn journal(&mut self, mobile: Ipv4Addr) {
         if let Some(disk) = &mut self.disk {
-            disk.clone_from(&self.bindings);
+            match self.bindings.get(&mobile) {
+                Some(&b) => disk.insert(mobile, b),
+                None => disk.remove(&mobile),
+            };
         }
     }
 
@@ -193,7 +198,7 @@ impl RegionalAgentCore {
                 if self.bindings.remove(&mobile).is_none() {
                     return false;
                 }
-                self.journal();
+                self.journal(mobile);
                 self.pending_upstream.remove(&mobile);
                 ctx.stats().incr("mhrp.reg_deregistrations");
                 if !new_fa.is_unspecified() {
@@ -241,7 +246,7 @@ impl RegionalAgentCore {
         self.registrations.incr(ctx.stats());
         let prior = self.bindings.get(&mobile).map(|b| b.cell_fa);
         self.bindings.insert(mobile, RegionalBinding { cell_fa: fa, home_agent });
-        self.journal();
+        self.journal(mobile);
         // Ack the mobile host through its cell: the mobile's home
         // address routes toward its home network, so the ack rides
         // the intra-region tunnel like any data packet.
@@ -495,7 +500,7 @@ mod tests {
             &MhrpConfig { home_agent_disk: true, ..Default::default() },
         );
         with_disk.bindings.insert(m, b);
-        with_disk.journal();
+        with_disk.journal(m);
         with_disk.reboot();
         assert_eq!(with_disk.binding(m), Some(b.cell_fa));
 
@@ -504,9 +509,85 @@ mod tests {
             &MhrpConfig { home_agent_disk: false, ..Default::default() },
         );
         without.bindings.insert(m, b);
-        without.journal();
+        without.journal(m);
         without.reboot();
         assert_eq!(without.binding(m), None);
         assert_eq!(without.binding_count(), 0);
+    }
+
+    mod journal {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn a(x: u8) -> Ipv4Addr {
+            Ipv4Addr::new(10, 0, 0, x)
+        }
+
+        proptest! {
+            /// Mirroring one binding per registration leaves the disk copy
+            /// exactly where copying the whole database did, across
+            /// regional registrations, deregistrations (of bound and
+            /// unknown mobiles) and reboots that reload from it.
+            #[test]
+            fn per_binding_journal_matches_a_full_copy(
+                // (mobile, cell foreign agent; 0 = deregister), or a reboot.
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        Just(None),
+                    ],
+                    1..60,
+                ),
+            ) {
+                struct Probe;
+                impl netsim::Node for Probe {
+                    fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: &netsim::Frame) {}
+                }
+                let config = MhrpConfig { home_agent_disk: true, ..Default::default() };
+                let mut reg = RegionalAgentCore::new(IfaceId(0), &config);
+                let mut ca = CacheAgentCore::new(&config);
+                let mut stack = IpStack::new(true);
+                stack.add_iface(IfaceId(0), a(1), "10.0.0.0/24".parse().unwrap());
+                let mut w = netsim::World::new(0);
+                let n = w.add_node(Probe);
+                let seg = w.add_segment(netsim::SegmentParams::default());
+                w.add_iface(n, Some(seg));
+                let mut full_copy = HashMap::new();
+                let mut seq = 0u16;
+                w.with_node::<Probe, _>(n, |_, ctx| {
+                    for op in ops {
+                        match op {
+                            Some((m, fa)) => {
+                                seq += 1;
+                                let mobile = Ipv4Addr::new(10, 9, 0, m);
+                                let msg = if fa == 0 {
+                                    ControlMessage::FaDeregister {
+                                        mobile,
+                                        new_fa: Ipv4Addr::UNSPECIFIED,
+                                    }
+                                } else {
+                                    ControlMessage::RegRegister {
+                                        mobile,
+                                        home_agent: a(200),
+                                        fa: a(100 + fa),
+                                        seq,
+                                    }
+                                };
+                                reg.on_control(&mut ca, &mut stack, ctx, mobile, &msg);
+                                full_copy.clone_from(&reg.bindings);
+                            }
+                            None => {
+                                reg.reboot();
+                                prop_assert_eq!(&reg.bindings, &full_copy);
+                            }
+                        }
+                        prop_assert_eq!(reg.disk.as_ref(), Some(&full_copy));
+                    }
+                    Ok(())
+                })?;
+            }
+        }
     }
 }

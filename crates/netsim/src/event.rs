@@ -48,8 +48,9 @@ pub(crate) struct Transmission {
     /// Batch only: every surviving receiver, in attachment order. The
     /// world only batches when per-receiver delivery times are identical
     /// and this order matches what per-receiver entries would have
-    /// produced, so processing order is unchanged. The buffer stays with
-    /// the record when it is freed.
+    /// produced, so processing order is unchanged. The list leaves with
+    /// the batch: a freed record holds no buffer, so a burst of region-LAN
+    /// broadcasts leaves no receiver lists behind once it has drained.
     pub receivers: Vec<(NodeId, IfaceId)>,
     /// Queue entries that still name this record.
     pub pending: u32,
@@ -58,8 +59,9 @@ pub(crate) struct Transmission {
 /// The slab of [`Transmission`] records, indexed by the `tx` of the
 /// queue entries. A record is freed by the pop that delivers its last
 /// copy, dropping its frame (and with it the payload reference) there
-/// and then; freed records are reused last-out-first-in, so steady state
-/// allocates nothing and touches a few warm records.
+/// and then (and a batch's receiver list with it); freed records are
+/// reused last-out-first-in, so steady state allocates no records and
+/// touches a few warm ones.
 #[derive(Default)]
 pub(crate) struct Transmissions {
     records: Vec<Transmission>,
@@ -88,11 +90,14 @@ impl Transmissions {
     }
 
     /// Returns record `tx` to the free list: its last copy's frame has
-    /// been taken out for delivery (or it was never armed), so nothing
-    /// is left in it but the receiver list's buffer.
+    /// been taken out for delivery (or it was never armed), and a batch's
+    /// receiver list with it, so nothing is left in it at all.
     pub fn release(&mut self, tx: u32) {
         let t = &self.records[tx as usize];
-        debug_assert!(t.frame.is_none() && t.receivers.is_empty(), "released record still in use");
+        debug_assert!(
+            t.frame.is_none() && t.receivers.capacity() == 0,
+            "released record still holds a frame or a receiver list"
+        );
         self.free.push(tx);
     }
 
@@ -127,11 +132,12 @@ impl std::ops::IndexMut<u32> for Transmissions {
 /// What happens when an event fires.
 ///
 /// Every queue entry is copied several times on its way through the
-/// timer wheel (slot push, cascade, drain, pop), so the enum is kept to
-/// pointer-and-a-half size: a frame arrival carries indices, not the
-/// frame, which lives once in the world's [`Transmissions`] slab however
-/// many receivers it has. Admin and fault events are rare enough to pay
-/// a real allocation.
+/// timer wheel (slot push, cascade, drain, pop), and a storm's backlog is
+/// millions of them, so the enum is kept to 16 bytes: a frame arrival
+/// carries indices, not the frame, which lives once in the world's
+/// [`Transmissions`] slab however many receivers it has, and every node
+/// id is narrowed to `u32` (`World::add_node` checks it fits). Admin and
+/// fault events are rare enough to pay a real allocation.
 pub(crate) enum EventKind {
     /// One receiver's copy of transmission `tx` arrives at `iface` of
     /// `node` (ids narrowed to `u32`; the world checks they fit).
@@ -140,8 +146,8 @@ pub(crate) enum EventKind {
     /// the same instant: one queue entry, one pop, `receivers.len()`
     /// deliveries in the recorded order.
     RxBatch { tx: u32 },
-    /// A node timer fires.
-    Timer { node: NodeId, token: TimerToken },
+    /// A timer of `node` fires (build it with [`EventKind::timer`]).
+    Timer { node: u32, token: TimerToken },
     /// A scripted world operation executes.
     Admin(Box<AdminOp>),
     /// A scheduled fault fires (see `World::install_faults`).
@@ -150,7 +156,15 @@ pub(crate) enum EventKind {
     SampleQueue,
 }
 
-const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
+
+impl EventKind {
+    /// The timer event for `(node, token)`.
+    pub fn timer(node: NodeId, token: TimerToken) -> EventKind {
+        debug_assert!(u32::try_from(node.0).is_ok());
+        EventKind::Timer { node: node.0 as u32, token }
+    }
+}
 
 pub(crate) struct ScheduledEvent {
     pub at: SimTime,
@@ -165,7 +179,7 @@ pub(crate) struct EventQueue {
     wheel: TimerWheel<EventKind>,
     /// Cancellation watermarks: a `Timer { node, token }` event with
     /// `seq < cancelled[(node, token)]` is discarded at the queue head.
-    cancelled: HashMap<(NodeId, TimerToken), u64>,
+    cancelled: HashMap<(u32, TimerToken), u64>,
     /// Timer events discarded by cancellation since the last
     /// [`EventQueue::take_suppressed`].
     suppressed: u64,
@@ -188,13 +202,14 @@ impl EventQueue {
     /// Cancels every currently-pending timer event for `(node, token)`.
     /// Timers armed after this call fire normally.
     pub fn cancel_timer(&mut self, node: NodeId, token: TimerToken) {
-        self.cancelled.insert((node, token), self.wheel.next_seq());
+        debug_assert!(u32::try_from(node.0).is_ok());
+        self.cancelled.insert((node.0 as u32, token), self.wheel.next_seq());
     }
 
     /// Whether the entry `(seq, kind)` is a timer event cancelled after
     /// it was armed.
     fn is_cancelled(
-        cancelled: &HashMap<(NodeId, TimerToken), u64>,
+        cancelled: &HashMap<(u32, TimerToken), u64>,
         seq: u64,
         kind: &EventKind,
     ) -> bool {
@@ -271,7 +286,7 @@ impl EventQueue {
     /// Bytes of heap the queue holds, used or not.
     pub fn heap_bytes(&self) -> usize {
         self.wheel.heap_bytes()
-            + self.cancelled.capacity() * std::mem::size_of::<((NodeId, TimerToken), u64)>()
+            + self.cancelled.capacity() * std::mem::size_of::<((u32, TimerToken), u64)>()
     }
 }
 
@@ -280,7 +295,7 @@ mod tests {
     use super::*;
 
     fn timer(node: usize, token: u64) -> EventKind {
-        EventKind::Timer { node: NodeId(node), token: TimerToken(token) }
+        EventKind::timer(NodeId(node), TimerToken(token))
     }
 
     fn drain_tokens(q: &mut EventQueue) -> Vec<u64> {
@@ -333,7 +348,7 @@ mod tests {
         q.push(SimTime::from_millis(4), timer(0, 7));
         let popped: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Timer { node, token } => (token.0, node.0),
+                EventKind::Timer { node, token } => (token.0, node as usize),
                 _ => unreachable!(),
             })
             .collect();

@@ -216,6 +216,7 @@ impl NodeHarness {
         while let Some(ev) = self.queue.pop_due(now) {
             match ev.kind {
                 QueueEventKind::Timer { node, token } => {
+                    let node = NodeId(node as usize);
                     debug_assert_eq!(node, self.node_id);
                     self.tracer
                         .record(self.now, Some(node), "timer", || format!("token {:#x}", token.0));
@@ -345,8 +346,7 @@ impl NodeHarness {
         match action {
             Action::SendFrame { iface, frame } => self.transmit(io, iface, frame),
             Action::SetTimer { delay, token } => {
-                self.queue
-                    .push(self.now + delay, QueueEventKind::Timer { node: self.node_id, token });
+                self.queue.push(self.now + delay, QueueEventKind::timer(self.node_id, token));
             }
             Action::CancelTimer { token } => self.queue.cancel_timer(self.node_id, token),
         }

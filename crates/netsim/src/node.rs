@@ -203,8 +203,7 @@ impl<'a> Ctx<'a> {
             // applied after the handler returns anyway: scheduling it
             // now yields the identical event sequence number — and the
             // timer re-arm hot path skips the action-buffer round trip.
-            let node = self.node;
-            self.queue.push(self.now + delay, QueueEventKind::Timer { node, token });
+            self.queue.push(self.now + delay, QueueEventKind::timer(self.node, token));
         } else {
             self.actions.push(Action::SetTimer { delay, token });
         }

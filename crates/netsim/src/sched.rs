@@ -87,7 +87,7 @@ struct Entry<T> {
 
 // The simulator's queue entry: copied at every slot push, cascade, drain
 // and pop, and what a storm's backlog is made of.
-const _: () = assert!(std::mem::size_of::<Entry<crate::event::EventKind>>() <= 40);
+const _: () = assert!(std::mem::size_of::<Entry<crate::event::EventKind>>() <= 32);
 
 /// Overflow entries live in a max-heap; reverse the comparison so the
 /// earliest `(at, seq)` is on top. Payloads never participate in the
@@ -123,15 +123,16 @@ impl<T> Ord for OverflowEntry<T> {
 /// up to [`RELEASE_ENTRIES`].
 const SLOT_SEED: usize = 4;
 
-/// A bucket whose buffer grew past this many entries hands it back when
-/// it empties (see [`release_burst_buffer`]). Steady-state buckets sit
-/// orders of magnitude below it and keep their capacity, so the
-/// zero-allocation guarantee above is untouched; what goes is the
-/// high-water mark of a burst. Without the rule every higher-level slot
-/// a storm rotates through keeps a buffer sized for the whole backlog
-/// (25 000 hosts registering at once: ~380 MB of capacity around
-/// ~100 MB of entries).
-const RELEASE_ENTRIES: usize = 1 << 15;
+/// A bucket whose buffer grew past this many entries (32 KiB) hands it
+/// back when it empties (see [`release_burst_buffer`]). Steady-state
+/// buckets sit below it and keep their capacity, so the zero-allocation
+/// guarantee above is untouched; what goes is the high-water mark of a
+/// burst. Without the rule every higher-level slot a storm rotates
+/// through keeps a buffer sized for its share of the backlog: 25 000
+/// hosts registering at once put 2.6 M entries in the queue, and with
+/// the release size at 2^15 the buckets under it still held ≈ 100 MB of
+/// capacity around ≈ 2 MB of entries once the storm had drained.
+const RELEASE_ENTRIES: usize = 1 << 10;
 
 /// Shrinks a just-emptied bucket back to its seed if a burst grew it
 /// past [`RELEASE_ENTRIES`].
@@ -475,10 +476,11 @@ mod tests {
     fn burst_buffers_are_released_and_steady_state_ones_kept() {
         let seeded: usize = bucket_capacities(&TimerWheel::<u64>::new()).iter().sum();
 
-        // A 200k-entry burst due within one tick, a second ahead: it
-        // sits in one level-2 slot, cascades through one level-1 slot and
-        // drains from one level-0 slot — three buffers of 200k+ entries.
-        const BURST: u64 = 200_000;
+        // A 20k-entry burst due within one tick, a second ahead: it sits
+        // in one level-2 slot, cascades through one level-1 slot and
+        // drains from one level-0 slot — three buffers of 32k entries,
+        // each well past the release size.
+        const BURST: u64 = 20_000;
         let mut w = TimerWheel::new();
         let due = 122_070u64 << TICK_SHIFT;
         for i in 0..BURST {

@@ -469,7 +469,7 @@ impl World {
                 let t = &mut self.txs[tx];
                 let segment = t.segment;
                 let frame = t.frame.take().expect("queue entry names a live transmission");
-                let mut receivers = std::mem::take(&mut t.receivers);
+                let receivers = std::mem::take(&mut t.receivers);
                 // One queue entry carrying receivers.len() deliveries:
                 // count each so `events_processed` (and thus bench
                 // throughput figures) match the unbatched scheme exactly.
@@ -477,11 +477,10 @@ impl World {
                 for &(node, iface) in &receivers {
                     self.deliver_frame(node, iface, segment, &frame);
                 }
-                receivers.clear();
-                self.txs[tx].receivers = receivers;
                 self.txs.release(tx);
             }
             EventKind::Timer { node, token } => {
+                let node = NodeId(node as usize);
                 if self.down_nodes[node.0] {
                     // Pending timers are volatile state: a crash consumes
                     // them. Nodes re-arm from `on_reboot`.
@@ -991,7 +990,7 @@ impl World {
         match action {
             Action::SendFrame { iface, frame } => self.transmit(node_id, iface, frame),
             Action::SetTimer { delay, token } => {
-                self.queue.push(self.time + delay, EventKind::Timer { node: node_id, token });
+                self.queue.push(self.time + delay, EventKind::timer(node_id, token));
             }
             Action::CancelTimer { token } => self.queue.cancel_timer(node_id, token),
         }
@@ -1100,7 +1099,7 @@ impl World {
             }
             if !receivers.is_empty() {
                 let tx = self.txs.alloc(seg_id);
-                self.txs[tx].receivers.extend_from_slice(&receivers);
+                self.txs[tx].receivers = receivers.to_vec();
                 self.txs.arm(tx, frame, 1);
                 self.queue.push(self.time + params.latency, EventKind::RxBatch { tx });
             }
@@ -1670,6 +1669,38 @@ mod tests {
         // The last arrival of each freed its record and dropped its frame.
         assert_eq!(w.transmissions_in_flight(), 0);
         assert!((0..N as u32).all(|tx| w.txs[tx].frame.is_none()));
+    }
+
+    #[test]
+    fn drained_broadcast_batches_leave_no_receiver_lists() {
+        // N zero-jitter broadcasts onto a cell of R receivers are N batch
+        // entries whose records list every receiver. Once the burst has
+        // been delivered, the freed records hold no list capacity.
+        const N: usize = 40;
+        const R: usize = 125;
+        let mut w = World::new(5);
+        let cell = w.add_segment(SegmentParams::default());
+        let sender = w.add_node(Counter::new(false));
+        w.add_iface(sender, Some(cell));
+        for _ in 0..R {
+            let id = w.add_node(Counter::new(false));
+            w.add_iface(id, Some(cell));
+        }
+        w.start();
+        w.with_node::<Counter, _>(sender, |_, ctx| {
+            for i in 0..N {
+                let f =
+                    Frame::broadcast(ctx.mac(IfaceId(0)), EtherType::Other(0x1234), vec![i as u8]);
+                ctx.send_frame(IfaceId(0), f);
+            }
+        });
+        assert_eq!(w.queue_len(), N);
+        assert!((0..N as u32).all(|tx| w.txs[tx].receivers.len() == R));
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.stats().counter("link.frames_delivered"), (N * R) as u64);
+        assert_eq!(w.transmissions_in_flight(), 0);
+        let lists: usize = (0..N as u32).map(|tx| w.txs[tx].receivers.capacity()).sum();
+        assert_eq!(lists, 0, "freed records kept {lists} slots of receiver lists");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! mobile capable" and §2/§4.3 bound every agent table by what the node
 //! chooses to spend, so a host whose protocol state is one binding must
 //! not own kilobytes of empty tables (three eagerly sized `LruMap`
-//! indexes alone are 10.6 KB a host), and what a registered host adds is
-//! its cell, not the storm's queue.
+//! indexes alone are 10.6 KB a host), what a registered host adds is its
+//! cell, and the storm's queue does not outlive the storm.
 //!
 //! The counter is thread-local (the libtest harness's own threads must
 //! not pollute it): keep this a single-`#[test]` file.
@@ -83,8 +83,10 @@ fn an_idle_host_owns_no_tables_and_a_drained_storm_no_queue() {
     h.world.run_for(SimDuration::from_secs(2));
     // What a registered host has that a built one had not is its cell:
     // a binding, an agent, a hundred ARP neighbours. The event queue is
-    // left out: its buffers follow the load, not the population (and
-    // `netsim::sched` hands back the ones a burst grew).
+    // counted on its own: its buffers follow the load, not the
+    // population, so once the storm has drained they must be back to
+    // about what is in flight (`netsim::sched` hands back the buckets a
+    // burst grew, and a delivered broadcast batch its receiver list).
     let queue = h.world.queue_heap_bytes() as isize;
     let settled = (live() - before - queue) / mobiles;
     println!(
@@ -94,5 +96,10 @@ fn an_idle_host_owns_no_tables_and_a_drained_storm_no_queue() {
     assert!(
         settled <= 2 * BUILD_BUDGET,
         "{settled} B of heap per mobile host after the storm (built: {built} B)"
+    );
+    assert!(
+        queue / mobiles <= 5 * 1024,
+        "{} B of queue per mobile host after the storm drained",
+        queue / mobiles
     );
 }
