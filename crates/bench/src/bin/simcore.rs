@@ -20,14 +20,14 @@
 //! * `--floor NAME=EVENTS_PER_SEC` (repeatable) exits non-zero if the
 //!   named case's best run falls below the given throughput — the CI
 //!   perf-regression gate for the scheduler hot path.
-//! * `--shards N` runs every `mega_world_*` scale case through the
-//!   sharded engine (`ShardedHierarchy`, DESIGN.md §10) with `N`
-//!   region-owned shards; `N = 1` (the default) keeps the classic
-//!   single-world path. The fixed `mega_world_100k_s{2,4,8}` cases
-//!   form the shard-scaling sweep and ignore the flag.
+//! * `--shards N` (`N` ≥ 1, default 1) runs every `mega_world_*` scale
+//!   case over `N` region-owned shards (`ShardedHierarchy`, DESIGN.md
+//!   §10); one shard runs exactly as a classic world. The fixed
+//!   `mega_world_100k_s{2,4,8}` cases form the shard-scaling sweep and
+//!   ignore the flag.
 
 use bench::cache_churn::{cache_churn, CacheImpl};
-use bench::megaworld::{mega_world, mega_world_sharded};
+use bench::megaworld::mega_world;
 use bench::simworlds::{
     broadcast_fanout, broadcast_fanout_with, timer_churn, unicast_pingpong, unicast_pingpong_with,
     Telemetry, Throughput,
@@ -56,25 +56,6 @@ fn best_of(runs: usize, f: &dyn Fn() -> Throughput) -> Throughput {
 
 fn churn_case(name: &'static str, detail: &'static str, which: CacheImpl, cap: usize) -> Case {
     Case { name, detail, runs: RUNS, work: Box::new(move || cache_churn(which, cap, CHURN_OPS)) }
-}
-
-/// Runs a `mega_world_*` case through the classic world (`shards <= 1`)
-/// or the sharded engine, so `--shards N` re-points the whole scale
-/// ladder at the parallel path without renaming the cases.
-fn mega(
-    seed: u64,
-    regions: usize,
-    fas: usize,
-    mobiles: usize,
-    sim_ms: u64,
-    shards: usize,
-    hierarchical: bool,
-) -> Throughput {
-    if shards > 1 {
-        mega_world_sharded(seed, regions, fas, mobiles, sim_ms, shards, hierarchical)
-    } else {
-        mega_world(seed, regions, fas, mobiles, sim_ms, hierarchical)
-    }
 }
 
 fn cases(shards: usize) -> Vec<Case> {
@@ -172,44 +153,44 @@ fn cases(shards: usize) -> Vec<Case> {
             name: "mega_world_1k",
             detail: "hierarchy 2 regions x 10 cells x 500 mobiles, 6s simulated",
             runs: 3,
-            work: Box::new(move || mega(SEED, 2, 10, 500, 6_000, shards, false)),
+            work: Box::new(move || mega_world(SEED, 2, 10, 500, 6_000, shards, false)),
         },
         Case {
             name: "mega_world_10k",
             detail: "hierarchy 4 regions x 50 cells x 2500 mobiles, 6s simulated",
             runs: 2,
-            work: Box::new(move || mega(SEED, 4, 50, 2_500, 6_000, shards, false)),
+            work: Box::new(move || mega_world(SEED, 4, 50, 2_500, 6_000, shards, false)),
         },
         Case {
             name: "mega_world_100k",
             detail: "hierarchy 8 regions x 250 cells x 12500 mobiles, 6s simulated",
             runs: 1,
-            work: Box::new(move || mega(SEED, 8, 250, 12_500, 6_000, shards, false)),
+            work: Box::new(move || mega_world(SEED, 8, 250, 12_500, 6_000, shards, false)),
         },
         Case {
             name: "mega_world_100k_hier",
             detail: "hierarchy 8 regions x 250 cells x 12500 mobiles, 6s simulated, \
                      regional registration tier on (DESIGN.md S12)",
             runs: 1,
-            work: Box::new(move || mega(SEED, 8, 250, 12_500, 6_000, shards, true)),
+            work: Box::new(move || mega_world(SEED, 8, 250, 12_500, 6_000, shards, true)),
         },
         Case {
             name: "mega_world_100k_s2",
             detail: "hierarchy 8 regions x 250 cells x 12500 mobiles, 6s simulated, 2 shards",
             runs: 1,
-            work: Box::new(|| mega_world_sharded(SEED, 8, 250, 12_500, 6_000, 2, false)),
+            work: Box::new(|| mega_world(SEED, 8, 250, 12_500, 6_000, 2, false)),
         },
         Case {
             name: "mega_world_100k_s4",
             detail: "hierarchy 8 regions x 250 cells x 12500 mobiles, 6s simulated, 4 shards",
             runs: 1,
-            work: Box::new(|| mega_world_sharded(SEED, 8, 250, 12_500, 6_000, 4, false)),
+            work: Box::new(|| mega_world(SEED, 8, 250, 12_500, 6_000, 4, false)),
         },
         Case {
             name: "mega_world_100k_s8",
             detail: "hierarchy 8 regions x 250 cells x 12500 mobiles, 6s simulated, 8 shards",
             runs: 1,
-            work: Box::new(|| mega_world_sharded(SEED, 8, 250, 12_500, 6_000, 8, false)),
+            work: Box::new(|| mega_world(SEED, 8, 250, 12_500, 6_000, 8, false)),
         },
         Case {
             name: "mega_world_1m",
@@ -217,7 +198,7 @@ fn cases(shards: usize) -> Vec<Case> {
                      (the DESIGN.md S10 1M-mobile target; minutes of wall time - run \
                      it explicitly with --only mega_world_1m, CI excludes it)",
             runs: 1,
-            work: Box::new(move || mega(SEED, 40, 250, 25_000, 6_000, shards, false)),
+            work: Box::new(move || mega_world(SEED, 40, 250, 25_000, 6_000, shards, false)),
         },
     ]
 }
@@ -268,11 +249,12 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let shards: usize = flag_value(&args, "--shards").map_or(1, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --shards wants a number, got {v}");
+    let shards: usize = flag_value(&args, "--shards").map_or(1, |v| match v.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            eprintln!("error: --shards wants a number ≥ 1, got {v}");
             std::process::exit(2);
-        })
+        }
     });
 
     // The 1M-mobile world takes minutes and ~10x the memory of every

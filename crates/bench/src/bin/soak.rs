@@ -19,10 +19,10 @@
 //! * `--regions/--fas/--mobiles` size the world (defaults 2 × 10 × 500 —
 //!   the 1k-host hierarchy the `simcore` soak case also runs).
 //! * `--duration-secs N` sets the simulated soak length (default 8).
-//! * `--shards N` runs the soak on the sharded engine (DESIGN.md §10)
-//!   with `N` region-owned shards and region-confined mobility; `N = 1`
-//!   (the default) keeps the classic single-world path, and the typed
-//!   event stream is identical either way on jitter-free worlds.
+//! * `--shards N` (`N` ≥ 1) runs the soak on the sharded engine
+//!   (DESIGN.md §10) with `N` region-owned shards and region-confined
+//!   mobility; `N = 1` (the default) runs one classic world whose
+//!   mobiles wander every cell.
 //! * `--hierarchical` runs the world with the regional registration
 //!   tier (DESIGN.md §12): regional routers own their region's visitor
 //!   bindings and cell foreign agents register visitors regionally. The
@@ -69,7 +69,13 @@ fn main() {
         flag_value(&args, "--mobiles").map_or(500, |v| parse_or_die("--mobiles", v));
     let duration: u64 =
         flag_value(&args, "--duration-secs").map_or(8, |v| parse_or_die("--duration-secs", v));
-    let shards: usize = flag_value(&args, "--shards").map_or(1, |v| parse_or_die("--shards", v));
+    let shards: usize = flag_value(&args, "--shards").map_or(1, |v| match v.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            eprintln!("error: --shards wants a number ≥ 1, got {v}");
+            std::process::exit(2);
+        }
+    });
     let hierarchical = args.iter().any(|a| a == "--hierarchical");
     let adversarial = args.iter().any(|a| a == "--adversarial");
 

@@ -256,6 +256,20 @@ impl ShardedWorld {
         &self.cells[shard].0
     }
 
+    /// Unwraps a one-shard world into the [`World`] it wraps. With one
+    /// shard, global and shard-local ids coincide and no portal exists,
+    /// so every id the builder handed out stays valid and the world runs
+    /// exactly as it would have under the coordinator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world has more than one shard.
+    pub fn into_world(self) -> World {
+        assert_eq!(self.cells.len(), 1, "only a one-shard world unwraps into a World");
+        let ShardCell(world) = self.cells.into_iter().next().expect("one shard");
+        world
+    }
+
     /// Adds an ordinary segment owned by `shard`. Returns a global id.
     pub fn add_segment(&mut self, shard: usize, params: SegmentParams) -> SegmentId {
         let local = self.cells[shard].0.add_segment(params);
@@ -302,6 +316,7 @@ impl ShardedWorld {
 
     /// Adds a node owned by `shard`. Returns a global id (assigned in
     /// call order, independent of the shard count).
+    #[inline]
     pub fn add_node(&mut self, shard: usize, node: impl Node) -> NodeId {
         let local = self.cells[shard].0.add_node(node);
         let id = NodeId(self.node_loc.len());
@@ -318,6 +333,7 @@ impl ShardedWorld {
     ///
     /// Panics if `segment` is a local segment of a different shard, or a
     /// portal without a replica in the node's shard.
+    #[inline]
     pub fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr) {
         let (shard, local_node) = self.node_loc[node.0];
         let local_seg = segment.map(|s| self.seg_in_shard(s, shard));
@@ -980,7 +996,7 @@ mod tests {
             w.run_until(SimTime::from_secs(1));
             (w.events_processed(), w.stats().counter("link.frames_delivered"))
         };
-        let build_sharded = || {
+        let build_sharded = |unwrap: bool| {
             let mut w = ShardedWorld::new(42, 1);
             // A "portal" with one shard degenerates to a local segment.
             let seg = w.add_portal_segment(SegmentParams::default(), &[0, 0]);
@@ -990,10 +1006,17 @@ mod tests {
             let s = w.add_node(0, Sink::new(true));
             w.add_iface(s, Some(seg));
             w.start();
+            if unwrap {
+                // Unwrapped after the build, it runs on as a plain World.
+                let mut w = w.into_world();
+                w.run_until(SimTime::from_secs(1));
+                return (w.events_processed(), w.stats().counter("link.frames_delivered"));
+            }
             w.run_until(SimTime::from_secs(1));
             (w.events_processed(), w.counter("link.frames_delivered"))
         };
-        assert_eq!(build_classic(), build_sharded());
+        assert_eq!(build_classic(), build_sharded(false));
+        assert_eq!(build_classic(), build_sharded(true));
         // And no portal machinery ran.
         let mut w = ShardedWorld::new(42, 1);
         w.add_portal_segment(SegmentParams::default(), &[0]);

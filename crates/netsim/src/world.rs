@@ -261,6 +261,7 @@ impl World {
     /// The node is moved into the world's internal arena (contiguous
     /// chunks rather than one heap box per node), so dense worlds keep
     /// node state cache-local. Nodes live as long as the world.
+    #[inline]
     pub fn add_node(&mut self, node: impl Node) -> NodeId {
         let id = NodeId(self.nodes.len());
         assert!(u32::try_from(id.0).is_ok(), "queue entries carry node ids as u32");

@@ -34,13 +34,17 @@
 //!
 //! Worlds of a million hosts fit the plan (200 regions × 65 000 hosts);
 //! the committed `mega_world` benches exercise 1k/10k/100k.
+//!
+//! One builder, [`ShardedHierarchy::build`], creates every node and
+//! segment; a classic single-[`World`] [`Hierarchy`] is its one-shard
+//! build, unwrapped by [`ShardedWorld::into_world`].
 
 use std::net::Ipv4Addr;
 
 use ip::Prefix;
 use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
 use netsim::time::SimDuration;
-use netsim::{IfaceId, NodeId, SegmentId, SegmentParams, ShardedWorld, World};
+use netsim::{IfaceId, NodeId, SegmentId, SegmentParams, ShardedWorld, SimWorld, World};
 use netstack::route::NextHop;
 
 /// The backbone prefix every regional router has one interface on.
@@ -183,11 +187,15 @@ impl HierarchyParams {
     }
 }
 
-/// The built hierarchical world with handles to every node.
+/// The built hierarchical world with handles to every node, on either
+/// execution engine: [`Hierarchy`] runs a classic [`World`],
+/// [`ShardedHierarchy`] a [`ShardedWorld`]. Both come out of
+/// [`ShardedHierarchy::build`], so node ids and MAC addresses are the
+/// same whatever the engine and the shard count.
 #[derive(Debug)]
-pub struct Hierarchy {
+pub struct HierarchyOf<W> {
     /// The simulation world (started).
-    pub world: World,
+    pub world: W,
     /// Number of regions built.
     pub regions: usize,
     /// Foreign agents per region.
@@ -198,7 +206,7 @@ pub struct Hierarchy {
     pub routers: Vec<NodeId>,
     /// Foreign agents, indexed `region * fas_per_region + fa`.
     pub fas: Vec<NodeId>,
-    /// Cell segments, indexed like [`Hierarchy::fas`].
+    /// Cell segments, indexed like [`HierarchyOf::fas`].
     pub cells: Vec<SegmentId>,
     /// Mobile hosts, indexed `region * mobiles_per_region + i`.
     pub mobiles: Vec<NodeId>,
@@ -208,213 +216,15 @@ pub struct Hierarchy {
     pub attackers: Vec<NodeId>,
 }
 
-impl Hierarchy {
-    /// Builds (and starts) the hierarchical world.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters exceed the address plan (see
-    /// [`HierarchyParams`] field limits).
-    pub fn build(p: HierarchyParams) -> Hierarchy {
-        assert!((1..=200).contains(&p.regions), "regions must be in 1..=200");
-        assert!((1..=250).contains(&p.fas_per_region), "fas_per_region must be in 1..=250");
-        assert!(p.mobiles_per_region <= 65_000, "mobiles_per_region must be <= 65_000");
-        assert!(p.attackers <= 50, "attackers must be <= 50");
+/// The hierarchy on one classic [`World`].
+pub type Hierarchy = HierarchyOf<World>;
 
-        let mut w = World::new(p.seed);
-        // The population is known up front, so hint the event queue's
-        // steady-state size before anything is scheduled: each node keeps
-        // a few timers armed (watchdog, advertiser, retransmit) plus its
-        // share of frames in flight.
-        let nodes = p.regions * (1 + p.fas_per_region)
-            + p.host_count()
-            + usize::from(p.correspondent)
-            + p.attackers;
-        w.reserve_events(nodes * 4);
-        let wired = SegmentParams::with_latency(p.wired_latency);
-        let backbone = w.add_segment(wired);
-        let lans: Vec<SegmentId> = (0..p.regions).map(|_| w.add_segment(wired)).collect();
-        let mut cells = Vec::with_capacity(p.regions * p.fas_per_region);
-        for _ in 0..p.regions * p.fas_per_region {
-            cells.push(w.add_segment(cell_params(&p)));
-        }
-
-        // --- Regional routers: backbone <-> region LAN, home agents ---
-        let mut routers = Vec::with_capacity(p.regions);
-        for (r, &lan) in lans.iter().enumerate() {
-            let mut node = MhrpRouterNode::new(p.config.clone())
-                .with_home_agent(IfaceId(1))
-                .with_advertiser(vec![IfaceId(1)]);
-            if p.hierarchical {
-                node = node.with_regional_agent(IfaceId(1));
-            }
-            let id = w.add_node(node);
-            w.add_iface(id, Some(backbone)); // iface 0
-            w.add_iface(id, Some(lan)); // iface 1
-            let fas_per_region = p.fas_per_region;
-            let regions = p.regions;
-            w.with_node::<MhrpRouterNode, _>(id, move |n, _| {
-                n.stack.add_iface(IfaceId(0), backbone_addr(r), backbone_prefix());
-                n.stack.add_iface(IfaceId(1), region_router_addr(r), region_prefix(r));
-                for r2 in (0..regions).filter(|&r2| r2 != r) {
-                    let via = backbone_addr(r2);
-                    n.stack
-                        .routes
-                        .add(region_prefix(r2), NextHop::Gateway { iface: IfaceId(0), via });
-                    n.stack
-                        .routes
-                        .add(cells_prefix(r2), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-                for f in 0..fas_per_region {
-                    n.stack.routes.add(
-                        cell_prefix(r, f),
-                        NextHop::Gateway { iface: IfaceId(1), via: fa_upstream_addr(r, f) },
-                    );
-                }
-            });
-            routers.push(id);
-        }
-
-        // --- Foreign agents: region LAN <-> own wireless cell ---
-        let mut fas = Vec::with_capacity(p.regions * p.fas_per_region);
-        for r in 0..p.regions {
-            for f in 0..p.fas_per_region {
-                let mut node = MhrpRouterNode::new(p.config.clone())
-                    .with_foreign_agent(IfaceId(1))
-                    .with_advertiser(vec![IfaceId(1)]);
-                if p.hierarchical {
-                    node = node.with_regional_parent(region_router_addr(r));
-                }
-                let id = w.add_node(node);
-                w.add_iface(id, Some(lans[r])); // iface 0
-                w.add_iface(id, Some(cells[r * p.fas_per_region + f])); // iface 1
-                w.with_node::<MhrpRouterNode, _>(id, move |n, _| {
-                    n.stack.add_iface(IfaceId(0), fa_upstream_addr(r, f), region_prefix(r));
-                    n.stack.add_iface(IfaceId(1), fa_cell_addr(r, f), cell_prefix(r, f));
-                    n.stack.routes.add(
-                        Prefix::default_route(),
-                        NextHop::Gateway { iface: IfaceId(0), via: region_router_addr(r) },
-                    );
-                });
-                fas.push(id);
-            }
-        }
-
-        // --- Correspondent host on the backbone ---
-        let correspondent = p.correspondent.then(|| {
-            let id = w.add_node(MhrpHostNode::new(&p.config));
-            w.add_iface(id, Some(backbone));
-            let regions = p.regions;
-            w.with_node::<MhrpHostNode, _>(id, move |h, _| {
-                h.stack.add_iface(IfaceId(0), CORRESPONDENT_ADDR, backbone_prefix());
-                for r in 0..regions {
-                    let via = backbone_addr(r);
-                    h.stack
-                        .routes
-                        .add(region_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                    h.stack
-                        .routes
-                        .add(cells_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-            });
-            id
-        });
-
-        // --- Mobile hosts: homed on the regional LAN, started away in the
-        // region's cells (round-robin) ---
-        let mut mobiles = Vec::with_capacity(p.host_count());
-        for r in 0..p.regions {
-            for i in 0..p.mobiles_per_region {
-                let id = w.add_node(MobileHostNode::new(
-                    mobile_home_addr(r, i),
-                    region_prefix(r),
-                    region_router_addr(r),
-                    region_router_addr(r),
-                    p.config.clone(),
-                ));
-                let cell = cells[r * p.fas_per_region + (i % p.fas_per_region)];
-                w.add_iface(id, Some(cell));
-                mobiles.push(id);
-            }
-        }
-
-        // --- Attacker hosts on the backbone (built last: node ids of
-        // every legitimate node are independent of the attacker count) ---
-        let mut attackers = Vec::with_capacity(p.attackers);
-        for a in 0..p.attackers {
-            let id = w.add_node(MhrpHostNode::new(&p.config));
-            w.add_iface(id, Some(backbone));
-            let regions = p.regions;
-            w.with_node::<MhrpHostNode, _>(id, move |h, _| {
-                h.stack.add_iface(IfaceId(0), attacker_addr(a), backbone_prefix());
-                for r in 0..regions {
-                    let via = backbone_addr(r);
-                    h.stack
-                        .routes
-                        .add(region_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                    h.stack
-                        .routes
-                        .add(cells_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-            });
-            attackers.push(id);
-        }
-
-        w.start();
-        Hierarchy {
-            world: w,
-            regions: p.regions,
-            fas_per_region: p.fas_per_region,
-            mobiles_per_region: p.mobiles_per_region,
-            routers,
-            fas,
-            cells,
-            mobiles,
-            correspondent,
-            attackers,
-        }
-    }
-
-    /// Mobile host `idx`'s home address (`idx` indexes [`Hierarchy::mobiles`]).
-    pub fn mobile_addr(&self, idx: usize) -> Ipv4Addr {
-        mobile_home_addr(idx / self.mobiles_per_region, idx % self.mobiles_per_region)
-    }
-
-    /// The cell foreign agent mobile host `idx` starts under.
-    pub fn mobile_cell_fa(&self, idx: usize) -> Ipv4Addr {
-        let r = idx / self.mobiles_per_region;
-        let f = (idx % self.mobiles_per_region) % self.fas_per_region;
-        fa_cell_addr(r, f)
-    }
-
-    /// How many mobile hosts are currently registered with a foreign
-    /// agent.
-    pub fn attached_count(&self) -> usize {
-        self.mobiles
-            .iter()
-            .filter(|&&m| {
-                matches!(self.world.node::<MobileHostNode>(m).core.state, Attachment::Foreign(_))
-            })
-            .count()
-    }
-
-    /// Runs until at least `fraction` of the mobile hosts are registered
-    /// away (or `deadline` of additional simulated time passes). Returns
-    /// `true` on success.
-    pub fn run_until_attached(&mut self, fraction: f64, deadline: SimDuration) -> bool {
-        let want = (self.mobiles.len() as f64 * fraction).ceil() as usize;
-        let end = self.world.now() + deadline;
-        loop {
-            if self.attached_count() >= want {
-                return true;
-            }
-            if self.world.now() >= end {
-                return false;
-            }
-            self.world.run_for(SimDuration::from_millis(250));
-        }
-    }
-}
+/// The hierarchy spread region by region over a [`ShardedWorld`]: every
+/// region's LAN, cells, routers, agents and mobiles live on one shard
+/// (regions in contiguous blocks, see [`shard_of_region`]), the backbone
+/// is the single portal segment, and the correspondent and attackers sit
+/// on shard 0.
+pub type ShardedHierarchy = HierarchyOf<ShardedWorld>;
 
 /// The shard owning `region` when `regions` regions are spread over
 /// `shards` shards: contiguous balanced blocks, so neighbouring regions
@@ -423,42 +233,40 @@ pub fn shard_of_region(region: usize, regions: usize, shards: usize) -> usize {
     region * shards / regions
 }
 
-/// The hierarchical world built region-by-region onto a
-/// [`ShardedWorld`]: every region's LAN, cells, routers, agents and
-/// mobiles live on one shard (regions in contiguous blocks), the
-/// backbone is the single portal segment, and the correspondent sits on
-/// shard 0.
-///
-/// Node and segment creation follows *exactly* the same global order as
-/// [`Hierarchy::build`], so node ids and MAC addresses are identical to
-/// the classic world no matter the shard count — which is what lets the
-/// determinism suite compare merged telemetry across shard counts
-/// directly.
-#[derive(Debug)]
-pub struct ShardedHierarchy {
-    /// The sharded simulation world (started).
-    pub world: ShardedWorld,
-    /// Number of regions built.
-    pub regions: usize,
-    /// Foreign agents per region.
-    pub fas_per_region: usize,
-    /// Mobile hosts per region.
-    pub mobiles_per_region: usize,
-    /// Shard owning each region.
-    pub region_shard: Vec<usize>,
-    /// Regional routers, indexed by region.
-    pub routers: Vec<NodeId>,
-    /// Foreign agents, indexed `region * fas_per_region + fa`.
-    pub fas: Vec<NodeId>,
-    /// Cell segments, indexed like [`ShardedHierarchy::fas`].
-    pub cells: Vec<SegmentId>,
-    /// Mobile hosts, indexed `region * mobiles_per_region + i`.
-    pub mobiles: Vec<NodeId>,
-    /// The correspondent host, when built.
-    pub correspondent: Option<NodeId>,
-    /// Attacker hosts on the backbone, on shard 0 (see
-    /// [`HierarchyParams::attackers`]).
-    pub attackers: Vec<NodeId>,
+impl Hierarchy {
+    /// Builds (and starts) the hierarchical world on one classic
+    /// [`World`]: the one-shard [`ShardedHierarchy::build`], unwrapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters exceed the address plan (see
+    /// [`HierarchyParams`] field limits).
+    pub fn build(p: HierarchyParams) -> Hierarchy {
+        let HierarchyOf {
+            world,
+            regions,
+            fas_per_region,
+            mobiles_per_region,
+            routers,
+            fas,
+            cells,
+            mobiles,
+            correspondent,
+            attackers,
+        } = ShardedHierarchy::build(p, 1);
+        HierarchyOf {
+            world: world.into_world(),
+            regions,
+            fas_per_region,
+            mobiles_per_region,
+            routers,
+            fas,
+            cells,
+            mobiles,
+            correspondent,
+            attackers,
+        }
+    }
 }
 
 impl ShardedHierarchy {
@@ -466,9 +274,15 @@ impl ShardedHierarchy {
     /// to the region count — a shard with no region would idle through
     /// every barrier window).
     ///
+    /// Nodes and segments are created in one global order whatever the
+    /// shard count, so node ids and MAC addresses never depend on it —
+    /// which is what lets the determinism suite compare merged telemetry
+    /// across shard counts directly.
+    ///
     /// # Panics
     ///
-    /// As [`Hierarchy::build`], plus `shards == 0`.
+    /// Panics if `shards == 0` or the parameters exceed the address plan
+    /// (see [`HierarchyParams`] field limits).
     pub fn build(p: HierarchyParams, shards: usize) -> ShardedHierarchy {
         assert!(shards >= 1, "need at least one shard");
         assert!((1..=200).contains(&p.regions), "regions must be in 1..=200");
@@ -479,6 +293,10 @@ impl ShardedHierarchy {
         let shard_of = |r: usize| shard_of_region(r, p.regions, shards);
 
         let mut w = ShardedWorld::new(p.seed, shards);
+        // The population is known up front, so hint the event queue's
+        // steady-state size before anything is scheduled: each node keeps
+        // a few timers armed (watchdog, advertiser, retransmit) plus its
+        // share of frames in flight.
         let nodes = p.regions * (1 + p.fas_per_region)
             + p.host_count()
             + usize::from(p.correspondent)
@@ -598,8 +416,9 @@ impl ShardedHierarchy {
             }
         }
 
-        // --- Attacker hosts on the backbone, shard 0 (built last, same
-        // global order as the unsharded world) ---
+        // --- Attacker hosts on the backbone, shard 0 (built last: node
+        // ids of every legitimate node are independent of the attacker
+        // count) ---
         let mut attackers = Vec::with_capacity(p.attackers);
         for a in 0..p.attackers {
             let id = w.add_node(0, MhrpHostNode::new(&p.config));
@@ -621,12 +440,11 @@ impl ShardedHierarchy {
         }
 
         w.start();
-        ShardedHierarchy {
+        HierarchyOf {
             world: w,
             regions: p.regions,
             fas_per_region: p.fas_per_region,
             mobiles_per_region: p.mobiles_per_region,
-            region_shard: (0..p.regions).map(shard_of).collect(),
             routers,
             fas,
             cells,
@@ -635,9 +453,11 @@ impl ShardedHierarchy {
             attackers,
         }
     }
+}
 
+impl<W: SimWorld> HierarchyOf<W> {
     /// Mobile host `idx`'s home address (`idx` indexes
-    /// [`ShardedHierarchy::mobiles`]).
+    /// [`HierarchyOf::mobiles`]).
     pub fn mobile_addr(&self, idx: usize) -> Ipv4Addr {
         mobile_home_addr(idx / self.mobiles_per_region, idx % self.mobiles_per_region)
     }
@@ -681,6 +501,8 @@ impl ShardedHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::MacAddr;
+    use proptest::prelude::*;
 
     #[test]
     fn address_plan_is_disjoint() {
@@ -726,12 +548,71 @@ mod tests {
         };
         let mut h = ShardedHierarchy::build(p, 2);
         assert_eq!(h.world.shard_count(), 2);
-        assert_eq!(h.region_shard, vec![0, 1]);
         assert!(h.run_until_attached(1.0, SimDuration::from_secs(30)), "registration stalled");
         for idx in [0, 4, 17] {
             let m = h.mobiles[idx];
             let state = h.world.node::<MobileHostNode>(m).core.state;
             assert_eq!(state, Attachment::Foreign(h.mobile_cell_fa(idx)));
+        }
+    }
+
+    /// Every interface's MAC address, node by node in build order, read
+    /// through `with_node` the way a node itself sees them.
+    fn macs<W: SimWorld>(h: &mut HierarchyOf<W>) -> Vec<MacAddr> {
+        fn of<T: 'static, W: SimWorld>(w: &mut W, ids: &[NodeId], out: &mut Vec<MacAddr>) {
+            for &id in ids {
+                w.with_node::<T, _>(id, |_, ctx| {
+                    out.extend((0..ctx.iface_count()).map(|i| ctx.mac(IfaceId(i))));
+                });
+            }
+        }
+        let mut out = Vec::new();
+        of::<MhrpRouterNode, _>(&mut h.world, &h.routers, &mut out);
+        of::<MhrpRouterNode, _>(&mut h.world, &h.fas, &mut out);
+        of::<MhrpHostNode, _>(&mut h.world, h.correspondent.as_slice(), &mut out);
+        of::<MobileHostNode, _>(&mut h.world, &h.mobiles, &mut out);
+        of::<MhrpHostNode, _>(&mut h.world, &h.attackers, &mut out);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The classic world and every sharded layout of the same
+        /// parameters hand out the same node and segment handles and the
+        /// same MAC addresses, and the shard count clamps to the region
+        /// count — uneven region/shard splits and attackers included.
+        #[test]
+        fn build_is_identical_over_engines_and_shard_counts(
+            regions in 1usize..=5,
+            fas_per_region in 1usize..=3,
+            mobiles_per_region in 0usize..=6,
+            attackers in 0usize..=2,
+            correspondent in any::<bool>(),
+            hierarchical in any::<bool>(),
+        ) {
+            let p = HierarchyParams {
+                regions,
+                fas_per_region,
+                mobiles_per_region,
+                attackers,
+                correspondent,
+                hierarchical,
+                ..Default::default()
+            };
+            let mut classic = Hierarchy::build(p.clone());
+            let classic_macs = macs(&mut classic);
+            for shards in 1..=4 {
+                let mut s = ShardedHierarchy::build(p.clone(), shards);
+                prop_assert_eq!(s.world.shard_count(), shards.min(regions));
+                prop_assert_eq!(&s.routers, &classic.routers);
+                prop_assert_eq!(&s.fas, &classic.fas);
+                prop_assert_eq!(&s.cells, &classic.cells);
+                prop_assert_eq!(&s.mobiles, &classic.mobiles);
+                prop_assert_eq!(s.correspondent, classic.correspondent);
+                prop_assert_eq!(&s.attackers, &classic.attackers);
+                prop_assert_eq!(macs(&mut s), classic_macs.clone(), "MACs at {} shards", shards);
+            }
         }
     }
 

@@ -22,14 +22,14 @@ use std::time::Instant;
 
 use mhrp::{MhrpHostNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{Histogram, IfaceId, NodeId, ShardedWorld, SimWorld, World};
+use netsim::{Histogram, IfaceId, NodeId, SimWorld, World};
 use netstack::nodes::UDP_ECHO_PORT;
 use workload::{
     evaluate, run_soak, Flow, FlowCfg, Layout, MobilityModel, MovePlan, Pattern, RandomWaypoint,
     SloMeasurements, SloReport, SloThresholds, SoakIo, SoakParams, Transmit,
 };
 
-use crate::hierarchy::{Hierarchy, HierarchyParams, ShardedHierarchy};
+use crate::hierarchy::{Hierarchy, HierarchyOf, HierarchyParams, ShardedHierarchy};
 use crate::shootout::DATA_PORT;
 
 /// UDP source port soak probes are sent from (responses come back to
@@ -43,7 +43,8 @@ pub const SOAK_SRC_PORT: u16 = 4100;
 /// Works for any world built from these node types — the Figure 1
 /// topology and the hierarchy generator both qualify — and for any
 /// [`SimWorld`] execution engine: the soak drives a classic [`World`]
-/// and a [`ShardedWorld`] through exactly the same code.
+/// and a [`ShardedWorld`](netsim::ShardedWorld) through exactly the same
+/// code.
 ///
 /// The driver **drains** what it reads: polling empties the client's and
 /// the flow targets' `endpoint.log.udp_rx`, so a soak's memory does not
@@ -78,6 +79,12 @@ impl<'a, W: SimWorld> MhrpIo<'a, W> {
         MhrpIo { world, client, flows, responses }
     }
 
+    /// Flow bindings for hierarchy mobiles `idxs` (indices into
+    /// [`HierarchyOf::mobiles`]).
+    pub fn hierarchy_flows(h: &HierarchyOf<W>, idxs: &[usize]) -> Vec<(NodeId, Ipv4Addr)> {
+        idxs.iter().map(|&i| (h.mobiles[i], h.mobile_addr(i))).collect()
+    }
+
     fn demux_client_log(&mut self) {
         let responses = &mut self.responses;
         self.world.with_node::<MhrpHostNode, _>(self.client, |h, _| {
@@ -92,25 +99,6 @@ impl<'a, W: SimWorld> MhrpIo<'a, W> {
                 }
             }
         });
-    }
-}
-
-impl MhrpIo<'_, World> {
-    /// Flow bindings for hierarchy mobiles `idxs` (indices into
-    /// [`Hierarchy::mobiles`]).
-    pub fn hierarchy_flows(h: &Hierarchy, idxs: &[usize]) -> Vec<(NodeId, Ipv4Addr)> {
-        idxs.iter().map(|&i| (h.mobiles[i], h.mobile_addr(i))).collect()
-    }
-}
-
-impl MhrpIo<'_, ShardedWorld> {
-    /// Flow bindings for sharded-hierarchy mobiles `idxs` (indices into
-    /// [`ShardedHierarchy::mobiles`]).
-    pub fn sharded_hierarchy_flows(
-        h: &ShardedHierarchy,
-        idxs: &[usize],
-    ) -> Vec<(NodeId, Ipv4Addr)> {
-        idxs.iter().map(|&i| (h.mobiles[i], h.mobile_addr(i))).collect()
     }
 }
 
@@ -186,8 +174,8 @@ pub struct RwSoakConfig {
     /// Enable the typed telemetry event log (the golden replay test
     /// compares it across runs).
     pub telemetry: bool,
-    /// Shard count. `1` runs the classic single-world path
-    /// (byte-identical to every pre-sharding release); `> 1` builds a
+    /// Shard count, at least 1. `1` builds a [`Hierarchy`] on one
+    /// classic world, every mobile wandering every cell; `> 1` builds a
     /// [`ShardedHierarchy`] with region-confined mobility and runs the
     /// same soak through the conservative barrier scheduler.
     pub shards: usize,
@@ -299,23 +287,66 @@ pub struct SoakRun {
 
 /// Builds the hierarchy, warms registration up, installs a
 /// random-waypoint plan over every mobile, runs the flow set, and
-/// evaluates the SLOs.
+/// evaluates the SLOs. With `cfg.shards > 1` this is
+/// [`run_random_waypoint_soak_sharded`].
 ///
 /// Deterministic: the same config yields a byte-identical
 /// [`SloReport`] (and, with telemetry on, an identical typed-event
 /// log).
+///
+/// # Panics
+///
+/// Panics if `cfg.shards == 0`.
 pub fn run_random_waypoint_soak(cfg: &RwSoakConfig) -> SoakRun {
-    assert!(cfg.params.correspondent, "soak needs the backbone correspondent");
-    assert!(cfg.flows >= 1, "need at least one flow");
-    assert!(cfg.closed_flows <= cfg.flows, "closed_flows exceeds flows");
+    assert!(cfg.shards >= 1, "the soak needs at least one shard");
     if cfg.shards > 1 {
         return run_random_waypoint_soak_sharded(cfg);
     }
-
     let mut h = Hierarchy::build(cfg.params.clone());
     if cfg.telemetry {
         h.world.set_telemetry(true);
     }
+    let mut run = soak(&mut h, cfg, None);
+    if cfg.telemetry {
+        run.events_log = h.world.telemetry().events().copied().collect();
+    }
+    run
+}
+
+/// The soak on a [`ShardedHierarchy`] of `cfg.shards` shards: one shard
+/// per contiguous block of regions, the backbone as the portal, and
+/// **region-confined** mobility (each mobile wanders its own region's
+/// cells — shard migration is unsupported by design; see DESIGN.md §10).
+///
+/// The mobility plans and flow schedules are pure functions of the
+/// config (per-region seeds derive from `cfg.seed` and the region index
+/// alone), so the same config produces the same merged telemetry stream
+/// at *any* shard count — the determinism contract the
+/// `sharded_determinism` suite pins.
+pub fn run_random_waypoint_soak_sharded(cfg: &RwSoakConfig) -> SoakRun {
+    let mut h = ShardedHierarchy::build(cfg.params.clone(), cfg.shards);
+    if cfg.telemetry {
+        h.world.set_telemetry(true);
+    }
+    let shards = h.world.shard_count();
+    let mut run = soak(&mut h, cfg, Some(shards));
+    if cfg.telemetry {
+        run.events_log = h.world.merged_events();
+    }
+    run
+}
+
+/// The soak on a built hierarchy of either engine: registration warmup,
+/// random-waypoint mobility, the hostile plan when `cfg.adversarial`,
+/// the flow set and the SLO verdict. `shards: None` lets every mobile
+/// wander every cell of the world; `Some(n)` confines each mobile to its
+/// own region's cells and labels the world with its `n` shards. The run
+/// comes back without a telemetry log: each engine's caller reads its
+/// own.
+fn soak<W: SimWorld>(h: &mut HierarchyOf<W>, cfg: &RwSoakConfig, shards: Option<usize>) -> SoakRun {
+    assert!(cfg.params.correspondent, "soak needs the backbone correspondent");
+    assert!(cfg.flows >= 1, "need at least one flow");
+    assert!(cfg.closed_flows <= cfg.flows, "closed_flows exceeds flows");
     // Full attachment before load starts: a still-detached flow target
     // would charge its whole stream to "handoff loss".
     assert!(h.run_until_attached(1.0, cfg.warmup), "registration warmup stalled");
@@ -326,21 +357,34 @@ pub fn run_random_waypoint_soak(cfg: &RwSoakConfig) -> SoakRun {
         h.mobiles.len()
     );
 
-    // Mobility: every mobile wanders, whether or not it carries a flow.
-    let start_cells: Vec<usize> = (0..h.mobiles.len())
-        .map(|idx| {
-            let r = idx / h.mobiles_per_region;
-            let i = idx % h.mobiles_per_region;
-            r * h.fas_per_region + (i % h.fas_per_region)
-        })
-        .collect();
-    let layout = Layout { cells: h.cells.len(), start_cells };
-    let model =
-        RandomWaypoint { seed: cfg.seed, dwell_min: cfg.dwell_min, dwell_max: cfg.dwell_max };
+    // Mobility: every mobile wanders, whether or not it carries a flow —
+    // the whole world as one group, or (region-confined) one group per
+    // region. A group's plan depends only on the config and the group
+    // index, never on the shard count.
+    let groups = if shards.is_some() { h.regions } else { 1 };
+    let (group_mobiles, group_cells) = (h.mobiles.len() / groups, h.cells.len() / groups);
+    let (mobiles_per_region, fas) = (h.mobiles_per_region, h.fas_per_region);
     let from = h.world.now();
-    let plan = model.compile(&layout, from, from + cfg.duration);
     let bindings: Vec<(NodeId, IfaceId)> = h.mobiles.iter().map(|&m| (m, IfaceId(0))).collect();
-    plan.install(&mut h.world, &bindings, &h.cells);
+    let mut plans: Vec<MovePlan> = Vec::with_capacity(groups);
+    for g in 0..groups {
+        let start_cells = (0..group_mobiles)
+            .map(|i| (i / mobiles_per_region) * fas + (i % mobiles_per_region) % fas)
+            .collect();
+        let layout = Layout { cells: group_cells, start_cells };
+        let model = RandomWaypoint {
+            seed: cfg.seed ^ (g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            dwell_min: cfg.dwell_min,
+            dwell_max: cfg.dwell_max,
+        };
+        let plan = model.compile(&layout, from, from + cfg.duration);
+        plan.install(
+            &mut h.world,
+            &bindings[g * group_mobiles..(g + 1) * group_mobiles],
+            &h.cells[g * group_cells..(g + 1) * group_cells],
+        );
+        plans.push(plan);
+    }
 
     if cfg.adversarial {
         assert!(!h.attackers.is_empty(), "adversarial soak needs params.attackers >= 1");
@@ -376,13 +420,14 @@ pub fn run_random_waypoint_soak(cfg: &RwSoakConfig) -> SoakRun {
         })
         .collect();
 
-    let overhead0 = h.world.stats().counter("mhrp.overhead_bytes");
-    let updates0 = h.world.stats().counter("mhrp.updates_sent");
+    let overhead0 = h.world.counter("mhrp.overhead_bytes");
+    let updates0 = h.world.counter("mhrp.updates_sent");
     let events0 = h.world.events_processed();
     let wall0 = Instant::now();
 
-    let flow_bindings = MhrpIo::hierarchy_flows(&h, &targets);
-    let mut io = MhrpIo::new(&mut h.world, h.correspondent.expect("correspondent"), flow_bindings);
+    let flow_bindings = MhrpIo::hierarchy_flows(h, &targets);
+    let correspondent = h.correspondent.expect("correspondent");
+    let mut io = MhrpIo::new(&mut h.world, correspondent, flow_bindings);
     run_soak(
         &mut io,
         &mut flows,
@@ -397,154 +442,9 @@ pub fn run_random_waypoint_soak(cfg: &RwSoakConfig) -> SoakRun {
     let mut rtt = Histogram::latency_us();
     let mut m = SloMeasurements {
         sim_seconds: cfg.duration.as_micros() as f64 / 1e6,
-        handoffs: targets.iter().map(|&t| plan.handoffs_for(t)).sum(),
-        ..SloMeasurements::default()
-    };
-    for f in &flows {
-        latency.merge(&f.latency_us);
-        rtt.merge(&f.rtt_us);
-        m.sent += f.stats.sent;
-        m.delivered += f.stats.delivered;
-        m.completed += f.stats.completed;
-        m.failed += f.stats.failed;
-        m.retries += f.stats.retries;
-    }
-    m.latency_p50_us = latency.p50();
-    m.latency_p99_us = latency.p99();
-    m.latency_max_us = latency.max();
-    m.rtt_p99_us = rtt.p99();
-    m.overhead_bytes = h.world.stats().counter("mhrp.overhead_bytes") - overhead0;
-    m.updates_sent = h.world.stats().counter("mhrp.updates_sent") - updates0;
-
-    let workload_label = format!(
-        "random-waypoint dwell {}-{}s × {} flows ({} poisson {}/s + {} closed-loop)",
-        cfg.dwell_min.as_micros() / 1_000_000,
-        cfg.dwell_max.as_micros() / 1_000_000,
-        cfg.flows,
-        cfg.flows - cfg.closed_flows,
-        cfg.open_rate_per_sec,
-        cfg.closed_flows,
-    );
-    let world_label = format!(
-        "hierarchy {}r x {}fa x {}m",
-        cfg.params.regions, cfg.params.fas_per_region, cfg.params.mobiles_per_region
-    );
-    let mut report = evaluate(workload_label, world_label, m, &cfg.thresholds);
-    if cfg.adversarial {
-        gate_on_auth_rejections(&mut report, h.world.stats().counter("mhrp.auth.rejected"));
-    }
-    let events_log: Vec<netsim::Event> =
-        if cfg.telemetry { h.world.telemetry().events().copied().collect() } else { Vec::new() };
-    SoakRun { report, events, wall_seconds, latency, events_log }
-}
-
-/// The sharded variant of [`run_random_waypoint_soak`]: one shard per
-/// contiguous block of regions, the backbone as the portal, and
-/// **region-confined** mobility (each mobile wanders its own region's
-/// cells — shard migration is unsupported by design; see DESIGN.md §10).
-///
-/// The mobility plans and flow schedules are pure functions of the
-/// config (per-region seeds derive from `cfg.seed` and the region index
-/// alone), so the same config produces the same merged telemetry stream
-/// at *any* shard count — the determinism contract the
-/// `sharded_determinism` suite pins.
-pub fn run_random_waypoint_soak_sharded(cfg: &RwSoakConfig) -> SoakRun {
-    assert!(cfg.params.correspondent, "soak needs the backbone correspondent");
-    assert!(cfg.flows >= 1, "need at least one flow");
-    assert!(cfg.closed_flows <= cfg.flows, "closed_flows exceeds flows");
-
-    let mut h = ShardedHierarchy::build(cfg.params.clone(), cfg.shards.max(1));
-    if cfg.telemetry {
-        h.world.set_telemetry(true);
-    }
-    assert!(h.run_until_attached(1.0, cfg.warmup), "registration warmup stalled");
-    assert!(
-        cfg.flows <= h.mobiles.len(),
-        "more flows than mobile hosts ({} > {})",
-        cfg.flows,
-        h.mobiles.len()
-    );
-
-    // Mobility: every mobile wanders the cells of its own region. The
-    // per-region plan depends only on the region index and the config —
-    // never on the shard count.
-    let from = h.world.now();
-    let mobiles_per_region = h.mobiles_per_region;
-    let fas = h.fas_per_region;
-    let mut region_plans: Vec<MovePlan> = Vec::with_capacity(h.regions);
-    for r in 0..h.regions {
-        let start_cells: Vec<usize> = (0..mobiles_per_region).map(|i| i % fas).collect();
-        let layout = Layout { cells: fas, start_cells };
-        let model = RandomWaypoint {
-            seed: cfg.seed ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            dwell_min: cfg.dwell_min,
-            dwell_max: cfg.dwell_max,
-        };
-        let plan = model.compile(&layout, from, from + cfg.duration);
-        let bindings: Vec<(NodeId, IfaceId)> = (0..mobiles_per_region)
-            .map(|i| (h.mobiles[r * mobiles_per_region + i], IfaceId(0)))
-            .collect();
-        plan.install(&mut h.world, &bindings, &h.cells[r * fas..(r + 1) * fas]);
-        region_plans.push(plan);
-    }
-
-    if cfg.adversarial {
-        assert!(!h.attackers.is_empty(), "adversarial soak needs params.attackers >= 1");
-        let binding = adversary::Binding { attackers: h.attackers.clone(), ..Default::default() };
-        hostile_plan(&cfg.params, from + SimDuration::from_millis(500), cfg.duration)
-            .install(&mut h.world, &binding);
-    }
-
-    // Traffic: identical flow construction to the classic soak.
-    let targets: Vec<usize> = (0..cfg.flows).map(|i| i * h.mobiles.len() / cfg.flows).collect();
-    let mut flows: Vec<Flow> = (0..cfg.flows)
-        .map(|i| {
-            let pattern = if i < cfg.closed_flows {
-                Pattern::ClosedLoop {
-                    window: 4,
-                    deadline: SimDuration::from_millis(250),
-                    retries: 2,
-                }
-            } else {
-                Pattern::Poisson { per_sec: cfg.open_rate_per_sec }
-            };
-            Flow::new(
-                i as u32,
-                FlowCfg {
-                    pattern,
-                    bytes: cfg.payload_bytes,
-                    seed: cfg.seed
-                        ^ (0x9e37_79b9_7f4a_7c15 ^ i as u64).wrapping_mul(0xff51_afd7_ed55_8ccd),
-                    limit: None,
-                },
-            )
-        })
-        .collect();
-
-    let overhead0 = h.world.counter("mhrp.overhead_bytes");
-    let updates0 = h.world.counter("mhrp.updates_sent");
-    let events0 = h.world.events_processed();
-    let wall0 = Instant::now();
-
-    let flow_bindings = MhrpIo::sharded_hierarchy_flows(&h, &targets);
-    let correspondent = h.correspondent.expect("correspondent");
-    let mut io = MhrpIo::new(&mut h.world, correspondent, flow_bindings);
-    run_soak(
-        &mut io,
-        &mut flows,
-        &SoakParams { duration: cfg.duration, tick: cfg.tick, drain: SimDuration::from_secs(2) },
-    );
-
-    let wall_seconds = wall0.elapsed().as_secs_f64();
-    let events = h.world.events_processed() - events0;
-
-    let mut latency = Histogram::latency_us();
-    let mut rtt = Histogram::latency_us();
-    let mut m = SloMeasurements {
-        sim_seconds: cfg.duration.as_micros() as f64 / 1e6,
         handoffs: targets
             .iter()
-            .map(|&t| region_plans[t / mobiles_per_region].handoffs_for(t % mobiles_per_region))
+            .map(|&t| plans[t / group_mobiles].handoffs_for(t % group_mobiles))
             .sum(),
         ..SloMeasurements::default()
     };
@@ -565,7 +465,8 @@ pub fn run_random_waypoint_soak_sharded(cfg: &RwSoakConfig) -> SoakRun {
     m.updates_sent = h.world.counter("mhrp.updates_sent") - updates0;
 
     let workload_label = format!(
-        "random-waypoint (region-confined) dwell {}-{}s × {} flows ({} poisson {}/s + {} closed-loop)",
+        "random-waypoint {}dwell {}-{}s × {} flows ({} poisson {}/s + {} closed-loop)",
+        if shards.is_some() { "(region-confined) " } else { "" },
         cfg.dwell_min.as_micros() / 1_000_000,
         cfg.dwell_max.as_micros() / 1_000_000,
         cfg.flows,
@@ -573,20 +474,16 @@ pub fn run_random_waypoint_soak_sharded(cfg: &RwSoakConfig) -> SoakRun {
         cfg.open_rate_per_sec,
         cfg.closed_flows,
     );
+    let shard_label = shards.map(|n| format!(" / {n} shards")).unwrap_or_default();
     let world_label = format!(
-        "hierarchy {}r x {}fa x {}m / {} shards",
-        cfg.params.regions,
-        cfg.params.fas_per_region,
-        cfg.params.mobiles_per_region,
-        h.world.shard_count(),
+        "hierarchy {}r x {}fa x {}m{shard_label}",
+        cfg.params.regions, cfg.params.fas_per_region, cfg.params.mobiles_per_region
     );
     let mut report = evaluate(workload_label, world_label, m, &cfg.thresholds);
     if cfg.adversarial {
         gate_on_auth_rejections(&mut report, h.world.counter("mhrp.auth.rejected"));
     }
-    let events_log: Vec<netsim::Event> =
-        if cfg.telemetry { h.world.merged_events() } else { Vec::new() };
-    SoakRun { report, events, wall_seconds, latency, events_log }
+    SoakRun { report, events, wall_seconds, latency, events_log: Vec::new() }
 }
 
 #[cfg(test)]
