@@ -15,7 +15,7 @@ use ip::proto;
 use netsim::{Counter, Ctx, TeleEventKind};
 use netstack::IpStack;
 
-use crate::auth;
+use crate::auth::AuthGate;
 use crate::cache::LocationCache;
 use crate::config::MhrpConfig;
 use crate::rate_limit::UpdateRateLimiter;
@@ -81,10 +81,10 @@ pub struct CacheAgentCore {
     pub max_prev_sources: usize,
     /// §5.3 loop detection; disable to model TTL-only loop decay (E05).
     pub detect_loops: bool,
-    /// Shared authentication key (DESIGN.md §13). When set, outgoing
-    /// location updates carry a MAC and incoming ones are verified
-    /// (forgeries are dropped and counted as `mhrp.cache.poison_dropped`).
-    pub auth_key: Option<u64>,
+    /// Authentication (DESIGN.md §13): with a key, outgoing location
+    /// updates carry a MAC and incoming ones are verified (forgeries are
+    /// dropped and counted as `mhrp.cache.poison_dropped`).
+    gate: AuthGate,
     pub(crate) counters: CaCounters,
     /// Eviction totals already published to the stats sink, so only the
     /// delta is added on the next publish.
@@ -105,7 +105,7 @@ impl CacheAgentCore {
             rate: UpdateRateLimiter::new(config.update_min_interval, config.update_rate_entries),
             max_prev_sources: config.effective_max_prev_sources(),
             detect_loops: config.detect_loops,
-            auth_key: config.auth_key,
+            gate: AuthGate::new(config.auth_key),
             counters: CaCounters::new(),
             reported_cache_evictions: 0,
             reported_rate_evictions: 0,
@@ -139,24 +139,6 @@ impl CacheAgentCore {
         }
     }
 
-    /// Verifies a received location update against the shared key.
-    /// Vacuously true when authentication is off (the 1994 baseline
-    /// trusts every update, which is exactly what E19 measures).
-    fn update_authentic(&self, update: &LocationUpdate) -> bool {
-        match self.auth_key {
-            None => true,
-            Some(key) => {
-                update.mac
-                    == Some(auth::update_mac(
-                        key,
-                        update.code.as_u8(),
-                        update.mobile,
-                        update.foreign_agent,
-                    ))
-            }
-        }
-    }
-
     /// Sends a location update about `mobile` to `to`, rate-limited per
     /// §4.3. Updates to ourselves or to the mobile host itself are
     /// pointless and suppressed.
@@ -179,8 +161,7 @@ impl CacheAgentCore {
             return;
         }
         self.counters.updates_sent.incr(ctx.stats());
-        let mac =
-            self.auth_key.map(|key| auth::update_mac(key, code.as_u8(), mobile, foreign_agent));
+        let mac = self.gate.sign_update(code, mobile, foreign_agent);
         let msg = IcmpMessage::LocationUpdate(LocationUpdate { code, mobile, foreign_agent, mac });
         stack.send_icmp(ctx, to, &msg, None);
     }
@@ -190,7 +171,7 @@ impl CacheAgentCore {
     /// attempt: it is dropped and counted instead of applied.
     pub fn on_update(&mut self, ctx: &mut Ctx<'_>, update: &LocationUpdate) {
         self.counters.updates_received.incr(ctx.stats());
-        if !self.update_authentic(update) {
+        if !self.gate.update_authentic(update) {
             self.counters.poison_dropped.incr(ctx.stats());
             ctx.tele_event(TeleEventKind::PoisonDrop);
             return;
@@ -223,7 +204,7 @@ impl CacheAgentCore {
                 // Snooping is opportunistic: a forged update is not
                 // cached, but the packet is still forwarded (the final
                 // recipient does its own verification and counting).
-                if self.update_authentic(&lu) {
+                if self.gate.update_authentic(&lu) {
                     self.counters.updates_snooped.incr(ctx.stats());
                     ctx.tele_event(TeleEventKind::CacheUpdate);
                     self.cache.apply_update(&lu, ctx.now());
@@ -339,8 +320,8 @@ mod tests {
         // The 1994 baseline: the protocol believes any source — this is
         // exactly the poisoning surface E19 measures.
         let core = CacheAgentCore::new(&MhrpConfig::default());
-        assert!(core.update_authentic(&update(None)));
-        assert!(core.update_authentic(&update(Some(0xdead_beef))));
+        assert!(core.gate.update_authentic(&update(None)));
+        assert!(core.gate.update_authentic(&update(Some(0xdead_beef))));
     }
 
     #[test]
@@ -349,21 +330,21 @@ mod tests {
         let cfg = MhrpConfig { auth_key: Some(key), ..Default::default() };
         let core = CacheAgentCore::new(&cfg);
         let good = update(None);
-        let mac = auth::update_mac(key, good.code.as_u8(), good.mobile, good.foreign_agent);
+        let mac = crate::auth::update_mac(key, good.code.as_u8(), good.mobile, good.foreign_agent);
 
-        assert!(core.update_authentic(&update(Some(mac))));
+        assert!(core.gate.update_authentic(&update(Some(mac))));
         // A spoofed update (no MAC — the attacker holds no key) and a
         // guessed MAC are both poisoning attempts.
-        assert!(!core.update_authentic(&update(None)));
-        assert!(!core.update_authentic(&update(Some(mac ^ 1))));
+        assert!(!core.gate.update_authentic(&update(None)));
+        assert!(!core.gate.update_authentic(&update(Some(mac ^ 1))));
         // A valid MAC replayed onto different content (the "stale
         // previous-source" splice: same mobile, different agent) fails —
         // the MAC binds code, mobile and agent together.
         let mut spliced = update(Some(mac));
         spliced.foreign_agent = Ipv4Addr::new(11, 9, 0, 1);
-        assert!(!core.update_authentic(&spliced));
+        assert!(!core.gate.update_authentic(&spliced));
         let mut purge = update(Some(mac));
         purge.code = LocationUpdateCode::Purge;
-        assert!(!core.update_authentic(&purge));
+        assert!(!core.gate.update_authentic(&purge));
     }
 }

@@ -8,7 +8,7 @@
 //! module is that extension back-ported onto MHRP, **off by default** so
 //! the baseline reproduction stays byte-identical to the 1994 design.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * a keyed 64-bit MAC ([`mac64`]) over the semantic fields of a
 //!   message. The mixer is a splitmix64 chain — a stand-in for a real
@@ -17,12 +17,22 @@
 //!   simulator the adversary is the `adversary`-crate attack engine,
 //!   which does not brute-force keys, so forgery resistance reduces to
 //!   "the attacker does not know the key";
-//! * a per-mobile replay window ([`ReplayWindow`]) over the monotonic
-//!   registration sequence numbers mobiles already carry, compared with
-//!   RFC 1982 serial arithmetic so the `u16` counter may wrap.
+//! * [`sign`], the one function that computes a registration's MAC. It
+//!   returns the [`AuthExt`] a registration carries beside its message
+//!   (see [`crate::messages`] for the wire layout);
+//! * `AuthGate`, one per agent, which holds the key and decides
+//!   whether a registration or location update is authentic. A
+//!   registration's sequence number must also pass a per-mobile replay
+//!   window ([`ReplayWindow`]), compared with RFC 1982 serial arithmetic
+//!   so the `u16` counter may wrap.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+use ip::icmp::{LocationUpdate, LocationUpdateCode};
+use netsim::{Ctx, TeleEventKind};
+
+use crate::messages::{AuthExt, ControlMessage};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -46,39 +56,32 @@ fn addr_word(a: Ipv4Addr) -> u64 {
     u64::from(u32::from_be_bytes(a.octets()))
 }
 
-/// Domain-separation tag for `FaRegisterAuth` MACs.
-pub const TAG_FA: u8 = 1;
-/// Domain-separation tag for `HaRegisterAuth` MACs.
-pub const TAG_HA: u8 = 2;
-/// Domain-separation tag for `RegRegisterAuth` MACs.
-pub const TAG_REG: u8 = 3;
-
-/// MAC over an authenticated registration message. `tag` domain-separates
-/// the message types so a `FaRegisterAuth` MAC can never be replayed as a
-/// `HaRegisterAuth` for the same addresses.
-pub fn registration_mac(key: u64, tag: u8, mobile: Ipv4Addr, agent: Ipv4Addr, seq: u16) -> u64 {
-    mac64(key, &[u64::from(tag), addr_word(mobile), addr_word(agent), u64::from(seq)])
-}
-
-/// MAC over a `RegRegisterAuth`, covering both the home agent and the
-/// cell foreign agent so neither can be swapped in transit.
-pub fn reg_register_mac(
-    key: u64,
-    mobile: Ipv4Addr,
-    home_agent: Ipv4Addr,
-    fa: Ipv4Addr,
-    seq: u16,
-) -> u64 {
-    mac64(
-        key,
-        &[
-            u64::from(TAG_REG),
-            addr_word(mobile),
-            addr_word(home_agent),
-            addr_word(fa),
-            u64::from(seq),
-        ],
-    )
+/// Signs registration `msg` under `key`. `seq` is the mobile's
+/// registration sequence number; `HaRegister` and `RegRegister` carry it
+/// already, and it must equal theirs. The MAC covers a tag per message
+/// type (1 `FaRegister`, 2 `HaRegister`, 3 `RegRegister`), so a signature
+/// made for one type never verifies as another with the same addresses,
+/// then every address of the message, then `seq`.
+///
+/// # Panics
+///
+/// Panics if `msg` is not a registration.
+pub fn sign(key: u64, msg: &ControlMessage, seq: u16) -> AuthExt {
+    let a = addr_word;
+    let seq_word = u64::from(seq);
+    let mac = match *msg {
+        ControlMessage::FaRegister { mobile, home_agent } => {
+            mac64(key, &[1, a(mobile), a(home_agent), seq_word])
+        }
+        ControlMessage::HaRegister { mobile, fa, .. } => {
+            mac64(key, &[2, a(mobile), a(fa), seq_word])
+        }
+        ControlMessage::RegRegister { mobile, home_agent, fa, .. } => {
+            mac64(key, &[3, a(mobile), a(home_agent), a(fa), seq_word])
+        }
+        _ => panic!("{msg:?} is not a registration; only registrations are signed"),
+    };
+    AuthExt { seq, mac }
 }
 
 /// MAC over a location update's semantic fields (`code` as its wire
@@ -103,37 +106,110 @@ pub struct ReplayWindow {
 }
 
 impl ReplayWindow {
-    /// Creates an empty window.
-    pub fn new() -> ReplayWindow {
-        ReplayWindow::default()
-    }
-
     /// Checks `seq` for `mobile` and, if acceptable, records it as the
     /// new high-water mark. Returns whether the message should be
     /// processed.
     pub fn accept(&mut self, mobile: Ipv4Addr, seq: u16) -> bool {
-        match self.last.get(&mobile) {
-            None => {
-                self.last.insert(mobile, seq);
-                true
-            }
-            Some(&last) => {
-                // RFC 1982 serial comparison: "newer or equal" is a
-                // forward distance under half the space.
-                if seq.wrapping_sub(last) < 0x8000 {
-                    self.last.insert(mobile, seq);
-                    true
-                } else {
-                    false
-                }
-            }
+        // A first sighting passes; after that, RFC 1982 serial comparison:
+        // "newer or equal" is a forward distance under half the space.
+        let fresh = self.last.get(&mobile).is_none_or(|&last| seq.wrapping_sub(last) < 0x8000);
+        if fresh {
+            self.last.insert(mobile, seq);
         }
+        fresh
     }
 
     /// Forgets all recorded sequence numbers (volatile state on reboot;
     /// the first registration seen afterwards re-seeds the window).
     pub fn clear(&mut self) {
         self.last.clear();
+    }
+}
+
+/// One agent's authentication gate: the shared key and the replay
+/// window. Without a key it admits everything (the 1994 protocol). With
+/// one, a registration is admitted only if it carries an extension, the
+/// extension's MAC is the one [`sign`] computes, and its sequence number
+/// passes the replay window — checked in that order, so a bad MAC never
+/// moves the window.
+#[derive(Debug)]
+pub(crate) struct AuthGate {
+    key: Option<u64>,
+    replay: ReplayWindow,
+}
+
+impl AuthGate {
+    /// Creates a gate; `key` is [`crate::MhrpConfig::auth_key`].
+    pub fn new(key: Option<u64>) -> AuthGate {
+        AuthGate { key, replay: ReplayWindow::default() }
+    }
+
+    /// Whether authentication is on.
+    pub fn enforced(&self) -> bool {
+        self.key.is_some()
+    }
+
+    /// The extension to send with registration `msg` (see [`sign`]), or
+    /// `None` when authentication is off.
+    pub fn sign(&self, msg: &ControlMessage, seq: u16) -> Option<AuthExt> {
+        self.key.map(|key| sign(key, msg, seq))
+    }
+
+    /// Decides whether registration `msg`, which arrived with `auth`, is
+    /// authentic, and counts it as rejected when it is not.
+    pub fn admit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        msg: &ControlMessage,
+        auth: Option<AuthExt>,
+    ) -> bool {
+        let Some(key) = self.key else { return true };
+        let (ControlMessage::FaRegister { mobile, .. }
+        | ControlMessage::HaRegister { mobile, .. }
+        | ControlMessage::RegRegister { mobile, .. }) = *msg
+        else {
+            panic!("{msg:?} is not a registration");
+        };
+        let admitted = auth.is_some_and(|ext| {
+            sign(key, msg, ext.seq) == ext && self.replay.accept(mobile, ext.seq)
+        });
+        if !admitted {
+            self.reject(ctx);
+        }
+        admitted
+    }
+
+    /// Counts one rejected message (`mhrp.auth.rejected`) and records it
+    /// on the journey. Rejections are rare, so the counter is looked up
+    /// by name.
+    pub fn reject(&self, ctx: &mut Ctx<'_>) {
+        ctx.stats().incr("mhrp.auth.rejected");
+        ctx.tele_event(TeleEventKind::AuthReject);
+    }
+
+    /// Forgets the replay window (volatile state on reboot; the first
+    /// registration seen afterwards re-seeds it).
+    pub fn clear(&mut self) {
+        self.replay.clear();
+    }
+
+    /// The MAC an outgoing location update carries, or `None` when
+    /// authentication is off.
+    pub fn sign_update(
+        &self,
+        code: LocationUpdateCode,
+        mobile: Ipv4Addr,
+        foreign_agent: Ipv4Addr,
+    ) -> Option<u64> {
+        self.key.map(|key| update_mac(key, code.as_u8(), mobile, foreign_agent))
+    }
+
+    /// Whether a received location update is authentic: always without a
+    /// key (the 1994 baseline trusts every update, which is exactly what
+    /// E19 measures), else only with the MAC [`update_mac`] computes.
+    pub fn update_authentic(&self, update: &LocationUpdate) -> bool {
+        self.key.is_none()
+            || update.mac == self.sign_update(update.code, update.mobile, update.foreign_agent)
     }
 }
 
@@ -145,25 +221,92 @@ mod tests {
         Ipv4Addr::new(10, 0, 0, x)
     }
 
+    fn ha(seq: u16) -> ControlMessage {
+        ControlMessage::HaRegister { mobile: a(3), fa: a(4), seq }
+    }
+
     #[test]
     fn mac_depends_on_every_input() {
-        let m = registration_mac(1, 2, a(3), a(4), 5);
-        assert_ne!(m, registration_mac(9, 2, a(3), a(4), 5), "key");
-        assert_ne!(m, registration_mac(1, 9, a(3), a(4), 5), "tag");
-        assert_ne!(m, registration_mac(1, 2, a(9), a(4), 5), "mobile");
-        assert_ne!(m, registration_mac(1, 2, a(3), a(9), 5), "agent");
-        assert_ne!(m, registration_mac(1, 2, a(3), a(4), 9), "seq");
-        assert_eq!(m, registration_mac(1, 2, a(3), a(4), 5), "deterministic");
+        let m = sign(1, &ha(5), 5).mac;
+        let fa = ControlMessage::FaRegister { mobile: a(3), home_agent: a(4) };
+        assert_ne!(m, sign(9, &ha(5), 5).mac, "key");
+        assert_ne!(m, sign(1, &fa, 5).mac, "message type");
+        assert_ne!(
+            m,
+            sign(1, &ControlMessage::HaRegister { mobile: a(9), fa: a(4), seq: 5 }, 5).mac
+        );
+        assert_ne!(
+            m,
+            sign(1, &ControlMessage::HaRegister { mobile: a(3), fa: a(9), seq: 5 }, 5).mac
+        );
+        assert_ne!(m, sign(1, &ha(9), 9).mac, "seq");
+        assert_eq!(m, sign(1, &ha(5), 5).mac, "deterministic");
+        let reg = |ha_addr, fa| ControlMessage::RegRegister {
+            mobile: a(3),
+            home_agent: ha_addr,
+            fa,
+            seq: 5,
+        };
+        let r = sign(1, &reg(a(4), a(6)), 5).mac;
+        assert_ne!(r, sign(1, &reg(a(9), a(6)), 5).mac, "RegRegister home agent");
+        assert_ne!(r, sign(1, &reg(a(4), a(9)), 5).mac, "RegRegister foreign agent");
     }
 
     #[test]
     fn update_mac_differs_from_registration_mac() {
-        assert_ne!(update_mac(1, 0, a(3), a(4)), registration_mac(1, 0, a(3), a(4), 0));
+        let fa = ControlMessage::FaRegister { mobile: a(3), home_agent: a(4) };
+        assert_ne!(update_mac(1, 1, a(3), a(4)), sign(1, &fa, 0).mac);
+    }
+
+    fn with_ctx<R>(f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
+        struct Probe;
+        impl netsim::Node for Probe {
+            fn on_frame(&mut self, _: &mut Ctx<'_>, _: netsim::IfaceId, _: &netsim::Frame) {}
+        }
+        let mut w = netsim::World::new(0);
+        let n = w.add_node(Probe);
+        w.with_node::<Probe, _>(n, |_, ctx| f(ctx))
+    }
+
+    /// The gate's whole decision table, with the key off and on: what is
+    /// admitted, one `mhrp.auth.rejected` per rejection, and a bad MAC
+    /// that leaves the replay window where it was.
+    #[test]
+    fn gate_decision_table() {
+        const KEY: u64 = 0x1994_0d0c_5bad_c0de;
+        let good = |seq| Some(sign(KEY, &ha(seq), seq));
+        let spliced = sign(KEY, &ControlMessage::FaRegister { mobile: a(3), home_agent: a(4) }, 9);
+        // (case, message, extension, admitted with the key on)
+        let cases = [
+            ("first sighting", ha(5), good(5), true),
+            ("no extension", ha(6), None, false),
+            ("wrong MAC", ha(9), good(9).map(|e| AuthExt { mac: e.mac ^ 1, ..e }), false),
+            ("FaRegister signature on an HaRegister", ha(9), Some(spliced), false),
+            ("older seq", ha(4), good(4), false),
+            ("equal seq", ha(5), good(5), true),
+            // Newer than 5 but older than the 9 the forgeries carried.
+            ("newer seq", ha(6), good(6), true),
+        ];
+        for key in [None, Some(KEY)] {
+            with_ctx(|ctx| {
+                let mut gate = AuthGate::new(key);
+                assert_eq!(gate.enforced(), key.is_some());
+                for (case, msg, auth, admitted_on) in cases {
+                    let want = key.is_none() || admitted_on;
+                    let before = ctx.stats().counter("mhrp.auth.rejected");
+                    assert_eq!(gate.admit(ctx, &msg, auth), want, "{case}, key {key:?}");
+                    let counted = ctx.stats().counter("mhrp.auth.rejected") - before;
+                    assert_eq!(counted, u64::from(!want), "{case}, key {key:?}");
+                }
+                gate.clear();
+                assert!(gate.admit(ctx, &ha(1), good(1)), "a cleared window re-seeds");
+            });
+        }
     }
 
     #[test]
     fn replay_window_accepts_newer_and_equal_rejects_older() {
-        let mut w = ReplayWindow::new();
+        let mut w = ReplayWindow::default();
         assert!(w.accept(a(1), 5));
         assert!(w.accept(a(1), 5), "retransmission of the current seq re-accepted");
         assert!(w.accept(a(1), 6));
@@ -175,7 +318,7 @@ mod tests {
 
     #[test]
     fn replay_window_wraps() {
-        let mut w = ReplayWindow::new();
+        let mut w = ReplayWindow::default();
         assert!(w.accept(a(1), 0xfffe));
         assert!(w.accept(a(1), 0xffff));
         assert!(w.accept(a(1), 0), "wrap to zero is newer");
@@ -185,7 +328,7 @@ mod tests {
 
     #[test]
     fn clear_reseeds() {
-        let mut w = ReplayWindow::new();
+        let mut w = ReplayWindow::default();
         assert!(w.accept(a(1), 100));
         assert!(!w.accept(a(1), 1));
         w.clear();

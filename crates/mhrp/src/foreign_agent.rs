@@ -15,9 +15,9 @@ use netsim::{Counter, Ctx, IfaceId, TeleEventKind};
 use netstack::IpStack;
 
 use crate::agent::CacheAgentCore;
-use crate::auth::{self, ReplayWindow};
+use crate::auth::AuthGate;
 use crate::config::MhrpConfig;
-use crate::messages::{ControlMessage, MHRP_PORT};
+use crate::messages::{AuthExt, ControlMessage, MHRP_PORT};
 use crate::tunnel;
 
 /// One visiting mobile host.
@@ -47,21 +47,19 @@ pub struct ForeignAgentCore {
     /// network. `None` = flat MHRP, byte-identical to the pre-regional
     /// protocol.
     pub regional_agent: Option<Ipv4Addr>,
-    /// Shared authentication key (DESIGN.md §13). When set, plain
-    /// registrations are rejected, MAC'd ones are verified against a
-    /// per-mobile replay window, and §5.2 recovery updates must carry a
-    /// valid MAC before this agent "believes the home agent".
-    pub auth_key: Option<u64>,
     visitors: HashMap<Ipv4Addr, Visitor>,
     pending_verify: HashSet<Ipv4Addr>,
-    replay: ReplayWindow,
+    /// Authentication (DESIGN.md §13): with a key, registrations must be
+    /// signed, deregistrations come from the mobile itself, and §5.2
+    /// recovery updates must carry a valid MAC before this agent
+    /// "believes the home agent".
+    gate: AuthGate,
     // Per-data-packet counters, cached so tunnel delivery stays free of
     // name hashing.
     delivered: Counter,
     tunneled_home: Counter,
     registrations: Counter,
     deregistrations: Counter,
-    auth_rejected: Counter,
 }
 
 impl ForeignAgentCore {
@@ -72,22 +70,14 @@ impl ForeignAgentCore {
             forwarding_pointers: config.forwarding_pointers,
             verify_on_recovery: config.verify_on_recovery,
             regional_agent: None,
-            auth_key: config.auth_key,
             visitors: HashMap::new(),
             pending_verify: HashSet::new(),
-            replay: ReplayWindow::new(),
+            gate: AuthGate::new(config.auth_key),
             delivered: Counter::new("mhrp.fa_delivered"),
             tunneled_home: Counter::new("mhrp.fa_tunneled_home"),
             registrations: Counter::new("mhrp.fa_registrations"),
             deregistrations: Counter::new("mhrp.fa_deregistrations"),
-            auth_rejected: Counter::new("mhrp.auth.rejected"),
         }
-    }
-
-    fn reject_auth(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        self.auth_rejected.incr(ctx.stats());
-        ctx.tele_event(TeleEventKind::AuthReject);
-        true
     }
 
     /// Whether `mobile` is on the visitor list.
@@ -116,8 +106,9 @@ impl ForeignAgentCore {
             .with_ident(ident)
     }
 
-    /// Handles a registration control message from `src`. Returns `true`
-    /// if consumed.
+    /// Handles a registration control message from `src`, which arrived
+    /// with the authentication extension `auth`. Returns `true` if
+    /// consumed.
     pub fn on_control(
         &mut self,
         ca: &mut CacheAgentCore,
@@ -125,34 +116,35 @@ impl ForeignAgentCore {
         ctx: &mut Ctx<'_>,
         src: Ipv4Addr,
         msg: &ControlMessage,
+        auth: Option<AuthExt>,
     ) -> bool {
         match *msg {
             ControlMessage::FaRegister { mobile, home_agent } => {
-                if self.auth_key.is_some() {
-                    // Auth enforced: an unauthenticated registration is a
-                    // forgery (every legitimate mobile holds the key).
-                    return self.reject_auth(ctx);
+                if !self.gate.admit(ctx, msg, auth) {
+                    return true;
                 }
-                self.register(ca, stack, ctx, mobile, home_agent);
-                true
-            }
-            ControlMessage::FaRegisterAuth { mobile, home_agent, seq, mac } => {
-                if let Some(key) = self.auth_key {
-                    if mac != auth::registration_mac(key, auth::TAG_FA, mobile, home_agent, seq)
-                        || !self.replay.accept(mobile, seq)
-                    {
-                        return self.reject_auth(ctx);
-                    }
-                }
-                self.register(ca, stack, ctx, mobile, home_agent);
+                self.registrations.incr(ctx.stats());
+                self.visitors.insert(mobile, Visitor { home_agent: Some(home_agent) });
+                self.pending_verify.remove(&mobile);
+                // A registration supersedes any stale forwarding pointer.
+                ca.cache.remove(mobile);
+                // The visitor's home address would *route* toward its home
+                // network — deliver the ack directly on the local segment.
+                let ack = match self.regional_agent {
+                    Some(regional) => ControlMessage::FaRegisterAckRegional { mobile, regional },
+                    None => ControlMessage::FaRegisterAck { mobile },
+                };
+                let pkt = self.control_packet(stack, mobile, &ack);
+                stack.send_direct(ctx, self.local_iface, pkt);
                 true
             }
             ControlMessage::FaDeregister { mobile, new_fa } => {
-                if self.auth_key.is_some() && src != mobile {
+                if self.gate.enforced() && src != mobile {
                     // Deregistration carries no MAC (it only moves or
                     // clears a forwarding pointer); with auth on it is
                     // accepted from the mobile host itself only.
-                    return self.reject_auth(ctx);
+                    self.gate.reject(ctx);
+                    return true;
                 }
                 self.deregistrations.incr(ctx.stats());
                 self.visitors.remove(&mobile);
@@ -169,30 +161,6 @@ impl ForeignAgentCore {
             }
             _ => false,
         }
-    }
-
-    /// The shared body of (authenticated and plain) registration.
-    fn register(
-        &mut self,
-        ca: &mut CacheAgentCore,
-        stack: &mut IpStack,
-        ctx: &mut Ctx<'_>,
-        mobile: Ipv4Addr,
-        home_agent: Ipv4Addr,
-    ) {
-        self.registrations.incr(ctx.stats());
-        self.visitors.insert(mobile, Visitor { home_agent: Some(home_agent) });
-        self.pending_verify.remove(&mobile);
-        // A registration supersedes any stale forwarding pointer.
-        ca.cache.remove(mobile);
-        // The visitor's home address would *route* toward its home
-        // network — deliver the ack directly on the local segment.
-        let ack = match self.regional_agent {
-            Some(regional) => ControlMessage::FaRegisterAckRegional { mobile, regional },
-            None => ControlMessage::FaRegisterAck { mobile },
-        };
-        let pkt = self.control_packet(stack, mobile, &ack);
-        stack.send_direct(ctx, self.local_iface, pkt);
     }
 
     /// Handles an MHRP packet tunneled to this agent (§4.4): deliver to a
@@ -319,17 +287,13 @@ impl ForeignAgentCore {
         if !stack.is_local_addr(update.foreign_agent) {
             return false;
         }
-        if let Some(key) = self.auth_key {
+        if !self.gate.update_authentic(update) {
             // §5.2 says "believing the home agent" — with auth on, first
             // prove the update actually came from a key holder. A forged
             // re-add would make this agent blackhole-deliver for a mobile
             // that is not here.
-            let expected =
-                auth::update_mac(key, update.code.as_u8(), update.mobile, update.foreign_agent);
-            if update.mac != Some(expected) {
-                self.reject_auth(ctx);
-                return false;
-            }
+            self.gate.reject(ctx);
+            return false;
         }
         if self.visitors.contains_key(&update.mobile) {
             return false;
@@ -358,7 +322,7 @@ impl ForeignAgentCore {
         self.pending_verify.clear();
         // The replay window is volatile too; it re-seeds from the first
         // authenticated registration after recovery.
-        self.replay.clear();
+        self.gate.clear();
     }
 }
 

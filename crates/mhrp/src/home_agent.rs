@@ -17,8 +17,9 @@ use netsim::{Counter, Ctx, IfaceId, TeleEventKind};
 use netstack::IpStack;
 
 use crate::agent::CacheAgentCore;
-use crate::auth::{self, ReplayWindow};
-use crate::messages::ControlMessage;
+use crate::auth::AuthGate;
+use crate::config::MhrpConfig;
+use crate::messages::{AuthExt, ControlMessage};
 use crate::tunnel;
 
 /// The home-agent role state.
@@ -46,50 +47,40 @@ pub struct HomeAgentCore {
     /// Stable-storage copy surviving reboots (§2: "should also be recorded
     /// on disk"), when enabled.
     disk: Option<HashMap<Ipv4Addr, Ipv4Addr>>,
-    /// Shared authentication key (DESIGN.md §13). When set, plain
-    /// registrations are rejected, MAC'd ones are verified against a
-    /// per-mobile replay window, and `HaSync` is accepted only from the
-    /// configured replica set.
-    pub auth_key: Option<u64>,
-    replay: ReplayWindow,
+    /// Authentication (DESIGN.md §13): with a key, registrations must be
+    /// signed and `HaSync` is accepted only from the configured replica
+    /// set.
+    gate: AuthGate,
     // Per-intercepted-packet counter, cached so the tunnel fast path
     // stays free of name hashing.
     tunneled: Counter,
     registrations: Counter,
     acks_tunneled: Counter,
-    auth_rejected: Counter,
 }
 
 impl HomeAgentCore {
     /// Creates an active home agent serving the network on `home_iface`.
-    /// `with_disk` enables the §2 stable-storage journal.
-    pub fn new(home_iface: IfaceId, with_disk: bool) -> HomeAgentCore {
+    /// [`MhrpConfig::home_agent_disk`] enables the §2 stable-storage
+    /// journal.
+    pub fn new(home_iface: IfaceId, config: &MhrpConfig) -> HomeAgentCore {
         HomeAgentCore {
             home_iface,
             replicas: Vec::new(),
             host_route_mode: false,
             active: true,
             bindings: HashMap::new(),
-            disk: with_disk.then(HashMap::new),
-            auth_key: None,
-            replay: ReplayWindow::new(),
+            disk: config.home_agent_disk.then(HashMap::new),
+            gate: AuthGate::new(config.auth_key),
             tunneled: Counter::new("mhrp.ha_tunneled"),
             registrations: Counter::new("mhrp.ha_registrations"),
             acks_tunneled: Counter::new("mhrp.ha_acks_tunneled"),
-            auth_rejected: Counter::new("mhrp.auth.rejected"),
         }
-    }
-
-    fn reject_auth(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        self.auth_rejected.incr(ctx.stats());
-        ctx.tele_event(TeleEventKind::AuthReject);
-        true
     }
 
     /// Creates a warm-standby replica: it applies [`ControlMessage::HaSync`]
     /// into its database but intercepts nothing until activated.
-    pub fn new_replica(home_iface: IfaceId, with_disk: bool) -> HomeAgentCore {
-        HomeAgentCore { active: false, ..HomeAgentCore::new(home_iface, with_disk) }
+    pub fn new_replica(home_iface: IfaceId, config: &MhrpConfig) -> HomeAgentCore {
+        HomeAgentCore { active: false, ..HomeAgentCore::new(home_iface, config) }
     }
 
     /// Whether this agent is actively intercepting.
@@ -182,40 +173,31 @@ impl HomeAgentCore {
         self.bindings.len()
     }
 
-    /// Handles a registration control message addressed to this agent.
-    /// Returns `true` if the message was consumed.
+    /// Handles a registration control message addressed to this agent,
+    /// which arrived with the authentication extension `auth`. Returns
+    /// `true` if the message was consumed.
     pub fn on_control(
         &mut self,
         stack: &mut IpStack,
         ctx: &mut Ctx<'_>,
         src: Ipv4Addr,
         msg: &ControlMessage,
+        auth: Option<AuthExt>,
     ) -> bool {
         let (mobile, fa, seq) = match *msg {
             ControlMessage::HaRegister { mobile, fa, seq } => {
-                if self.auth_key.is_some() {
-                    // Auth enforced: an unauthenticated registration is a
-                    // forgery (every legitimate mobile holds the key).
-                    return self.reject_auth(ctx);
-                }
-                (mobile, fa, seq)
-            }
-            ControlMessage::HaRegisterAuth { mobile, fa, seq, mac } => {
-                if let Some(key) = self.auth_key {
-                    if mac != auth::registration_mac(key, auth::TAG_HA, mobile, fa, seq)
-                        || !self.replay.accept(mobile, seq)
-                    {
-                        return self.reject_auth(ctx);
-                    }
+                if !self.gate.admit(ctx, msg, auth) {
+                    return true;
                 }
                 (mobile, fa, seq)
             }
             ControlMessage::HaSync { mobile, fa } => {
-                if self.auth_key.is_some() && !self.replicas.contains(&src) {
+                if self.gate.enforced() && !self.replicas.contains(&src) {
                     // With auth on, database replication is accepted only
                     // from the configured replica set — otherwise HaSync
                     // is an unauthenticated side door around the MAC.
-                    return self.reject_auth(ctx);
+                    self.gate.reject(ctx);
+                    return true;
                 }
                 // §2 replication: apply a peer's binding change silently.
                 ctx.stats().incr("mhrp.ha_syncs_applied");
@@ -398,7 +380,7 @@ impl HomeAgentCore {
         // The replay window is volatile (re-seeds from the next
         // authenticated registration); only the binding database is
         // journaled.
-        self.replay.clear();
+        self.gate.clear();
         if self.active {
             let reloaded: Vec<Ipv4Addr> = self.bindings.keys().copied().collect();
             for mobile in reloaded {
@@ -447,6 +429,10 @@ mod tests {
         w.with_node::<Probe, _>(n, |_, ctx| f(ctx))
     }
 
+    fn disk(home_agent_disk: bool) -> MhrpConfig {
+        MhrpConfig { home_agent_disk, ..MhrpConfig::default() }
+    }
+
     fn home_stack() -> IpStack {
         let mut stack = IpStack::new(true);
         stack.add_iface(IfaceId(0), a(1), "10.0.0.0/24".parse().unwrap());
@@ -456,7 +442,7 @@ mod tests {
     #[test]
     fn disk_survives_reboot_when_enabled() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), true);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
         ha.bindings.insert(a(7), a(100));
         if let Some(d) = &mut ha.disk {
             d.insert(a(7), a(100));
@@ -470,7 +456,7 @@ mod tests {
     #[test]
     fn no_disk_means_reboot_forgets() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), false);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(false));
         ha.bindings.insert(a(7), a(100));
         with_ctx(|ctx| ha.reboot(&mut stack, ctx));
         assert_eq!(ha.binding(a(7)), None);
@@ -480,7 +466,7 @@ mod tests {
     #[test]
     fn wipe_clears_everything() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), true);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
         ha.bindings.insert(a(7), a(100));
         stack.add_capture(a(7));
         ha.wipe(&mut stack);
@@ -496,7 +482,7 @@ mod tests {
         // not strip a proxy some other role (e.g. a co-resident foreign
         // agent serving a visitor) installed for the same address.
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), true);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
         ha.host_route_mode = true;
         ha.bindings.insert(a(7), a(100));
         stack.add_capture(a(7));
@@ -509,12 +495,12 @@ mod tests {
     #[test]
     fn standby_promotion_arms_synced_bindings() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new_replica(IfaceId(0), false);
+        let mut ha = HomeAgentCore::new_replica(IfaceId(0), &disk(false));
         assert!(!ha.is_active());
         with_ctx(|ctx| {
             // A primary's HaSync lands in the database but arms nothing.
             let sync = ControlMessage::HaSync { mobile: a(7), fa: a(100) };
-            assert!(ha.on_control(&mut stack, ctx, a(2), &sync));
+            assert!(ha.on_control(&mut stack, ctx, a(2), &sync, None));
             assert_eq!(ha.binding(a(7)), Some(a(100)));
             assert!(!stack.is_captured(a(7)));
             assert!(!stack.arp.is_proxied(IfaceId(0), a(7)));
@@ -529,7 +515,7 @@ mod tests {
     #[test]
     fn ack_to_away_mobile_is_tunneled() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), false);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(false));
         ha.bindings.insert(a(7), a(100));
         let ack = ControlMessage::HaRegisterAck { mobile: a(7), seq: 3 };
         let pkt = with_ctx(|ctx| ha.ack_packet(&mut stack, ctx, a(7), &ack));
@@ -544,7 +530,7 @@ mod tests {
     #[test]
     fn ack_to_at_home_mobile_is_plain() {
         let mut stack = home_stack();
-        let mut ha = HomeAgentCore::new(IfaceId(0), false);
+        let mut ha = HomeAgentCore::new(IfaceId(0), &disk(false));
         let ack = ControlMessage::HaRegisterAck { mobile: a(7), seq: 3 };
         let pkt = with_ctx(|ctx| ha.ack_packet(&mut stack, ctx, a(7), &ack));
         assert_eq!(pkt.protocol, proto::UDP);
@@ -574,7 +560,7 @@ mod tests {
                 ),
             ) {
                 let mut stack = home_stack();
-                let mut ha = HomeAgentCore::new(IfaceId(0), true);
+                let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
                 let mut full_copy = HashMap::new();
                 with_ctx(|ctx| {
                     for op in ops {

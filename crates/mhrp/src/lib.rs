@@ -73,7 +73,7 @@ pub use foreign_agent::ForeignAgentCore;
 pub use header::MhrpHeader;
 pub use home_agent::HomeAgentCore;
 pub use lru::LruMap;
-pub use messages::{ControlMessage, MHRP_PORT};
+pub use messages::{AuthExt, ControlMessage, MHRP_PORT};
 pub use mobile_host::{Attachment, MobileHostCore, MobilityStats};
 pub use nodes::{MhrpHostNode, MhrpRouterNode, MobileHostNode};
 pub use rate_limit::UpdateRateLimiter;

@@ -6,6 +6,15 @@
 //! does not specify a wire format or reliability scheme; this reproduction
 //! uses the small TLV below with acknowledgment + retransmission
 //! (parameters in [`crate::config::MhrpConfig`]).
+//!
+//! A registration (`FaRegister`, `HaRegister`, `RegRegister`) may carry
+//! the authentication extension of DESIGN.md §13, an [`AuthExt`]. It
+//! travels beside the message, not inside it: [`ControlMessage::encode_with`]
+//! appends it and [`ControlMessage::decode_with`] splits it off. On the
+//! wire an authenticated registration keeps the layout it has always had:
+//! its own type byte (11, 12, 13), the plain body, then the sequence
+//! number (`FaRegister` only; the other two already carry one) and the
+//! 64-bit MAC.
 
 use std::net::Ipv4Addr;
 
@@ -14,6 +23,18 @@ use ip::PacketError;
 /// UDP port for MHRP registration traffic (the port IANA later assigned to
 /// Mobile IP; see DESIGN.md).
 pub const MHRP_PORT: u16 = 434;
+
+/// The authentication extension of a registration (DESIGN.md §13),
+/// made by [`crate::auth::sign`] and checked by each agent's `auth::AuthGate`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuthExt {
+    /// The mobile's registration sequence number: the replay-window
+    /// value. `HaRegister` and `RegRegister` carry it in their body, so
+    /// for them it equals the message's own `seq`.
+    pub seq: u16,
+    /// Keyed MAC over the registration's fields and `seq`.
+    pub mac: u64,
+}
 
 /// A control message between mobile hosts and agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,53 +123,22 @@ pub enum ControlMessage {
         /// Sequence number matching request to acknowledgment.
         seq: u16,
     },
-    /// Authenticated [`FaRegister`](ControlMessage::FaRegister)
-    /// (DESIGN.md §13). Adds the mobile's registration sequence number
-    /// (replay window) and a keyed MAC over the semantic fields.
-    FaRegisterAuth {
-        /// The registering mobile host (its home address).
-        mobile: Ipv4Addr,
-        /// The mobile host's home agent.
-        home_agent: Ipv4Addr,
-        /// The mobile's registration sequence number.
-        seq: u16,
-        /// Keyed MAC over (tag, mobile, home_agent, seq).
-        mac: u64,
-    },
-    /// Authenticated [`HaRegister`](ControlMessage::HaRegister)
-    /// (DESIGN.md §13).
-    HaRegisterAuth {
-        /// The registering mobile host.
-        mobile: Ipv4Addr,
-        /// The serving foreign agent, or 0.0.0.0 when home.
-        fa: Ipv4Addr,
-        /// Sequence number matching request to acknowledgment, and the
-        /// replay-window value.
-        seq: u16,
-        /// Keyed MAC over (tag, mobile, fa, seq).
-        mac: u64,
-    },
-    /// Authenticated [`RegRegister`](ControlMessage::RegRegister)
-    /// (DESIGN.md §13).
-    RegRegisterAuth {
-        /// The registering mobile host.
-        mobile: Ipv4Addr,
-        /// The mobile host's global home agent.
-        home_agent: Ipv4Addr,
-        /// The serving cell foreign agent.
-        fa: Ipv4Addr,
-        /// Sequence number matching request to acknowledgment, and the
-        /// replay-window value.
-        seq: u16,
-        /// Keyed MAC over (tag, mobile, fa, seq).
-        mac: u64,
-    },
 }
 
 impl ControlMessage {
     /// Encodes to the control-protocol TLV.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(12);
+        self.encode_with(None)
+    }
+
+    /// Encodes to the control-protocol TLV, appending `auth` as the
+    /// authentication extension (module docs) when it is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `auth` is set on a message that is not a registration.
+    pub fn encode_with(&self, auth: Option<AuthExt>) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(24);
         match self {
             ControlMessage::FaRegister { mobile, home_agent } => {
                 buf.push(1);
@@ -197,42 +187,55 @@ impl ControlMessage {
                 buf.extend_from_slice(&fa.octets());
                 buf.extend_from_slice(&seq.to_be_bytes());
             }
-            ControlMessage::FaRegisterAuth { mobile, home_agent, seq, mac } => {
-                buf.push(11);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&home_agent.octets());
-                buf.extend_from_slice(&seq.to_be_bytes());
-                buf.extend_from_slice(&mac.to_be_bytes());
-            }
-            ControlMessage::HaRegisterAuth { mobile, fa, seq, mac } => {
-                buf.push(12);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&fa.octets());
-                buf.extend_from_slice(&seq.to_be_bytes());
-                buf.extend_from_slice(&mac.to_be_bytes());
-            }
-            ControlMessage::RegRegisterAuth { mobile, home_agent, fa, seq, mac } => {
-                buf.push(13);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&home_agent.octets());
-                buf.extend_from_slice(&fa.octets());
-                buf.extend_from_slice(&seq.to_be_bytes());
-                buf.extend_from_slice(&mac.to_be_bytes());
-            }
+        }
+        if let Some(AuthExt { seq, mac }) = auth {
+            buf[0] = match self {
+                ControlMessage::FaRegister { .. } => {
+                    buf.extend_from_slice(&seq.to_be_bytes());
+                    11
+                }
+                ControlMessage::HaRegister { .. } => 12,
+                ControlMessage::RegRegister { .. } => 13,
+                _ => panic!("{self:?} is not a registration; it carries no AuthExt"),
+            };
+            buf.extend_from_slice(&mac.to_be_bytes());
         }
         buf
     }
 
-    /// Decodes from control-protocol bytes.
+    /// Decodes from control-protocol bytes. An authenticated registration
+    /// decodes to its plain message, without the extension.
     ///
     /// # Errors
     ///
     /// Returns [`PacketError`] on truncation or unknown message type.
     pub fn decode(buf: &[u8]) -> Result<ControlMessage, PacketError> {
+        ControlMessage::decode_with(buf).map(|(msg, _)| msg)
+    }
+
+    /// Decodes from control-protocol bytes, splitting off the
+    /// authentication extension of an authenticated registration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacketError`] on truncation (an extension cut short
+    /// included) or unknown message type.
+    pub fn decode_with(buf: &[u8]) -> Result<(ControlMessage, Option<AuthExt>), PacketError> {
         let (&ty, rest) = buf.split_first().ok_or(PacketError::Truncated)?;
         let need = |n: usize| if rest.len() < n { Err(PacketError::Truncated) } else { Ok(()) };
         let addr = |b: &[u8]| Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        Ok(match ty {
+        let (ty, auth) = match ty {
+            11..=13 => {
+                // The plain type, and where `seq` sits: the MAC follows it.
+                let (plain, at) = [(1, 8), (5, 8), (10, 12)][usize::from(ty - 11)];
+                need(at + 10)?;
+                let seq = u16::from_be_bytes([rest[at], rest[at + 1]]);
+                let mac = u64::from_be_bytes(rest[at + 2..at + 10].try_into().expect("8 bytes"));
+                (plain, Some(AuthExt { seq, mac }))
+            }
+            _ => (ty, None),
+        };
+        let msg = match ty {
             1 => {
                 need(8)?;
                 ControlMessage::FaRegister {
@@ -288,36 +291,9 @@ impl ControlMessage {
                     seq: u16::from_be_bytes([rest[12], rest[13]]),
                 }
             }
-            11 => {
-                need(18)?;
-                ControlMessage::FaRegisterAuth {
-                    mobile: addr(&rest[..4]),
-                    home_agent: addr(&rest[4..8]),
-                    seq: u16::from_be_bytes([rest[8], rest[9]]),
-                    mac: u64::from_be_bytes(rest[10..18].try_into().expect("8 bytes")),
-                }
-            }
-            12 => {
-                need(18)?;
-                ControlMessage::HaRegisterAuth {
-                    mobile: addr(&rest[..4]),
-                    fa: addr(&rest[4..8]),
-                    seq: u16::from_be_bytes([rest[8], rest[9]]),
-                    mac: u64::from_be_bytes(rest[10..18].try_into().expect("8 bytes")),
-                }
-            }
-            13 => {
-                need(22)?;
-                ControlMessage::RegRegisterAuth {
-                    mobile: addr(&rest[..4]),
-                    home_agent: addr(&rest[4..8]),
-                    fa: addr(&rest[8..12]),
-                    seq: u16::from_be_bytes([rest[12], rest[13]]),
-                    mac: u64::from_be_bytes(rest[14..22].try_into().expect("8 bytes")),
-                }
-            }
             _ => return Err(PacketError::BadField("control message type")),
-        })
+        };
+        Ok((msg, auth))
     }
 }
 
@@ -327,6 +303,10 @@ mod tests {
 
     fn a(x: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, x)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
@@ -345,24 +325,65 @@ mod tests {
             ControlMessage::HaSync { mobile: a(1), fa: Ipv4Addr::UNSPECIFIED },
             ControlMessage::FaRegisterAckRegional { mobile: a(1), regional: a(4) },
             ControlMessage::RegRegister { mobile: a(1), home_agent: a(2), fa: a(3), seq: 7 },
-            ControlMessage::FaRegisterAuth {
-                mobile: a(1),
-                home_agent: a(2),
-                seq: 3,
-                mac: 0xdead_beef_cafe_f00d,
-            },
-            ControlMessage::HaRegisterAuth { mobile: a(1), fa: a(3), seq: 99, mac: u64::MAX },
-            ControlMessage::RegRegisterAuth {
-                mobile: a(1),
-                home_agent: a(2),
-                fa: a(3),
-                seq: 7,
-                mac: 0,
-            },
         ];
         for m in msgs {
-            assert_eq!(ControlMessage::decode(&m.encode()).unwrap(), m);
+            assert_eq!(ControlMessage::decode_with(&m.encode()).unwrap(), (m, None));
         }
+        let signed = [
+            (ControlMessage::FaRegister { mobile: a(1), home_agent: a(2) }, 3, 0xdead_beef),
+            (ControlMessage::HaRegister { mobile: a(1), fa: a(3), seq: 99 }, 99, u64::MAX),
+            (
+                ControlMessage::RegRegister { mobile: a(1), home_agent: a(2), fa: a(3), seq: 7 },
+                7,
+                0,
+            ),
+        ];
+        for (m, seq, mac) in signed {
+            let auth = Some(AuthExt { seq, mac });
+            let bytes = m.encode_with(auth);
+            assert_eq!(ControlMessage::decode_with(&bytes).unwrap(), (m, auth));
+            // The plain decoder reads the registration and drops the extension.
+            assert_eq!(ControlMessage::decode(&bytes).unwrap(), m);
+        }
+    }
+
+    /// The wire bytes of the three registrations, plain and signed with a
+    /// fixed key, pinned as hex: a change to the codec, to the MAC or to
+    /// what it covers shows here before it shows in a golden replay.
+    #[test]
+    fn registration_wire_bytes_are_pinned() {
+        let key = 0x1994_0d0c_5bad_c0de;
+        let cases = [
+            (
+                ControlMessage::FaRegister { mobile: a(1), home_agent: a(2) },
+                3,
+                "010a0000010a000002",
+                "0b0a0000010a000002000335fd11a843cbeb99",
+            ),
+            (
+                ControlMessage::HaRegister { mobile: a(1), fa: a(3), seq: 99 },
+                99,
+                "050a0000010a0000030063",
+                "0c0a0000010a00000300630cef099ecf3ccd60",
+            ),
+            (
+                ControlMessage::RegRegister { mobile: a(1), home_agent: a(2), fa: a(3), seq: 7 },
+                7,
+                "0a0a0000010a0000020a0000030007",
+                "0d0a0000010a0000020a00000300071296f27e0128a29e",
+            ),
+        ];
+        for (msg, seq, plain, signed) in cases {
+            assert_eq!(hex(&msg.encode()), plain, "{msg:?}");
+            let auth = crate::auth::sign(key, &msg, seq);
+            assert_eq!(hex(&msg.encode_with(Some(auth))), signed, "{msg:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a registration")]
+    fn only_registrations_carry_an_extension() {
+        ControlMessage::FaRecoveryQuery.encode_with(Some(AuthExt { seq: 1, mac: 2 }));
     }
 
     #[test]

@@ -84,6 +84,10 @@ pub struct MobilityStats {
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     msg: ControlMessage,
+    /// The sequence number a registration is signed with when the domain
+    /// runs authentication (DESIGN.md §13); `None` for a deregistration,
+    /// which is never signed.
+    seq: Option<u16>,
     dst: Ipv4Addr,
     retries: u32,
     /// Retries exhausted; the failure has been counted and any §3
@@ -94,7 +98,11 @@ struct Pending {
 
 impl Pending {
     fn new(msg: ControlMessage, dst: Ipv4Addr) -> Pending {
-        Pending { msg, dst, retries: 0, gave_up: false }
+        Pending { msg, seq: None, dst, retries: 0, gave_up: false }
+    }
+
+    fn registration(msg: ControlMessage, dst: Ipv4Addr, seq: u16) -> Pending {
+        Pending { seq: Some(seq), ..Pending::new(msg, dst) }
     }
 }
 
@@ -399,38 +407,21 @@ impl MobileHostCore {
         self.state = Attachment::Foreign(fa);
         self.last_advert = Some(ctx.now());
         // §3 ordering: new foreign agent first; the rest follows its ack.
-        let msg = self.fa_register_msg();
-        self.pending_fa = Some(Pending::new(msg, fa));
-        self.send_pending(stack, ctx, REG_KIND_FA);
+        self.register_fa(stack, ctx, fa);
     }
 
-    /// Builds the foreign-agent registration: plain `FaRegister`, or the
-    /// MAC'd variant when the domain runs authentication (DESIGN.md §13).
-    /// Only the authenticated form consumes a sequence number — the plain
-    /// 1994 message carries none, and burning one would shift every later
-    /// `HaRegister` seq and break byte-identical replays of the baseline.
-    fn fa_register_msg(&mut self) -> ControlMessage {
-        match self.config.auth_key {
-            Some(key) => {
-                self.reg_seq = self.reg_seq.wrapping_add(1);
-                let seq = self.reg_seq;
-                ControlMessage::FaRegisterAuth {
-                    mobile: self.home_addr,
-                    home_agent: self.home_agent,
-                    seq,
-                    mac: auth::registration_mac(
-                        key,
-                        auth::TAG_FA,
-                        self.home_addr,
-                        self.home_agent,
-                        seq,
-                    ),
-                }
-            }
-            None => {
-                ControlMessage::FaRegister { mobile: self.home_addr, home_agent: self.home_agent }
-            }
+    /// Registers with foreign agent `fa`. Only a signed registration
+    /// consumes a sequence number — the plain 1994 message carries none,
+    /// and burning one would shift every later `HaRegister` seq and break
+    /// byte-identical replays of the baseline.
+    fn register_fa(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, fa: Ipv4Addr) {
+        if self.config.auth_key.is_some() {
+            self.reg_seq = self.reg_seq.wrapping_add(1);
         }
+        let msg =
+            ControlMessage::FaRegister { mobile: self.home_addr, home_agent: self.home_agent };
+        self.pending_fa = Some(Pending::registration(msg, fa, self.reg_seq));
+        self.send_pending(stack, ctx, REG_KIND_FA);
     }
 
     fn return_home(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
@@ -547,43 +538,18 @@ impl MobileHostCore {
         // the regional agent and home agent coincide and the plain §3
         // registration is both correct and cheaper.
         let seq = self.reg_seq;
+        let mobile = self.home_addr;
         let (msg, dst) = match self.regional {
             Some(ra)
                 if ra != self.home_agent
                     && !fa.is_unspecified()
                     && matches!(self.state, Attachment::Foreign(_)) =>
             {
-                let msg = match self.config.auth_key {
-                    Some(key) => ControlMessage::RegRegisterAuth {
-                        mobile: self.home_addr,
-                        home_agent: self.home_agent,
-                        fa,
-                        seq,
-                        mac: auth::reg_register_mac(key, self.home_addr, self.home_agent, fa, seq),
-                    },
-                    None => ControlMessage::RegRegister {
-                        mobile: self.home_addr,
-                        home_agent: self.home_agent,
-                        fa,
-                        seq,
-                    },
-                };
-                (msg, ra)
+                (ControlMessage::RegRegister { mobile, home_agent: self.home_agent, fa, seq }, ra)
             }
-            _ => {
-                let msg = match self.config.auth_key {
-                    Some(key) => ControlMessage::HaRegisterAuth {
-                        mobile: self.home_addr,
-                        fa,
-                        seq,
-                        mac: auth::registration_mac(key, auth::TAG_HA, self.home_addr, fa, seq),
-                    },
-                    None => ControlMessage::HaRegister { mobile: self.home_addr, fa, seq },
-                };
-                (msg, self.home_agent)
-            }
+            _ => (ControlMessage::HaRegister { mobile, fa, seq }, self.home_agent),
         };
-        self.pending_ha = Some(Pending::new(msg, dst));
+        self.pending_ha = Some(Pending::registration(msg, dst, seq));
         self.send_pending(stack, ctx, REG_KIND_HA);
     }
 
@@ -605,9 +571,10 @@ impl MobileHostCore {
         };
         let Some(p) = pending else { return };
         self.counters.registration_msgs.incr(ctx.stats());
+        let auth = p.seq.zip(self.config.auth_key).map(|(seq, key)| auth::sign(key, &p.msg, seq));
         // Control traffic is sourced from the home address like all our
         // traffic (§2: the mobile host "always uses only its home address").
-        let datagram = ip::udp::UdpDatagram::new(MHRP_PORT, MHRP_PORT, p.msg.encode());
+        let datagram = ip::udp::UdpDatagram::new(MHRP_PORT, MHRP_PORT, p.msg.encode_with(auth));
         let ident = stack.next_ident();
         let pkt = Ipv4Packet::new(self.home_addr, p.dst, ip::proto::UDP, datagram.encode())
             .with_ident(ident);
@@ -751,17 +718,14 @@ impl MobileHostCore {
             }
             ControlMessage::HaRegisterAck { mobile, seq } if mobile == self.home_addr => {
                 if let Some(p) = self.pending_ha {
+                    // The regional agent acks a RegRegister with the same
+                    // message type — the retransmission machine is shared
+                    // between the two tiers. The ack itself is not MAC'd
+                    // (it is only useful to the mobile that sent the
+                    // matching registration).
                     let matched = match p.msg {
-                        ControlMessage::HaRegister { seq: s, .. } => s == seq,
-                        // The regional agent acks a RegRegister with the
-                        // same message type — the retransmission machine
-                        // is shared between the two tiers.
-                        ControlMessage::RegRegister { seq: s, .. } => s == seq,
-                        // The authenticated forms carry the same seq; the
-                        // ack itself is not MAC'd (it is only useful to
-                        // the mobile that sent the matching registration).
-                        ControlMessage::HaRegisterAuth { seq: s, .. } => s == seq,
-                        ControlMessage::RegRegisterAuth { seq: s, .. } => s == seq,
+                        ControlMessage::HaRegister { seq: s, .. }
+                        | ControlMessage::RegRegister { seq: s, .. } => s == seq,
                         _ => false,
                     };
                     if matched {
@@ -796,9 +760,7 @@ impl MobileHostCore {
                 if let Attachment::Foreign(fa) = self.state {
                     self.stats.recovery_reregistrations += 1;
                     ctx.stats().incr("mhrp.mh_recovery_reregs");
-                    let m = self.fa_register_msg();
-                    self.pending_fa = Some(Pending::new(m, fa));
-                    self.send_pending(stack, ctx, REG_KIND_FA);
+                    self.register_fa(stack, ctx, fa);
                 }
                 true
             }

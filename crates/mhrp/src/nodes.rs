@@ -76,9 +76,7 @@ impl MhrpRouterNode {
 
     /// Adds the home-agent role serving the network on `home_iface`.
     pub fn with_home_agent(mut self, home_iface: IfaceId) -> MhrpRouterNode {
-        let mut ha = HomeAgentCore::new(home_iface, self.config.home_agent_disk);
-        ha.auth_key = self.config.auth_key;
-        self.ha = Some(ha);
+        self.ha = Some(HomeAgentCore::new(home_iface, &self.config));
         self
     }
 
@@ -161,23 +159,23 @@ impl MhrpRouterNode {
                 if datagram.dst_port != MHRP_PORT {
                     return;
                 }
-                let Ok(msg) = ControlMessage::decode(&datagram.payload) else {
+                let Ok((msg, auth)) = ControlMessage::decode_with(&datagram.payload) else {
                     ctx.stats().incr("mhrp.control_malformed");
                     return;
                 };
+                let (ca, stack, src) = (&mut self.ca, &mut self.stack, pkt.src);
                 let mut consumed = false;
                 if let Some(fa) = &mut self.fa {
-                    consumed = fa.on_control(&mut self.ca, &mut self.stack, ctx, pkt.src, &msg);
+                    consumed = fa.on_control(ca, stack, ctx, src, &msg, auth);
                 }
                 if !consumed {
                     if let Some(reg) = &mut self.regional {
-                        consumed =
-                            reg.on_control(&mut self.ca, &mut self.stack, ctx, pkt.src, &msg);
+                        consumed = reg.on_control(ca, stack, ctx, src, &msg, auth);
                     }
                 }
                 if !consumed {
                     if let Some(ha) = &mut self.ha {
-                        consumed = ha.on_control(&mut self.stack, ctx, pkt.src, &msg);
+                        consumed = ha.on_control(stack, ctx, src, &msg, auth);
                     }
                 }
                 if !consumed {
@@ -266,9 +264,7 @@ impl Node for MhrpRouterNode {
     fn on_reboot(&mut self, ctx: &mut Ctx<'_>) {
         ctx.stats().incr("mhrp.agent_reboots");
         self.ca.reboot();
-        for i in 0..8 {
-            self.stack.arp.clear_iface(IfaceId(i));
-        }
+        self.stack.arp.clear_all();
         if let Some(adv) = &mut self.advertiser {
             // Pending timers died with the crash; restart the periodic
             // advertisement chain under a fresh epoch.
@@ -427,9 +423,7 @@ impl Node for MhrpHostNode {
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_>) {
         self.ca.reboot();
         self.endpoint.clear_outstanding();
-        for i in 0..8 {
-            self.stack.arp.clear_iface(IfaceId(i));
-        }
+        self.stack.arp.clear_all();
     }
 }
 

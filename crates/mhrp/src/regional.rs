@@ -21,9 +21,9 @@ use netsim::{Counter, Ctx, IfaceId, TeleEventKind, TimerToken};
 use netstack::IpStack;
 
 use crate::agent::CacheAgentCore;
-use crate::auth::{self, ReplayWindow};
+use crate::auth::AuthGate;
 use crate::config::MhrpConfig;
-use crate::messages::{ControlMessage, MHRP_PORT};
+use crate::messages::{AuthExt, ControlMessage, MHRP_PORT};
 use crate::tunnel;
 
 /// Timer tokens with this bit set belong to a [`RegionalAgentCore`].
@@ -66,16 +66,14 @@ pub struct RegionalAgentCore {
     disk: Option<HashMap<Ipv4Addr, RegionalBinding>>,
     pending_upstream: HashMap<Ipv4Addr, PendingUpstream>,
     seq: u16,
-    /// Shared authentication key (DESIGN.md §13). When set, plain
-    /// `RegRegister`s are rejected and MAC'd ones are verified against a
-    /// per-mobile replay window, exactly like the cell foreign agents.
-    pub auth_key: Option<u64>,
-    replay: ReplayWindow,
+    /// Authentication (DESIGN.md §13): with a key, `RegRegister`s must
+    /// be signed, exactly like the cell foreign agents' registrations,
+    /// and the upstream `HaRegister` is signed in turn.
+    gate: AuthGate,
     // Cached handles for the per-packet/per-handoff paths.
     registrations: Counter,
     handoffs_local: Counter,
     retunneled: Counter,
-    auth_rejected: Counter,
 }
 
 impl RegionalAgentCore {
@@ -92,19 +90,11 @@ impl RegionalAgentCore {
             disk: config.home_agent_disk.then(HashMap::new),
             pending_upstream: HashMap::new(),
             seq: 0,
-            auth_key: config.auth_key,
-            replay: ReplayWindow::new(),
+            gate: AuthGate::new(config.auth_key),
             registrations: Counter::new("mhrp.reg_registrations"),
             handoffs_local: Counter::new("mhrp.reg_handoffs_local"),
             retunneled: Counter::new("mhrp.reg_retunneled"),
-            auth_rejected: Counter::new("mhrp.auth.rejected"),
         }
-    }
-
-    fn reject_auth(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        self.auth_rejected.incr(ctx.stats());
-        ctx.tele_event(TeleEventKind::AuthReject);
-        true
     }
 
     /// The recorded cell foreign agent for `mobile` (None = not in this
@@ -145,21 +135,14 @@ impl RegionalAgentCore {
         home_agent: Ipv4Addr,
         seq: u16,
     ) {
-        let fa = self.self_addr(stack);
-        let msg = match self.auth_key {
-            Some(key) => ControlMessage::HaRegisterAuth {
-                mobile,
-                fa,
-                seq,
-                mac: auth::registration_mac(key, auth::TAG_HA, mobile, fa, seq),
-            },
-            None => ControlMessage::HaRegister { mobile, fa, seq },
-        };
-        stack.send_udp(ctx, home_agent, MHRP_PORT, MHRP_PORT, msg.encode());
+        let msg = ControlMessage::HaRegister { mobile, fa: self.self_addr(stack), seq };
+        let bytes = msg.encode_with(self.gate.sign(&msg, seq));
+        stack.send_udp(ctx, home_agent, MHRP_PORT, MHRP_PORT, bytes);
     }
 
     /// Handles a registration control message addressed to this agent,
-    /// sourced from `src`. Returns `true` if the message was consumed.
+    /// sourced from `src` with the authentication extension `auth`.
+    /// Returns `true` if the message was consumed.
     pub fn on_control(
         &mut self,
         ca: &mut CacheAgentCore,
@@ -167,33 +150,74 @@ impl RegionalAgentCore {
         ctx: &mut Ctx<'_>,
         src: Ipv4Addr,
         msg: &ControlMessage,
+        auth: Option<AuthExt>,
     ) -> bool {
         match *msg {
+            // `seq` is the mobile host's own registration sequence number.
             ControlMessage::RegRegister { mobile, home_agent, fa, seq } => {
-                if self.auth_key.is_some() {
-                    // Auth enforced: an unauthenticated regional
-                    // registration is a forgery.
-                    return self.reject_auth(ctx);
+                if !self.gate.admit(ctx, msg, auth) {
+                    return true;
                 }
-                self.register(ca, stack, ctx, mobile, home_agent, fa, seq);
-                true
-            }
-            ControlMessage::RegRegisterAuth { mobile, home_agent, fa, seq, mac } => {
-                if let Some(key) = self.auth_key {
-                    if mac != auth::reg_register_mac(key, mobile, home_agent, fa, seq)
-                        || !self.replay.accept(mobile, seq)
-                    {
-                        return self.reject_auth(ctx);
+                self.registrations.incr(ctx.stats());
+                let prior = self.bindings.get(&mobile).map(|b| b.cell_fa);
+                self.bindings.insert(mobile, RegionalBinding { cell_fa: fa, home_agent });
+                self.journal(mobile);
+                // Ack the mobile host through its cell: the mobile's home
+                // address routes toward its home network, so the ack rides
+                // the intra-region tunnel like any data packet.
+                let ack = ControlMessage::HaRegisterAck { mobile, seq };
+                let datagram = ip::udp::UdpDatagram::new(MHRP_PORT, MHRP_PORT, ack.encode());
+                let self_addr = self.self_addr(stack);
+                let ident = stack.next_ident();
+                let mut pkt = Ipv4Packet::new(self_addr, mobile, proto::UDP, datagram.encode())
+                    .with_ident(ident);
+                tunnel::encapsulate(&mut pkt, self_addr, fa, false);
+                stack.send(ctx, pkt);
+                match prior {
+                    Some(old_fa) => {
+                        // The global home agent already points at us: an
+                        // intra-region handoff (or refresh) ends here. This
+                        // is the hierarchical win — no backbone round trip.
+                        if old_fa != fa {
+                            self.handoffs_local.incr(ctx.stats());
+                        }
+                    }
+                    None => {
+                        // New arrival in the region: register ourselves as
+                        // the mobile's foreign agent with its home agent,
+                        // with the usual retransmission discipline. With auth
+                        // on, the upstream registration must carry a sequence
+                        // number inside the *mobile's* replay-window stream —
+                        // the home agent keeps one window per mobile and our
+                        // own counter would collide with other regions' — so
+                        // we forward the mobile's seq; with auth off we keep
+                        // the original per-region counter (byte-identical
+                        // replays).
+                        let up_seq = if self.gate.enforced() {
+                            seq
+                        } else {
+                            self.seq = self.seq.wrapping_add(1);
+                            self.seq
+                        };
+                        self.pending_upstream.insert(
+                            mobile,
+                            PendingUpstream { seq: up_seq, retries: 0, interval: self.retry },
+                        );
+                        ctx.stats().incr("mhrp.reg_upstream_sent");
+                        self.send_upstream(stack, ctx, mobile, home_agent, up_seq);
+                        ctx.set_timer(self.retry, Self::token(mobile));
                     }
                 }
-                self.register(ca, stack, ctx, mobile, home_agent, fa, seq);
+                // Registration supersedes any forwarding pointer we kept.
+                ca.cache.remove(mobile);
                 true
             }
             ControlMessage::FaDeregister { mobile, new_fa } => {
-                if self.auth_key.is_some() && src != mobile {
+                if self.gate.enforced() && src != mobile {
                     // Same rule as the cell foreign agents: with auth on a
                     // deregistration is honoured from the mobile host only.
-                    return self.reject_auth(ctx);
+                    self.gate.reject(ctx);
+                    return true;
                 }
                 if self.bindings.remove(&mobile).is_none() {
                     return false;
@@ -227,74 +251,6 @@ impl RegionalAgentCore {
             }
             _ => false,
         }
-    }
-
-    /// The shared body of (authenticated and plain) regional
-    /// registration. `seq` is the mobile host's own registration
-    /// sequence number.
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &mut self,
-        ca: &mut CacheAgentCore,
-        stack: &mut IpStack,
-        ctx: &mut Ctx<'_>,
-        mobile: Ipv4Addr,
-        home_agent: Ipv4Addr,
-        fa: Ipv4Addr,
-        seq: u16,
-    ) {
-        self.registrations.incr(ctx.stats());
-        let prior = self.bindings.get(&mobile).map(|b| b.cell_fa);
-        self.bindings.insert(mobile, RegionalBinding { cell_fa: fa, home_agent });
-        self.journal(mobile);
-        // Ack the mobile host through its cell: the mobile's home
-        // address routes toward its home network, so the ack rides
-        // the intra-region tunnel like any data packet.
-        let ack = ControlMessage::HaRegisterAck { mobile, seq };
-        let datagram = ip::udp::UdpDatagram::new(MHRP_PORT, MHRP_PORT, ack.encode());
-        let self_addr = self.self_addr(stack);
-        let ident = stack.next_ident();
-        let mut pkt =
-            Ipv4Packet::new(self_addr, mobile, proto::UDP, datagram.encode()).with_ident(ident);
-        tunnel::encapsulate(&mut pkt, self_addr, fa, false);
-        stack.send(ctx, pkt);
-        match prior {
-            Some(old_fa) => {
-                // The global home agent already points at us: an
-                // intra-region handoff (or refresh) ends here. This
-                // is the hierarchical win — no backbone round trip.
-                if old_fa != fa {
-                    self.handoffs_local.incr(ctx.stats());
-                }
-            }
-            None => {
-                // New arrival in the region: register ourselves as
-                // the mobile's foreign agent with its home agent,
-                // with the usual retransmission discipline. With auth
-                // on, the upstream registration must carry a sequence
-                // number inside the *mobile's* replay-window stream —
-                // the home agent keeps one window per mobile and our
-                // own counter would collide with other regions' — so
-                // we forward the mobile's seq; with auth off we keep
-                // the original per-region counter (byte-identical
-                // replays).
-                let up_seq = if self.auth_key.is_some() {
-                    seq
-                } else {
-                    self.seq = self.seq.wrapping_add(1);
-                    self.seq
-                };
-                self.pending_upstream.insert(
-                    mobile,
-                    PendingUpstream { seq: up_seq, retries: 0, interval: self.retry },
-                );
-                ctx.stats().incr("mhrp.reg_upstream_sent");
-                self.send_upstream(stack, ctx, mobile, home_agent, up_seq);
-                ctx.set_timer(self.retry, Self::token(mobile));
-            }
-        }
-        // Registration supersedes any forwarding pointer we kept.
-        ca.cache.remove(mobile);
     }
 
     /// Handles a retransmission timer; returns `true` if the token
@@ -463,7 +419,7 @@ impl RegionalAgentCore {
         self.pending_upstream.clear();
         // The replay window is volatile; it re-seeds from the first
         // authenticated registration after recovery.
-        self.replay.clear();
+        self.gate.clear();
         match &self.disk {
             Some(disk) => self.bindings.clone_from(disk),
             None => self.bindings.clear(),
@@ -575,7 +531,7 @@ mod tests {
                                         seq,
                                     }
                                 };
-                                reg.on_control(&mut ca, &mut stack, ctx, mobile, &msg);
+                                reg.on_control(&mut ca, &mut stack, ctx, mobile, &msg, None);
                                 full_copy.clone_from(&reg.bindings);
                             }
                             None => {

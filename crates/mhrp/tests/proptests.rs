@@ -5,13 +5,23 @@ use std::net::Ipv4Addr;
 use ip::ipv4::Ipv4Packet;
 use ip::proto;
 use mhrp::tunnel::{self, Retunnel};
-use mhrp::{ControlMessage, LocationCache, MhrpHeader, UpdateRateLimiter};
+use mhrp::{AuthExt, ControlMessage, LocationCache, MhrpHeader, UpdateRateLimiter};
 use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     // Avoid 0.0.0.0 (reserved as "no agent" by the protocol).
     (1u32..u32::MAX).prop_map(Ipv4Addr::from)
+}
+
+/// The three registrations, the messages that may carry an
+/// authentication extension.
+fn signable(mobile: Ipv4Addr, agent: Ipv4Addr, fa: Ipv4Addr, seq: u16) -> [ControlMessage; 3] {
+    [
+        ControlMessage::FaRegister { mobile, home_agent: agent },
+        ControlMessage::HaRegister { mobile, fa: agent, seq },
+        ControlMessage::RegRegister { mobile, home_agent: agent, fa, seq },
+    ]
 }
 
 proptest! {
@@ -138,16 +148,16 @@ proptest! {
         mobile in arb_addr(), agent in arb_addr(), fa in arb_addr(),
         seq in any::<u16>(), mac in any::<u64>(),
     ) {
-        // The §13 authenticated registration variants carry the MAC as
-        // opaque wire data: any 64-bit value round-trips (verification
-        // happens at the agent, not the codec).
-        for msg in [
-            ControlMessage::FaRegisterAuth { mobile, home_agent: agent, seq, mac },
-            ControlMessage::HaRegisterAuth { mobile, fa: agent, seq, mac },
-            ControlMessage::RegRegisterAuth { mobile, home_agent: agent, fa, seq, mac },
-            ControlMessage::RegRegister { mobile, home_agent: agent, fa, seq },
-        ] {
-            prop_assert_eq!(ControlMessage::decode(&msg.encode()).unwrap(), msg);
+        // The §13 authentication extension carries the MAC as opaque wire
+        // data: any 64-bit value round-trips beside its registration
+        // (verification happens at the agent, not the codec).
+        let auth = AuthExt { seq, mac };
+        for msg in signable(mobile, agent, fa, seq) {
+            prop_assert_eq!(
+                ControlMessage::decode_with(&msg.encode_with(Some(auth))).unwrap(),
+                (msg, Some(auth))
+            );
+            prop_assert_eq!(ControlMessage::decode_with(&msg.encode()).unwrap(), (msg, None));
         }
     }
 
@@ -163,19 +173,15 @@ proptest! {
         // mangled sequence numbers and truncated tails must all decode
         // to Ok or Err — never panic — in both the decoder and a
         // re-encode of whatever was decoded.
-        for msg in [
-            ControlMessage::FaRegisterAuth { mobile, home_agent: agent, seq, mac },
-            ControlMessage::HaRegisterAuth { mobile, fa: agent, seq, mac },
-            ControlMessage::RegRegisterAuth { mobile, home_agent: agent, fa, seq, mac },
-        ] {
-            let mut bytes = msg.encode();
+        for msg in signable(mobile, agent, fa, seq) {
+            let mut bytes = msg.encode_with(Some(AuthExt { seq, mac }));
             for (idx, mask) in &flips {
                 let i = idx.index(bytes.len());
                 bytes[i] ^= mask | 1;
             }
             bytes.truncate(truncate.index(bytes.len() + 1));
-            if let Ok(back) = ControlMessage::decode(&bytes) {
-                let _ = back.encode();
+            if let Ok((back, auth)) = ControlMessage::decode_with(&bytes) {
+                let _ = back.encode_with(auth);
             }
         }
     }
@@ -185,18 +191,17 @@ proptest! {
         mobile in arb_addr(), agent in arb_addr(), fa in arb_addr(),
         seq in any::<u16>(), mac in any::<u64>(),
     ) {
-        // Cutting any byte off an authenticated variant must not yield
-        // a successfully decoded message of the same type (a truncated
-        // MAC accepted as shorter-but-valid would be a forgery vector).
-        for msg in [
-            ControlMessage::FaRegisterAuth { mobile, home_agent: agent, seq, mac },
-            ControlMessage::HaRegisterAuth { mobile, fa: agent, seq, mac },
-            ControlMessage::RegRegisterAuth { mobile, home_agent: agent, fa, seq, mac },
-        ] {
-            let bytes = msg.encode();
+        // Cutting any byte off an authenticated registration must not
+        // yield that registration with an extension (a truncated MAC
+        // accepted as shorter-but-valid would be a forgery vector).
+        for msg in signable(mobile, agent, fa, seq) {
+            let bytes = msg.encode_with(Some(AuthExt { seq, mac }));
             for cut in 1..bytes.len() {
-                if let Ok(back) = ControlMessage::decode(&bytes[..cut]) {
-                    prop_assert_ne!(back, msg.clone(), "truncation to {} bytes decoded whole", cut);
+                if let Ok((back, auth)) = ControlMessage::decode_with(&bytes[..cut]) {
+                    prop_assert!(
+                        auth.is_none() || back != msg,
+                        "truncation to {} bytes decoded whole", cut
+                    );
                 }
             }
         }

@@ -515,6 +515,11 @@ mod tests {
         // as FrameTx — the exact event pair `World` records per hop.
         let kinds: Vec<_> =
             h.telemetry().events().map(|e| std::mem::discriminant(&e.kind)).collect();
+        if cfg!(not(feature = "telemetry")) {
+            // The hooks are compiled out: the log stays empty.
+            assert!(kinds.is_empty());
+            return;
+        }
         use telemetry::EventKind as K;
         assert!(kinds.contains(&std::mem::discriminant(&K::FrameRx { iface: 0, bytes: 0 })));
         assert!(kinds.contains(&std::mem::discriminant(&K::FrameTx { iface: 0, bytes: 0 })));

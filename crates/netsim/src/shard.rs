@@ -1098,6 +1098,11 @@ mod tests {
             w.merged_events()
         };
         let a = run();
+        if cfg!(not(feature = "telemetry")) {
+            // The hooks are compiled out: the merged log stays empty.
+            assert!(a.is_empty());
+            return;
+        }
         assert!(!a.is_empty());
         // Node ids in the stream are global (0 = pinger, 1 = sink).
         assert!(a.iter().all(|e| e.node.is_none_or(|n| n < 2)));

@@ -101,6 +101,16 @@ impl ArpModule {
         }
     }
 
+    /// Flushes cache and pending state on every interface (reboot: the
+    /// tables are volatile). Proxy entries stay, as with
+    /// [`Self::clear_iface`].
+    pub fn clear_all(&mut self) {
+        for s in &mut self.ifaces {
+            s.cache.clear();
+            s.pending.clear();
+        }
+    }
+
     /// Processes a received ARP message. `our_addr` is the interface's own
     /// IP (if configured), `our_mac` its MAC.
     pub fn handle_message(

@@ -125,9 +125,7 @@ impl Node for RouterNode {
     }
 
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_>) {
-        for i in 0..8 {
-            self.stack.arp.clear_iface(IfaceId(i));
-        }
+        self.stack.arp.clear_all();
         self.delayed.clear();
     }
 }
@@ -377,9 +375,7 @@ impl Node for HostNode {
     }
 
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_>) {
-        for i in 0..8 {
-            self.stack.arp.clear_iface(IfaceId(i));
-        }
+        self.stack.arp.clear_all();
         self.endpoint.clear_outstanding();
     }
 }

@@ -345,3 +345,30 @@ fn segment_down_kills_connectivity_and_recovers() {
     c.world.run_for(SimDuration::from_secs(5));
     assert_eq!(c.world.node::<HostNode>(c.host_a).log().echo_replies.len(), 1);
 }
+
+#[test]
+fn reboot_flushes_arp_on_every_interface() {
+    // More interfaces than any built world uses: the flush must not stop
+    // at a fixed count.
+    let mut w = World::new(12);
+    let r = w.add_node(RouterNode::new());
+    for _ in 0..10 {
+        w.add_iface(r, None);
+    }
+    let neighbour = addr(9, 2);
+    w.with_node::<RouterNode, _>(r, |r, _| {
+        for i in [0, 9] {
+            r.stack.arp.insert(IfaceId(i), neighbour, netsim::MacAddr([2, 0, 0, 0, 0, 9]));
+        }
+        r.stack.arp.add_proxy(IfaceId(9), addr(9, 7));
+    });
+    w.reboot_node(r);
+    let arp = &w.node::<RouterNode>(r).stack.arp;
+    for i in [0, 9] {
+        assert_eq!(arp.lookup(IfaceId(i), neighbour), None, "iface {i}");
+    }
+    assert!(
+        arp.is_proxied(IfaceId(9), addr(9, 7)),
+        "proxy entries survive, as clear_iface keeps them"
+    );
+}

@@ -38,7 +38,7 @@ fn replica_home_agent_takes_over_after_primary_loss() {
             netstack::route::NextHop::Gateway { iface: IfaceId(0), via: f.addrs.r2 },
         );
         // Demote to standby and wire the primary to sync to it.
-        *r.ha.as_mut().unwrap() = mhrp::HomeAgentCore::new_replica(IfaceId(0), false);
+        *r.ha.as_mut().unwrap() = mhrp::HomeAgentCore::new_replica(IfaceId(0), &r.config);
     });
     f.world.with_node::<MhrpRouterNode, _>(f.r2, |r, _| {
         r.ha.as_mut().unwrap().replicas.push(replica_addr);
