@@ -5,15 +5,16 @@
 //!
 //! The design exploits what was already true: every protocol handler in
 //! this workspace touches the outside world only through [`Ctx`]. A
-//! [`NodeHarness`] owns everything a `Ctx` borrows (event queue for
-//! timers, RNG, stats, telemetry, tracer, interface table) for a *single*
-//! node and reproduces `World`'s dispatch pipeline byte-for-byte at the
-//! telemetry level: `FrameTx` on transmit, `FrameRx` on delivery,
-//! `Timer` on fire, drop reasons for detached/bad interfaces. Frames
-//! leave through the [`NodeIo`] trait instead of a simulated segment;
-//! time enters through the caller (typically a [`Clock`]) instead of the
-//! event queue. `World` itself implements [`Clock`], making the
-//! simulator literally one implementation of the trait pair.
+//! [`NodeHarness`] runs a *single* node through the same per-node
+//! pipeline `World` runs each of its nodes through — one type, not a
+//! copy — so the node's counters and telemetry follow the same rules on
+//! either substrate: `FrameTx` on transmit, `FrameRx` on delivery,
+//! `Timer` on fire, drop reasons for detached/bad interfaces. What the
+//! harness leaves out is the world's: frames leave through the
+//! [`NodeIo`] trait instead of a simulated segment; time enters through
+//! the caller (typically a [`Clock`]) instead of the event queue.
+//! `World` itself implements [`Clock`], making the simulator literally
+//! one implementation of the trait pair.
 //!
 //! # Clock-skew tolerance
 //!
@@ -28,20 +29,14 @@
 //! jump fires each due timer exactly once (the queue pops each entry
 //! once, structurally ruling out double-fires).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::event::{EventKind as QueueEventKind, EventQueue};
+use crate::event::EventKind as QueueEventKind;
 use crate::frame::Frame;
 use crate::id::{IfaceId, MacAddr, NodeId};
-use crate::node::{Action, Ctx, IfaceInfo, LinkEvent, Node};
-use crate::stats::{metric, Stats};
+use crate::node::{Ctx, IfaceInfo, LinkEvent, Node, Pipeline};
+use crate::stats::Stats;
 use crate::time::SimTime;
-use crate::trace::Tracer;
 use crate::world::World;
-#[cfg(feature = "telemetry")]
-use telemetry::DropReason;
-use telemetry::{EventLog, JourneyId};
+use telemetry::{EventKind, EventLog, JourneyId};
 
 /// A source of the current time, in simulator units.
 ///
@@ -64,7 +59,7 @@ impl Clock for World {
 /// The frame-egress surface of a node: where frames go when a handler
 /// calls [`Ctx::send_frame`] and the interface is attached.
 ///
-/// The simulator's implementation is `World::transmit` (segment latency
+/// The simulator's counterpart is `World::transmit` (segment latency
 /// model, loss draws, fan-out); a live runtime frames the bytes as a
 /// datagram and writes it to a socket. By the time this is called the
 /// harness has already recorded the `FrameTx` telemetry event and
@@ -85,11 +80,10 @@ impl NodeIo for NullIo {
 
 /// Runs one [`Node`] outside a [`World`]: the sans-io dispatch engine.
 ///
-/// Owns the full per-node execution context — timer queue, RNG, stats,
-/// structured telemetry, tracer, interface table — and reproduces the
-/// simulator's dispatch pipeline for frames, timers, link events and
-/// start-up. Frames leave through a caller-supplied [`NodeIo`]; time
-/// comes in as an argument (clamped monotone, see the module docs).
+/// The per-node dispatch pipeline `World` runs its nodes through, plus
+/// one node and its interface table. Frames leave through a caller-supplied
+/// [`NodeIo`]; time comes in as an argument (clamped monotone, see the
+/// module docs).
 ///
 /// The node id is whatever global numbering the driver uses; telemetry
 /// events are stamped with it, so a fleet of harnesses that mirrors a
@@ -97,16 +91,10 @@ impl NodeIo for NullIo {
 /// journey hop lists.
 pub struct NodeHarness {
     node_id: NodeId,
-    node: Option<Box<dyn Node>>,
+    node: Box<dyn Node>,
     ifaces: Vec<IfaceInfo>,
-    queue: EventQueue,
-    rng: StdRng,
-    tracer: Tracer,
-    stats: Stats,
-    tele: EventLog,
-    /// High-water mark of all times seen; node-visible time.
-    now: SimTime,
-    action_scratch: Vec<Action>,
+    /// Its `now` is the high-water mark of all times seen.
+    pipe: Pipeline,
     started: bool,
 }
 
@@ -116,15 +104,9 @@ impl NodeHarness {
     pub fn new(node_id: NodeId, node: impl Node, seed: u64) -> NodeHarness {
         NodeHarness {
             node_id,
-            node: Some(Box::new(node)),
+            node: Box::new(node),
             ifaces: Vec::new(),
-            queue: EventQueue::new(),
-            rng: StdRng::seed_from_u64(seed),
-            tracer: Tracer::new(),
-            stats: Stats::new(),
-            tele: EventLog::new(),
-            now: SimTime::ZERO,
-            action_scratch: Vec::new(),
+            pipe: Pipeline::new(seed),
             started: false,
         }
     }
@@ -155,10 +137,10 @@ impl NodeHarness {
     /// Clamps `now` into the monotone node-visible timeline and returns
     /// the time handlers will observe.
     fn advance(&mut self, now: SimTime) -> SimTime {
-        if now > self.now {
-            self.now = now;
+        if now > self.pipe.now {
+            self.pipe.now = now;
         }
-        self.now
+        self.pipe.now
     }
 
     /// Runs the node's `on_start` handler (exactly once).
@@ -169,30 +151,17 @@ impl NodeHarness {
         self.dispatch(io, None, |n, ctx| n.on_start(ctx));
     }
 
-    /// Delivers a received frame to the node, mirroring the simulator's
-    /// arrival pipeline: a detached interface drops the frame with the
+    /// Delivers a received frame to the node, through the simulator's
+    /// arrival rules: a detached interface drops the frame with the
     /// `Moved` reason (the live analogue of "the host left this cell
     /// mid-flight"), an attached one records `FrameRx` and dispatches
     /// with the frame's journey ambient.
     pub fn on_frame(&mut self, now: SimTime, io: &mut dyn NodeIo, iface: IfaceId, frame: &Frame) {
         self.advance(now);
-        if !self.ifaces.get(iface.0).is_some_and(|i| i.attached) {
-            self.stats.incr_id(metric::LINK_FRAMES_LOST_MOVED);
-            #[cfg(feature = "telemetry")]
-            self.tele_record(
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::Moved },
-            );
-            return;
+        let here = self.ifaces.get(iface.0).is_some_and(|i| i.attached);
+        if self.pipe.received(self.node_id, iface, frame, here) {
+            self.dispatch(io, frame.journey, |n, ctx| n.on_frame(ctx, iface, frame));
         }
-        self.stats.incr_id(metric::LINK_FRAMES_DELIVERED);
-        #[cfg(feature = "telemetry")]
-        self.tele_record(
-            frame.journey,
-            telemetry::EventKind::FrameRx { iface: iface.0 as u32, bytes: frame.wire_len() as u32 },
-        );
-        let journey = frame.journey;
-        self.dispatch(io, journey, |n, ctx| n.on_frame(ctx, iface, frame));
     }
 
     /// Attaches or detaches interface `iface` and runs the node's
@@ -213,27 +182,18 @@ impl NodeHarness {
     pub fn tick(&mut self, now: SimTime, io: &mut dyn NodeIo) -> usize {
         let now = self.advance(now);
         let mut fired = 0;
-        while let Some(ev) = self.queue.pop_due(now) {
-            match ev.kind {
-                QueueEventKind::Timer { node, token } => {
-                    let node = NodeId(node as usize);
-                    debug_assert_eq!(node, self.node_id);
-                    self.tracer
-                        .record(self.now, Some(node), "timer", || format!("token {:#x}", token.0));
-                    #[cfg(feature = "telemetry")]
-                    self.tele_record(None, telemetry::EventKind::Timer { token: token.0 });
-                    self.dispatch(io, None, |n, ctx| n.on_timer(ctx, token));
-                    fired += 1;
-                }
-                // The harness queue only ever holds timers: `Ctx` pushes
-                // nothing else and the driver owns frame delivery.
-                _ => unreachable!("non-timer event in NodeHarness queue"),
-            }
+        while let Some(ev) = self.pipe.queue.pop_due(now) {
+            // The harness queue only ever holds timers: `Ctx` pushes
+            // nothing else and the driver owns frame delivery.
+            let QueueEventKind::Timer { node, token } = ev.kind else {
+                unreachable!("non-timer event in NodeHarness queue")
+            };
+            debug_assert_eq!(NodeId(node as usize), self.node_id);
+            self.pipe.record(Some(self.node_id), None, EventKind::Timer { token: token.0 });
+            self.dispatch(io, None, |n, ctx| n.on_timer(ctx, token));
+            fired += 1;
         }
-        let suppressed = self.queue.take_suppressed();
-        if suppressed > 0 {
-            self.stats.add_id(metric::SIM_TIMERS_CANCELLED, suppressed);
-        }
+        self.pipe.fold_queue_counters();
         fired
     }
 
@@ -245,7 +205,7 @@ impl NodeHarness {
     /// into the batch instead of a wheel slot — a batch of one node's
     /// timers, a handful of entries.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.pipe.queue.peek_time()
     }
 
     /// Typed shared access to the node.
@@ -254,8 +214,7 @@ impl NodeHarness {
     ///
     /// Panics if the node is not of concrete type `T`.
     pub fn node<T: 'static>(&self) -> &T {
-        let node = self.node.as_ref().expect("node is mid-dispatch");
-        node.as_any().downcast_ref::<T>().expect("node type mismatch")
+        self.node.as_any().downcast_ref::<T>().expect("node type mismatch")
     }
 
     /// Runs `f` with typed mutable access to the node and a live
@@ -282,119 +241,52 @@ impl NodeHarness {
 
     /// Node-visible current time (the clamp high-water mark).
     pub fn node_now(&self) -> SimTime {
-        self.now
+        self.pipe.now
     }
 
     /// Per-node statistics.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.pipe.stats
     }
 
     /// Enables or disables structured telemetry (off by default, exactly
     /// like a fresh [`World`]).
     pub fn set_telemetry(&mut self, enabled: bool) {
-        self.tele.set_enabled(enabled);
+        self.pipe.tele.set_enabled(enabled);
     }
 
     /// The structured event log.
     pub fn telemetry(&self) -> &EventLog {
-        &self.tele
+        &self.pipe.tele
     }
 
     /// Mutable access to the event log (e.g. to give each harness in a
     /// fleet a disjoint journey-id namespace via
     /// [`EventLog::set_journey_base`]).
     pub fn telemetry_mut(&mut self) -> &mut EventLog {
-        &mut self.tele
+        &mut self.pipe.tele
     }
 
-    /// The core dispatch pipeline, structured exactly like
-    /// `World::dispatch_with`: take the node out of its slot, hand the
-    /// handler a [`Ctx`] borrowing the harness-owned context, then apply
-    /// the deferred actions in order.
+    /// Runs one handler through the pipeline; every frame it admits
+    /// leaves through `io`. Segment-level behaviour (latency, loss,
+    /// fan-out) belongs to the backend.
     fn dispatch(
         &mut self,
         io: &mut dyn NodeIo,
         journey: Option<JourneyId>,
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
     ) {
-        let mut node = self.node.take().expect("re-entrant dispatch on one node");
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        actions.clear();
-        let mut ctx = Ctx {
-            now: self.now,
-            node: self.node_id,
-            ifaces: &self.ifaces,
-            queue: &mut self.queue,
-            actions,
-            rng: &mut self.rng,
-            tracer: &mut self.tracer,
-            stats: &mut self.stats,
-            tele: &mut self.tele,
-            journey,
-        };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = ctx.actions;
-        self.node = Some(node);
+        let node = self.node_id;
+        let mut actions =
+            self.pipe.run(node, &self.ifaces, journey, |ctx| f(self.node.as_mut(), ctx));
         for action in actions.drain(..) {
-            self.apply_action(io, action);
-        }
-        self.action_scratch = actions;
-    }
-
-    fn apply_action(&mut self, io: &mut dyn NodeIo, action: Action) {
-        match action {
-            Action::SendFrame { iface, frame } => self.transmit(io, iface, frame),
-            Action::SetTimer { delay, token } => {
-                self.queue.push(self.now + delay, QueueEventKind::timer(self.node_id, token));
+            if let Some((iface, frame)) = self.pipe.apply(node, action) {
+                if self.pipe.admit(node, &self.ifaces, iface, &frame, None) {
+                    io.transmit(node, iface, frame);
+                }
             }
-            Action::CancelTimer { token } => self.queue.cancel_timer(self.node_id, token),
         }
-    }
-
-    /// The egress half of the pipeline, mirroring `World::transmit`'s
-    /// per-node checks (bad interface, detached) and its bookkeeping
-    /// (send counters, `FrameTx` telemetry) before handing the frame to
-    /// the I/O backend. Segment-level behaviour (latency, loss, fan-out)
-    /// belongs to the backend.
-    fn transmit(&mut self, io: &mut dyn NodeIo, iface: IfaceId, frame: Frame) {
-        let Some(info) = self.ifaces.get(iface.0) else {
-            self.stats.incr_id(metric::LINK_TX_BAD_IFACE);
-            #[cfg(feature = "telemetry")]
-            self.tele_record(
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::BadIface },
-            );
-            return;
-        };
-        if !info.attached {
-            self.stats.incr_id(metric::LINK_TX_DETACHED);
-            #[cfg(feature = "telemetry")]
-            self.tele_record(
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::Detached },
-            );
-            return;
-        }
-        self.stats.incr_id(metric::LINK_FRAMES_SENT);
-        self.stats.add_id(metric::LINK_BYTES_SENT, frame.wire_len() as u64);
-        #[cfg(feature = "telemetry")]
-        self.tele_record(
-            frame.journey,
-            telemetry::EventKind::FrameTx { iface: iface.0 as u32, bytes: frame.wire_len() as u32 },
-        );
-        io.transmit(self.node_id, iface, frame);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    fn tele_record(&mut self, journey: Option<JourneyId>, kind: telemetry::EventKind) {
-        self.tele.record(telemetry::Event {
-            at_nanos: self.now.as_nanos(),
-            node: Some(self.node_id.0 as u32),
-            journey,
-            kind,
-        });
+        self.pipe.recycle(actions);
     }
 }
 
@@ -523,5 +415,122 @@ mod tests {
         use telemetry::EventKind as K;
         assert!(kinds.contains(&std::mem::discriminant(&K::FrameRx { iface: 0, bytes: 0 })));
         assert!(kinds.contains(&std::mem::discriminant(&K::FrameTx { iface: 0, bytes: 0 })));
+    }
+
+    /// Arms a far timer on start; anything else is up to the test.
+    struct Idle;
+    impl Node for Idle {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(100), TimerToken(1));
+        }
+        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _frame: &Frame) {}
+    }
+
+    #[test]
+    fn late_scan_steps_are_counted() {
+        let mut h = NodeHarness::new(NodeId(0), Idle, 1);
+        let mut io = NullIo;
+        h.start(SimTime::ZERO, &mut io);
+        // What the live loop does on every wake-up: the deadline look
+        // stages the far batch, then earlier timers are armed below it
+        // and merge into that batch, each stepping over its one entry.
+        assert_eq!(h.next_deadline(), Some(SimTime::from_millis(100)));
+        h.with_node::<Idle, _>(SimTime::ZERO, &mut io, |_, ctx| {
+            for t in 2..5 {
+                ctx.set_timer(SimDuration::from_millis(1), TimerToken(t));
+            }
+        });
+        assert_eq!(h.tick(SimTime::from_millis(1), &mut io), 3);
+        assert_eq!(h.stats().counter("sim.sched.late_scan_steps"), 3);
+    }
+
+    /// Arms two timers and cancels one; echoes every frame, and on the
+    /// first also sends out of its detached iface and a nonexistent one.
+    struct Script {
+        frames: u32,
+    }
+    impl Node for Script {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(5), TimerToken(1));
+            ctx.set_timer(SimDuration::from_millis(7), TimerToken(2));
+        }
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
+            self.frames += 1;
+            let echo = |ctx: &Ctx<'_>, iface| {
+                Frame::new(
+                    ctx.mac(iface),
+                    frame.src,
+                    EtherType::Other(0x88b5),
+                    vec![self.frames as u8],
+                )
+            };
+            ctx.send_frame(iface, echo(ctx, iface));
+            if self.frames == 1 {
+                ctx.cancel_timer(TimerToken(2));
+                ctx.send_frame(IfaceId(1), echo(ctx, IfaceId(1)));
+                ctx.send_frame(IfaceId(7), echo(ctx, IfaceId(0)));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerToken) {
+            let f = Frame::broadcast(ctx.mac(IfaceId(0)), EtherType::Other(0x88b5), vec![0]);
+            ctx.send_frame(IfaceId(0), f);
+        }
+    }
+
+    #[test]
+    fn world_and_harness_run_a_node_through_one_pipeline() {
+        let peer = MacAddr::from_index(50);
+        let frames = [SimTime::from_millis(2), SimTime::from_millis(4)].map(|at| {
+            (at, Frame::new(peer, MacAddr::from_index(0), EtherType::Ipv4, vec![1, 2, 3]))
+        });
+        let end = SimTime::from_millis(10);
+
+        // The node alone in a world: iface 0 on a segment, iface 1 detached.
+        let mut w = World::new(7);
+        w.set_telemetry(true);
+        let seg = w.add_segment(Default::default());
+        let id = w.add_node(Script { frames: 0 });
+        w.add_iface(id, Some(seg));
+        w.add_iface(id, None);
+        w.start();
+        for (at, f) in &frames {
+            w.inject_portal_frame(*at, seg, f);
+        }
+        w.run_until(end);
+
+        // The same node in a harness, fed the same frames at the same times.
+        let mut h = NodeHarness::new(id, Script { frames: 0 }, 7);
+        h.set_telemetry(true);
+        h.add_iface(w.iface_mac(id, IfaceId(0)), true);
+        h.add_iface(w.iface_mac(id, IfaceId(1)), false);
+        let mut io = RecordIo::default();
+        h.start(SimTime::ZERO, &mut io);
+        for (at, f) in &frames {
+            h.on_frame(*at, &mut io, IfaceId(0), f);
+        }
+        for ms in [5, 7] {
+            h.tick(SimTime::from_millis(ms), &mut io);
+        }
+        h.tick(end, &mut io);
+
+        assert_eq!(w.node::<Script>(id).frames, 2);
+        assert_eq!(h.node::<Script>().frames, 2);
+        assert_eq!(io.sent.len(), 3, "two echoes and one timer broadcast leave");
+        let counters = |s: &Stats| -> Vec<(String, u64)> {
+            s.counters()
+                .filter(|(n, _)| n.starts_with("link.") || *n == "sim.timers_cancelled")
+                .map(|(n, v)| (n.to_owned(), v))
+                .collect()
+        };
+        let got = counters(h.stats());
+        assert_eq!(counters(w.stats()), got);
+        for name in ["link.tx_detached", "link.tx_bad_iface", "sim.timers_cancelled"] {
+            assert!(got.contains(&(name.to_owned(), 1)), "{name} missing from {got:?}");
+        }
+        let events = |log: &EventLog| -> Vec<_> {
+            log.events().map(|e| (std::mem::discriminant(&e.kind), e.node, e.journey)).collect()
+        };
+        assert_eq!(events(w.telemetry()), events(h.telemetry()));
+        assert_eq!(events(h.telemetry()).len(), if cfg!(feature = "telemetry") { 8 } else { 0 });
     }
 }

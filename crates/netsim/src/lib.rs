@@ -91,7 +91,6 @@ pub mod segment;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod world;
 
 pub use faults::{FaultOp, FaultPlan};
@@ -105,7 +104,6 @@ pub use segment::SegmentParams;
 pub use shard::{ShardedWorld, SimWorld};
 pub use stats::{metric, Counter, HistId, MetricId, SeriesId, Stats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};
 pub use world::{AdminOp, World};
 
 pub use telemetry;

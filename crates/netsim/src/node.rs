@@ -1,19 +1,20 @@
-//! The [`Node`] trait implemented by every simulated host/router, and the
-//! [`Ctx`] handed to its event handlers.
+//! The [`Node`] trait implemented by every simulated host/router, the
+//! [`Ctx`] handed to its event handlers, and the per-node dispatch
+//! pipeline that builds one.
 
 use std::any::Any;
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::event::{EventKind as QueueEventKind, EventQueue};
 use crate::frame::Frame;
 use crate::id::{IfaceId, MacAddr, NodeId};
-use crate::stats::Stats;
+use crate::stats::{metric, MetricId, Stats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 #[cfg(feature = "telemetry")]
 use telemetry::Event;
-use telemetry::{EventKind, EventLog, JourneyId};
+use telemetry::{DropReason, EventKind, EventLog, JourneyId};
 
 /// An opaque timer payload chosen by the node when it arms a timer and
 /// returned verbatim in [`Node::on_timer`].
@@ -133,7 +134,6 @@ pub struct Ctx<'a> {
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) actions: Vec<Action>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) tracer: &'a mut Tracer,
     pub(crate) stats: &'a mut Stats,
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) tele: &'a mut EventLog,
@@ -234,13 +234,6 @@ impl<'a> Ctx<'a> {
         self.rng
     }
 
-    /// Records a trace event (no-op unless tracing is enabled).
-    pub fn trace(&mut self, kind: &'static str, detail: impl FnOnce() -> String) {
-        let node = self.node;
-        let now = self.now;
-        self.tracer.record(now, Some(node), kind, detail);
-    }
-
     /// Global statistics hub (counters and time series).
     pub fn stats(&mut self) -> &mut Stats {
         self.stats
@@ -291,6 +284,207 @@ impl<'a> Ctx<'a> {
             self.journey = self.tele.mint_journey();
         }
         self.journey
+    }
+}
+
+/// The per-node dispatch pipeline: everything a [`Ctx`] borrows, and the
+/// rules that run a handler and account for the frames it sends and
+/// receives, each written once.
+///
+/// [`World`](crate::World) and [`NodeHarness`](crate::NodeHarness) both
+/// run their nodes through it, which is what makes a node's counters and
+/// telemetry the same on either substrate. An owner keeps only what is
+/// its own: the world its arena, segments and faults (they enter
+/// [`Pipeline::admit`] as the `blocked` argument and decide `here` in
+/// [`Pipeline::received`]); the harness its one node, interface table
+/// and [`NodeIo`](crate::NodeIo).
+///
+/// A dispatch is [`Pipeline::run`], then [`Pipeline::apply`] on each
+/// deferred action in order — the owner carrying every frame `apply`
+/// hands back that [`Pipeline::admit`] lets out — then
+/// [`Pipeline::recycle`].
+pub(crate) struct Pipeline {
+    /// Node-visible current time.
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue,
+    pub(crate) rng: StdRng,
+    pub(crate) stats: Stats,
+    pub(crate) tele: EventLog,
+    // The action buffer, lent to each dispatch and handed back, so the
+    // steady-state hot path allocates nothing.
+    scratch: Vec<Action>,
+}
+
+impl Pipeline {
+    /// A pipeline at time zero whose randomness derives from `seed`.
+    pub(crate) fn new(seed: u64) -> Pipeline {
+        Pipeline {
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
+            rng: StdRng::seed_from_u64(seed),
+            stats: Stats::new(),
+            tele: EventLog::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Runs one handler of `node`: builds its [`Ctx`] over `ifaces` with
+    /// `journey` ambient, calls `handler`, and returns the deferred
+    /// actions in the order the handler produced them.
+    #[inline]
+    pub(crate) fn run(
+        &mut self,
+        node: NodeId,
+        ifaces: &[IfaceInfo],
+        journey: Option<JourneyId>,
+        handler: impl FnOnce(&mut Ctx<'_>),
+    ) -> Vec<Action> {
+        let mut actions = std::mem::take(&mut self.scratch);
+        actions.clear();
+        let mut ctx = Ctx {
+            now: self.now,
+            node,
+            ifaces,
+            queue: &mut self.queue,
+            actions,
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+            tele: &mut self.tele,
+            journey,
+        };
+        handler(&mut ctx);
+        ctx.actions
+    }
+
+    /// Applies one deferred action of `node`: timer actions go on the
+    /// queue; a frame is handed back for the owner to [`Pipeline::admit`]
+    /// and carry.
+    #[inline]
+    pub(crate) fn apply(&mut self, node: NodeId, action: Action) -> Option<(IfaceId, Frame)> {
+        match action {
+            Action::SendFrame { iface, frame } => return Some((iface, frame)),
+            Action::SetTimer { delay, token } => {
+                self.queue.push(self.now + delay, QueueEventKind::timer(node, token));
+            }
+            Action::CancelTimer { token } => self.queue.cancel_timer(node, token),
+        }
+        None
+    }
+
+    /// Returns a drained action buffer from [`Pipeline::run`] for reuse.
+    #[inline]
+    pub(crate) fn recycle(&mut self, actions: Vec<Action>) {
+        self.scratch = actions;
+    }
+
+    /// Egress: whether `frame`, sent by `node` out of `iface`, leaves.
+    ///
+    /// A bad interface, a detached one, or else the owner's `blocked`
+    /// verdict (counter and reason) drops the frame; otherwise the send is
+    /// counted and `FrameTx` recorded.
+    #[inline]
+    pub(crate) fn admit(
+        &mut self,
+        node: NodeId,
+        ifaces: &[IfaceInfo],
+        iface: IfaceId,
+        frame: &Frame,
+        blocked: Option<(MetricId, DropReason)>,
+    ) -> bool {
+        let dropped = match ifaces.get(iface.0) {
+            None => Some((metric::LINK_TX_BAD_IFACE, DropReason::BadIface)),
+            // Transmitting into an unplugged cable.
+            Some(info) if !info.attached => Some((metric::LINK_TX_DETACHED, DropReason::Detached)),
+            Some(_) => blocked,
+        };
+        if let Some((counter, reason)) = dropped {
+            self.drop_frame(node, frame.journey, counter, reason);
+            return false;
+        }
+        let bytes = frame.wire_len();
+        self.stats.incr_id(metric::LINK_FRAMES_SENT);
+        self.stats.add_id(metric::LINK_BYTES_SENT, bytes as u64);
+        self.record(
+            Some(node),
+            frame.journey,
+            EventKind::FrameTx { iface: iface.0 as u32, bytes: bytes as u32 },
+        );
+        true
+    }
+
+    /// Ingress: `frame` reaching `iface` of `node`, and whether to hand it
+    /// to the node. `here` is the owner's verdict on whether the interface
+    /// is still where the frame was sent; if not, the frame is dropped as
+    /// `Moved` (the host left mid-flight). Otherwise the delivery is
+    /// counted and `FrameRx` recorded.
+    #[inline]
+    pub(crate) fn received(
+        &mut self,
+        node: NodeId,
+        iface: IfaceId,
+        frame: &Frame,
+        here: bool,
+    ) -> bool {
+        if !here {
+            self.drop_frame(node, frame.journey, metric::LINK_FRAMES_LOST_MOVED, DropReason::Moved);
+            return false;
+        }
+        self.stats.incr_id(metric::LINK_FRAMES_DELIVERED);
+        self.record(
+            Some(node),
+            frame.journey,
+            EventKind::FrameRx { iface: iface.0 as u32, bytes: frame.wire_len() as u32 },
+        );
+        true
+    }
+
+    /// Drops a frame of `journey` at `node`: bumps `counter` and records a
+    /// `FrameDrop` with `reason`.
+    #[inline]
+    pub(crate) fn drop_frame(
+        &mut self,
+        node: NodeId,
+        journey: Option<JourneyId>,
+        counter: MetricId,
+        reason: DropReason,
+    ) {
+        self.stats.incr_id(counter);
+        self.record(Some(node), journey, EventKind::FrameDrop { reason });
+    }
+
+    /// Folds what the queue counted while popping into the stats: timer
+    /// events discarded by cancellation, and batch entries stepped over by
+    /// below-cursor schedules.
+    #[inline]
+    pub(crate) fn fold_queue_counters(&mut self) {
+        let suppressed = self.queue.take_suppressed();
+        if suppressed > 0 {
+            self.stats.add_id(metric::SIM_TIMERS_CANCELLED, suppressed);
+        }
+        let late = self.queue.take_late_scan_steps();
+        if late > 0 {
+            self.stats.add_id(metric::SIM_SCHED_LATE_SCAN_STEPS, late);
+        }
+    }
+
+    /// Records a structured event stamped with the current time. Becomes
+    /// a no-op shell without the `telemetry` cargo feature.
+    #[inline]
+    pub(crate) fn record(
+        &mut self,
+        node: Option<NodeId>,
+        journey: Option<JourneyId>,
+        kind: EventKind,
+    ) {
+        #[cfg(feature = "telemetry")]
+        self.tele.record(Event {
+            at_nanos: self.now.as_nanos(),
+            node: node.map(|n| n.0 as u32),
+            journey,
+            kind,
+        });
+        #[cfg(not(feature = "telemetry"))]
+        let _ = (node, journey, kind);
     }
 }
 

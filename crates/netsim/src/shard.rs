@@ -688,17 +688,10 @@ impl ShardedWorld {
     /// one shard and still observe the whole world — use the node-scoped
     /// `AdminOp::CallNode`, which is routed to the owning shard with the
     /// node id rewritten to the shard-local one), on cross-shard
-    /// `MoveIface`/`AttachIface` (shard migration is unsupported; keep
+    /// `MoveIface` (shard migration is unsupported; keep
     /// mobility region-confined), and on `SetSegmentLoss` for a portal.
     pub fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
         match op {
-            AdminOp::AttachIface { node, iface, segment } => {
-                let (shard, local) = self.node_loc[node.0];
-                let seg = self.seg_in_shard(segment, shard);
-                self.cells[shard as usize]
-                    .0
-                    .schedule_admin(at, AdminOp::AttachIface { node: local, iface, segment: seg });
-            }
             AdminOp::MoveIface { node, iface, segment } => {
                 let (shard, local) = self.node_loc[node.0];
                 let seg = self.seg_in_shard(segment, shard);

@@ -5,19 +5,17 @@ use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 use crate::arena::NodeArena;
-use crate::event::{EventKind, EventQueue, ScheduledEvent, Transmissions};
+use crate::event::{EventKind, ScheduledEvent, Transmissions};
 use crate::faults::{FaultOp, FaultPlan};
 use crate::frame::{Frame, Payload};
 use crate::id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
-use crate::node::{Action, Ctx, IfaceInfo, LinkEvent, Node};
+use crate::node::{Ctx, IfaceInfo, LinkEvent, Node, Pipeline};
 use crate::segment::{Segment, SegmentParams};
 use crate::stats::{metric, Stats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 use telemetry::pcapng::PcapWriter;
 use telemetry::{DropReason, EventLog, FaultKind, Journey, JourneyId};
 
@@ -31,15 +29,6 @@ pub type NodeScript = Box<dyn FnOnce(&mut World, NodeId) + Send>;
 /// from outside the protocols: a host being carried to a different network,
 /// a link going down, a router crashing and rebooting.
 pub enum AdminOp {
-    /// Attach interface `iface` of `node` to `segment`.
-    AttachIface {
-        /// The node owning the interface.
-        node: NodeId,
-        /// The interface to attach.
-        iface: IfaceId,
-        /// The segment to attach to.
-        segment: SegmentId,
-    },
     /// Detach interface `iface` of `node` from whatever segment it is on.
     DetachIface {
         /// The node owning the interface.
@@ -47,7 +36,8 @@ pub enum AdminOp {
         /// The interface to detach.
         iface: IfaceId,
     },
-    /// Detach-then-attach in one step (host movement).
+    /// Attach interface `iface` of `node` to `segment`, detaching it
+    /// first if it is elsewhere (host movement).
     MoveIface {
         /// The node owning the interface.
         node: NodeId,
@@ -101,9 +91,6 @@ pub enum AdminOp {
 impl fmt::Debug for AdminOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AdminOp::AttachIface { node, iface, segment } => {
-                write!(f, "AttachIface({node}, {iface}, {segment})")
-            }
             AdminOp::DetachIface { node, iface } => write!(f, "DetachIface({node}, {iface})"),
             AdminOp::MoveIface { node, iface, segment } => {
                 write!(f, "MoveIface({node}, {iface}, {segment})")
@@ -151,8 +138,9 @@ pub(crate) struct EgressFrame {
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 pub struct World {
-    time: SimTime,
-    queue: EventQueue,
+    // The clock, event queue, RNG, stats and telemetry every node's
+    // `Ctx` borrows, and the per-node dispatch rules (see `Pipeline`).
+    pipe: Pipeline,
     // Node state is arena-allocated for cache locality: `nodes` holds
     // stable pointers into `arena`'s chunks (or dangling pointers for
     // zero-sized nodes). A slot is `None` only while that node is
@@ -163,9 +151,6 @@ pub struct World {
     arena: NodeArena,
     bindings: Vec<Vec<IfaceBinding>>,
     segments: Vec<Segment>,
-    rng: StdRng,
-    tracer: Tracer,
-    stats: Stats,
     mac_counter: u64,
     started: bool,
     events_processed: u64,
@@ -182,19 +167,14 @@ pub struct World {
     // from `bindings` on every dispatch. Borrowed immutably for the
     // duration of a handler (handlers cannot reach binding mutations).
     iface_infos: Vec<Vec<IfaceInfo>>,
-    // Scratch buffers reused across events so the steady-state hot path
-    // (dispatch + transmit) allocates nothing. Taken with `mem::take`, so
-    // an unexpected nested use degrades to a fresh allocation instead of
-    // corrupting the outer call.
-    action_scratch: Vec<Action>,
+    // Reused across transmissions so the steady-state hot path allocates
+    // nothing. Taken with `mem::take`, so an unexpected nested use
+    // degrades to a fresh allocation instead of corrupting the outer call.
     rx_scratch: Vec<(NodeId, IfaceId)>,
     // Frames in flight: one record per transmission, named by index from
     // its queue entries (see `event::Transmissions`).
     txs: Transmissions,
-    // Structured telemetry (see the `telemetry` crate): a bounded ring of
-    // typed events plus an optional pcap-ng capture of delivered frames.
-    // Both are off by default and cost nothing until enabled.
-    tele: EventLog,
+    // An optional pcap-ng capture of delivered frames, off by default.
     pcap: Option<PcapWriter>,
     // Cross-shard plumbing (see the `shard` module). `portal_of[seg]`
     // names the physical portal a segment is a replica of; transmissions
@@ -210,15 +190,11 @@ impl World {
     /// Creates an empty world whose randomness derives entirely from `seed`.
     pub fn new(seed: u64) -> World {
         World {
-            time: SimTime::ZERO,
-            queue: EventQueue::new(),
+            pipe: Pipeline::new(seed),
             nodes: Vec::new(),
             arena: NodeArena::new(),
             bindings: Vec::new(),
             segments: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            tracer: Tracer::new(),
-            stats: Stats::new(),
             mac_counter: 0,
             started: false,
             events_processed: 0,
@@ -226,10 +202,8 @@ impl World {
             down_nodes: Vec::new(),
             muted_broadcasts: HashSet::new(),
             iface_infos: Vec::new(),
-            action_scratch: Vec::new(),
             rx_scratch: Vec::new(),
             txs: Transmissions::default(),
-            tele: EventLog::new(),
             pcap: None,
             has_portals: false,
             portal_of: Vec::new(),
@@ -239,7 +213,7 @@ impl World {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.time
+        self.pipe.now
     }
 
     /// Adds a broadcast segment and returns its id.
@@ -278,21 +252,13 @@ impl World {
     /// never reallocate it. Builders that know their population (e.g. the
     /// hierarchy generator) call this once before [`World::start`].
     pub fn reserve_events(&mut self, events: usize) {
-        self.queue.reserve(events);
+        self.pipe.queue.reserve(events);
     }
 
     /// Adds an interface to `node`, optionally attached to a segment, and
     /// returns its node-local id and freshly assigned MAC address.
     pub fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr) {
-        let mac = MacAddr::from_index(self.mac_counter);
-        self.mac_counter += 1;
-        let iface = IfaceId(self.bindings[node.0].len());
-        self.bindings[node.0].push(IfaceBinding { mac, segment });
-        self.iface_infos[node.0].push(IfaceInfo { mac, attached: segment.is_some() });
-        if let Some(seg) = segment {
-            self.segments[seg.0].attach(node, iface, mac);
-        }
-        (iface, mac)
+        self.add_iface_with_mac(node, segment, self.mac_counter)
     }
 
     /// Like [`World::add_iface`], but with an explicit MAC index instead
@@ -357,8 +323,8 @@ impl World {
     /// frame that was accepted onto the segment at send time still arrives
     /// if the segment goes down mid-flight (down blocks only transmission).
     pub(crate) fn inject_portal_frame(&mut self, at: SimTime, segment: SegmentId, frame: &Frame) {
-        debug_assert!(at >= self.time, "portal injection into the past");
-        self.stats.incr_id(metric::SHARD_INGRESS_FRAMES);
+        debug_assert!(at >= self.pipe.now, "portal injection into the past");
+        self.pipe.stats.incr_id(metric::SHARD_INGRESS_FRAMES);
         let mut receivers = std::mem::take(&mut self.rx_scratch);
         receivers.clear();
         receivers.extend(
@@ -371,7 +337,7 @@ impl World {
         if !receivers.is_empty() {
             let tx = self.txs.alloc(segment);
             for &(rx_node, rx_iface) in &receivers {
-                self.queue.push(at, rx_event(tx, rx_node, rx_iface));
+                self.pipe.queue.push(at, rx_event(tx, rx_node, rx_iface));
             }
             self.txs.arm(tx, frame.clone(), receivers.len() as u32);
         }
@@ -397,7 +363,7 @@ impl World {
     /// clock to `t`.
     pub fn run_until(&mut self, t: SimTime) {
         assert!(self.started, "call World::start before running");
-        while let Some(ev) = self.queue.pop_due(t) {
+        while let Some(ev) = self.pipe.queue.pop_due(t) {
             self.process_event(ev);
         }
         // The final `pop_due` looked no further than `t`: the wheel's
@@ -406,48 +372,33 @@ impl World {
         // (cancelled timers due by `t`, below-cursor merge steps) folds
         // into the stats once per run, keeping the per-event loop free
         // of stats traffic.
-        self.fold_queue_counters();
-        if t > self.time {
-            self.time = t;
+        self.pipe.fold_queue_counters();
+        if t > self.pipe.now {
+            self.pipe.now = t;
         }
     }
 
     /// Runs for `d` of simulated time from now.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.time + d;
+        let t = self.pipe.now + d;
         self.run_until(t);
     }
 
     /// Processes the single next event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        let popped = self.queue.pop();
-        self.fold_queue_counters();
+        let popped = self.pipe.queue.pop();
+        self.pipe.fold_queue_counters();
         let Some(ev) = popped else { return false };
         self.process_event(ev);
         true
     }
 
-    /// Timer events discarded by cancellation during a pop, and batch
-    /// entries stepped over by below-cursor schedules, surface as
-    /// counters, not as dispatches.
-    #[inline]
-    fn fold_queue_counters(&mut self) {
-        let suppressed = self.queue.take_suppressed();
-        if suppressed > 0 {
-            self.stats.add_id(metric::SIM_TIMERS_CANCELLED, suppressed);
-        }
-        let late = self.queue.take_late_scan_steps();
-        if late > 0 {
-            self.stats.add_id(metric::SIM_SCHED_LATE_SCAN_STEPS, late);
-        }
-    }
-
     /// Advances the clock to a popped event and runs it. Shared by
     /// [`World::step`] and the [`World::run_until`] hot loop.
     fn process_event(&mut self, ev: ScheduledEvent) {
-        debug_assert!(ev.at >= self.time, "event queue went backwards");
-        self.time = ev.at;
+        debug_assert!(ev.at >= self.pipe.now, "event queue went backwards");
+        self.pipe.now = ev.at;
         self.events_processed += 1;
         match ev.kind {
             EventKind::Rx { tx, node, iface } => {
@@ -485,12 +436,10 @@ impl World {
                 if self.down_nodes[node.0] {
                     // Pending timers are volatile state: a crash consumes
                     // them. Nodes re-arm from `on_reboot`.
-                    self.stats.incr_id(metric::FAULT_TIMERS_DROPPED_NODE_DOWN);
+                    self.pipe.stats.incr_id(metric::FAULT_TIMERS_DROPPED_NODE_DOWN);
                     return;
                 }
-                self.tracer
-                    .record(self.time, Some(node), "timer", || format!("token {:#x}", token.0));
-                self.tele_record(Some(node), None, telemetry::EventKind::Timer { token: token.0 });
+                self.pipe.record(Some(node), None, telemetry::EventKind::Timer { token: token.0 });
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::Admin(op) => self.apply_admin(*op),
@@ -499,67 +448,34 @@ impl World {
                 // The sample event itself was already popped, so `queue_len`
                 // reflects only real pending work at this instant.
                 if let Some(every) = self.queue_sample_every {
-                    let depth = self.queue.len() as f64;
-                    self.stats.record_id(metric::SIM_QUEUE_DEPTH, self.time, depth);
-                    self.queue.push(self.time + every, EventKind::SampleQueue);
+                    let depth = self.pipe.queue.len() as f64;
+                    self.pipe.stats.record_id(metric::SIM_QUEUE_DEPTH, self.pipe.now, depth);
+                    self.pipe.queue.push(self.pipe.now + every, EventKind::SampleQueue);
                 }
             }
         }
     }
 
-    /// Delivers one frame copy to `node`'s `iface`, running the full
-    /// arrival pipeline (crash check, moved-away suppression, stats,
-    /// trace, telemetry, pcap, dispatch). Shared by per-receiver `Rx`
-    /// events and batched `RxBatch` fan-outs.
+    /// Delivers one frame copy to `node`'s `iface`: a crashed node hears
+    /// nothing, an interface that moved away mid-flight drops it, and
+    /// otherwise the frame is captured and dispatched. Shared by
+    /// per-receiver `Rx` events and batched `RxBatch` fan-outs.
     fn deliver_frame(&mut self, node: NodeId, iface: IfaceId, segment: SegmentId, frame: &Frame) {
         if self.down_nodes[node.0] {
-            // A crashed node hears nothing.
-            self.stats.incr_id(metric::FAULT_FRAMES_DROPPED_NODE_DOWN);
-            self.tele_record(
-                Some(node),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::NodeDown },
-            );
+            let counter = metric::FAULT_FRAMES_DROPPED_NODE_DOWN;
+            self.pipe.drop_frame(node, frame.journey, counter, DropReason::NodeDown);
             return;
         }
-        // Suppress delivery if the interface moved away mid-flight.
-        let still_here = self
+        let here = self
             .bindings
             .get(node.0)
             .and_then(|b| b.get(iface.0))
             .is_some_and(|b| b.segment == Some(segment));
-        if still_here {
-            self.stats.incr_id(metric::LINK_FRAMES_DELIVERED);
-            self.tracer.record(self.time, Some(node), "frame", || {
-                format!(
-                    "if{} {} -> {} {:?} len {}",
-                    iface.0,
-                    frame.src,
-                    frame.dst,
-                    frame.ethertype,
-                    frame.payload.len()
-                )
-            });
-            self.tele_record(
-                Some(node),
-                frame.journey,
-                telemetry::EventKind::FrameRx {
-                    iface: iface.0 as u32,
-                    bytes: frame.wire_len() as u32,
-                },
-            );
+        if self.pipe.received(node, iface, frame, here) {
             if self.pcap.is_some() {
                 self.pcap_capture(frame);
             }
-            let journey = frame.journey;
-            self.dispatch_with(node, journey, |n, ctx| n.on_frame(ctx, iface, frame));
-        } else {
-            self.stats.incr_id(metric::LINK_FRAMES_LOST_MOVED);
-            self.tele_record(
-                Some(node),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::Moved },
-            );
+            self.dispatch_with(node, frame.journey, |n, ctx| n.on_frame(ctx, iface, frame));
         }
     }
 
@@ -580,14 +496,14 @@ impl World {
         self.queue_sample_every = interval;
         if let Some(every) = interval {
             if !was_on {
-                self.queue.push(self.time + every, EventKind::SampleQueue);
+                self.pipe.queue.push(self.pipe.now + every, EventKind::SampleQueue);
             }
         }
     }
 
     /// Schedules an [`AdminOp`] at absolute time `at`.
     pub fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
-        self.queue.push(at, EventKind::Admin(Box::new(op)));
+        self.pipe.queue.push(at, EventKind::Admin(Box::new(op)));
     }
 
     /// Schedules a script callback at absolute time `at`.
@@ -597,8 +513,8 @@ impl World {
 
     /// Schedules one [`FaultOp`] at absolute time `at`.
     pub fn schedule_fault(&mut self, at: SimTime, op: FaultOp) {
-        assert!(at >= self.time, "fault scheduled in the past");
-        self.queue.push(at, EventKind::Fault(Box::new(op)));
+        assert!(at >= self.pipe.now, "fault scheduled in the past");
+        self.pipe.queue.push(at, EventKind::Fault(Box::new(op)));
     }
 
     /// Compiles a [`FaultPlan`] onto the event queue: every scheduled
@@ -622,8 +538,7 @@ impl World {
     }
 
     fn apply_fault(&mut self, op: FaultOp) {
-        self.stats.incr_id(metric::FAULT_OPS_APPLIED);
-        self.tracer.record(self.time, None, "fault", || op.to_string());
+        self.pipe.stats.incr_id(metric::FAULT_OPS_APPLIED);
         let fault_kind = match &op {
             FaultOp::SegmentDown { .. } => FaultKind::SegmentDown,
             FaultOp::SegmentUp { .. } => FaultKind::SegmentUp,
@@ -637,7 +552,7 @@ impl World {
             FaultOp::MuteBroadcasts { .. } => FaultKind::Mute,
             FaultOp::UnmuteBroadcasts { .. } => FaultKind::Unmute,
         };
-        self.tele_record(None, None, telemetry::EventKind::Fault { kind: fault_kind });
+        self.pipe.record(None, None, telemetry::EventKind::Fault { kind: fault_kind });
         match op {
             FaultOp::SegmentDown { segment } => self.segments[segment.0].up = false,
             FaultOp::SegmentUp { segment } => self.segments[segment.0].up = true,
@@ -652,7 +567,7 @@ impl World {
                 let previous = self.segments[segment.0].params.latency;
                 self.segments[segment.0].params.latency = previous + extra;
                 self.schedule_fault(
-                    self.time + duration,
+                    self.pipe.now + duration,
                     FaultOp::SetSegmentLatency { segment, latency: previous },
                 );
             }
@@ -666,9 +581,9 @@ impl World {
             }
             FaultOp::Crash { node, down_for } => {
                 if !self.down_nodes[node.0] {
-                    self.stats.incr_id(metric::FAULT_CRASHES);
+                    self.pipe.stats.incr_id(metric::FAULT_CRASHES);
                     self.down_nodes[node.0] = true;
-                    self.schedule_fault(self.time + down_for, FaultOp::Reboot { node });
+                    self.schedule_fault(self.pipe.now + down_for, FaultOp::Reboot { node });
                 }
             }
             FaultOp::Reboot { node } => {
@@ -715,7 +630,7 @@ impl World {
 
     /// Immediately reboots `node` (fires [`Node::on_reboot`]).
     pub fn reboot_node(&mut self, node: NodeId) {
-        self.stats.incr_id(metric::WORLD_REBOOTS);
+        self.pipe.stats.incr_id(metric::WORLD_REBOOTS);
         self.dispatch(node, |n, ctx| n.on_reboot(ctx));
     }
 
@@ -754,63 +669,53 @@ impl World {
 
     /// Global statistics (shared access).
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.pipe.stats
     }
 
     /// Global statistics (mutable access, for scenario-level metrics).
     pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
-    /// The trace collector.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Enables or disables tracing.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracer.set_enabled(enabled);
+        &mut self.pipe.stats
     }
 
     /// Enables or disables structured telemetry (typed events + packet
     /// journeys). Off by default: disabled worlds mint no journey ids,
     /// record no events and allocate nothing for the log.
     pub fn set_telemetry(&mut self, enabled: bool) {
-        self.tele.set_enabled(enabled);
+        self.pipe.tele.set_enabled(enabled);
     }
 
     /// Re-sizes the telemetry ring buffer (discards buffered events).
     /// Size long-running traced worlds generously; overwrites are counted
     /// in [`telemetry::EventLog::overwritten`].
     pub fn set_telemetry_capacity(&mut self, events: usize) {
-        self.tele.set_capacity(events);
+        self.pipe.tele.set_capacity(events);
     }
 
     /// The structured event log (query API lives on [`EventLog`]).
     pub fn telemetry(&self) -> &EventLog {
-        &self.tele
+        &self.pipe.tele
     }
 
     /// Mutable access to the structured event log (e.g. to clear it
     /// between experiment phases).
     pub fn telemetry_mut(&mut self) -> &mut EventLog {
-        &mut self.tele
+        &mut self.pipe.tele
     }
 
     /// Reconstructs one packet's journey from the event log.
     pub fn journey(&self, id: JourneyId) -> Journey {
-        self.tele.journey(id)
+        self.pipe.tele.journey(id)
     }
 
     /// The hop list of journey `id`: every node that a frame of this
     /// journey was *delivered* to, in order.
     pub fn journey_hops(&self, id: JourneyId) -> Vec<NodeId> {
-        self.tele.journey(id).hops().into_iter().map(|n| NodeId(n as usize)).collect()
+        self.pipe.tele.journey(id).hops().into_iter().map(|n| NodeId(n as usize)).collect()
     }
 
     /// The journey of the most recent frame delivered to `node`, if any.
     pub fn last_journey_to(&self, node: NodeId) -> Option<JourneyId> {
-        self.tele.last_journey_to(node.0 as u32)
+        self.pipe.tele.last_journey_to(node.0 as u32)
     }
 
     /// Starts capturing every *delivered* frame into an in-memory
@@ -834,26 +739,6 @@ impl World {
         self.pcap.as_ref().map_or(0, PcapWriter::frame_count)
     }
 
-    /// Records a structured event stamped with the current time. Becomes
-    /// a no-op shell without the `telemetry` cargo feature.
-    #[inline]
-    fn tele_record(
-        &mut self,
-        node: Option<NodeId>,
-        journey: Option<JourneyId>,
-        kind: telemetry::EventKind,
-    ) {
-        #[cfg(feature = "telemetry")]
-        self.tele.record(telemetry::Event {
-            at_nanos: self.time.as_nanos(),
-            node: node.map(|n| n.0 as u32),
-            journey,
-            kind,
-        });
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (node, journey, kind);
-    }
-
     /// Appends a delivered frame to the pcap capture, synthesizing the
     /// 14-byte ethernet header the simulator models but does not store.
     fn pcap_capture(&mut self, frame: &Frame) {
@@ -863,7 +748,7 @@ impl World {
         bytes.extend_from_slice(&frame.src.0);
         bytes.extend_from_slice(&frame.ethertype.as_u16().to_be_bytes());
         bytes.extend_from_slice(&frame.payload);
-        pcap.add_frame(self.time.as_nanos(), &bytes);
+        pcap.add_frame(self.pipe.now.as_nanos(), &bytes);
     }
 
     /// Number of events currently queued (useful to observe congestion).
@@ -871,7 +756,7 @@ impl World {
     /// Cancelled timers are discarded lazily, so this can transiently
     /// overcount by the number of cancelled-but-not-yet-expired timers.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.pipe.queue.len()
     }
 
     /// Transmissions currently in flight: frames sent whose last copy has
@@ -887,7 +772,7 @@ impl World {
     /// per-host memory budget leaves out — it follows the load, not the
     /// population.
     pub fn queue_heap_bytes(&self) -> usize {
-        self.queue.heap_bytes() + self.txs.heap_bytes()
+        self.pipe.queue.heap_bytes() + self.txs.heap_bytes()
     }
 
     /// Total events processed since the world was created (frames, timers
@@ -900,7 +785,7 @@ impl World {
     /// Whether the event queue has drained (nothing more will ever happen
     /// unless a node or script schedules it).
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.pipe.queue.is_empty()
     }
 
     /// Number of nodes in the world.
@@ -920,9 +805,6 @@ impl World {
 
     fn apply_admin(&mut self, op: AdminOp) {
         match op {
-            AdminOp::AttachIface { node, iface, segment } => {
-                self.move_iface(node, iface, Some(segment));
-            }
             AdminOp::DetachIface { node, iface } => self.move_iface(node, iface, None),
             AdminOp::MoveIface { node, iface, segment } => {
                 self.move_iface(node, iface, Some(segment));
@@ -952,109 +834,55 @@ impl World {
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
     ) {
         let mut node = self.nodes[node_id.0].take().expect("re-entrant dispatch on one node");
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        actions.clear();
         // The node's interface view is maintained incrementally (see the
-        // `iface_infos` field) and borrowed straight into the context —
-        // disjoint from the queue/rng/tracer fields borrowed mutably —
+        // `iface_infos` field) and borrowed straight into the context,
         // rather than rebuilt from `bindings` per dispatch.
-        let mut ctx = Ctx {
-            now: self.time,
-            node: node_id,
-            ifaces: &self.iface_infos[node_id.0],
-            queue: &mut self.queue,
-            actions,
-            rng: &mut self.rng,
-            tracer: &mut self.tracer,
-            stats: &mut self.stats,
-            tele: &mut self.tele,
-            journey,
-        };
+        let ifaces = &self.iface_infos[node_id.0];
         // SAFETY: `node` was taken out of its slot, so this is the only
         // live path to the object for the duration of the handler (a
         // re-entrant dispatch on the same node panics on the `take`
         // above; `World::node` panics on the empty slot).
-        f(unsafe { node.as_mut() }, &mut ctx);
-        let mut actions = ctx.actions;
+        let mut actions =
+            self.pipe.run(node_id, ifaces, journey, |ctx| f(unsafe { node.as_mut() }, ctx));
         self.nodes[node_id.0] = Some(node);
         for action in actions.drain(..) {
-            self.apply_action(node_id, action);
-        }
-        // Keep the larger buffer in case an action's own dispatch (e.g. a
-        // link event) replaced the scratch while we were draining.
-        if actions.capacity() > self.action_scratch.capacity() {
-            self.action_scratch = actions;
-        }
-    }
-
-    fn apply_action(&mut self, node_id: NodeId, action: Action) {
-        match action {
-            Action::SendFrame { iface, frame } => self.transmit(node_id, iface, frame),
-            Action::SetTimer { delay, token } => {
-                self.queue.push(self.time + delay, EventKind::timer(node_id, token));
+            if let Some((iface, frame)) = self.pipe.apply(node_id, action) {
+                self.transmit(node_id, iface, frame);
             }
-            Action::CancelTimer { token } => self.queue.cancel_timer(node_id, token),
         }
+        self.pipe.recycle(actions);
     }
 
+    /// Carries a frame `node_id` sends out of `iface` onto its segment,
+    /// unless the pipeline drops it — a down segment or a muted broadcast
+    /// are the world's own reasons.
     fn transmit(&mut self, node_id: NodeId, iface: IfaceId, frame: Frame) {
-        let Some(binding) = self.bindings[node_id.0].get(iface.0) else {
-            self.stats.incr_id(metric::LINK_TX_BAD_IFACE);
-            self.tele_record(
-                Some(node_id),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::BadIface },
-            );
-            return;
-        };
-        let Some(seg_id) = binding.segment else {
-            // Transmitting into an unplugged cable.
-            self.stats.incr_id(metric::LINK_TX_DETACHED);
-            self.tele_record(
-                Some(node_id),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::Detached },
-            );
-            return;
-        };
-        let seg = &self.segments[seg_id.0];
-        if !seg.up {
-            self.stats.incr_id(metric::LINK_TX_SEGMENT_DOWN);
-            self.tele_record(
-                Some(node_id),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::SegmentDown },
-            );
+        let seg_id = self.bindings[node_id.0].get(iface.0).and_then(|b| b.segment);
+        let blocked = seg_id.and_then(|seg| {
+            if !self.segments[seg.0].up {
+                Some((metric::LINK_TX_SEGMENT_DOWN, DropReason::SegmentDown))
+            } else if frame.dst.is_broadcast()
+                && !self.muted_broadcasts.is_empty()
+                && self.muted_broadcasts.contains(&(node_id, iface))
+            {
+                Some((metric::FAULT_TX_MUTED, DropReason::Muted))
+            } else {
+                None
+            }
+        });
+        if !self.pipe.admit(node_id, &self.iface_infos[node_id.0], iface, &frame, blocked) {
             return;
         }
-        if frame.dst.is_broadcast()
-            && !self.muted_broadcasts.is_empty()
-            && self.muted_broadcasts.contains(&(node_id, iface))
-        {
-            self.stats.incr_id(metric::FAULT_TX_MUTED);
-            self.tele_record(
-                Some(node_id),
-                frame.journey,
-                telemetry::EventKind::FrameDrop { reason: DropReason::Muted },
-            );
-            return;
-        }
-        let params = seg.params;
-        self.stats.incr_id(metric::LINK_FRAMES_SENT);
-        self.stats.add_id(metric::LINK_BYTES_SENT, frame.wire_len() as u64);
-        self.tele_record(
-            Some(node_id),
-            frame.journey,
-            telemetry::EventKind::FrameTx { iface: iface.0 as u32, bytes: frame.wire_len() as u32 },
-        );
+        let seg_id = seg_id.expect("an admitted frame leaves an attached iface");
+        let params = self.segments[seg_id.0].params;
         if self.has_portals {
             // A send accepted onto a portal replica also crosses the shard
             // boundary: buffer a copy (payload shared by refcount) for the
             // barrier exchange. Local receivers are still served below.
             if let Some(portal) = self.portal_of[seg_id.0] {
-                self.stats.incr_id(metric::SHARD_EGRESS_FRAMES);
+                self.pipe.stats.incr_id(metric::SHARD_EGRESS_FRAMES);
                 self.egress.push(EgressFrame {
-                    at: self.time + params.latency,
+                    at: self.pipe.now + params.latency,
                     portal,
                     frame: frame.clone(),
                 });
@@ -1086,14 +914,10 @@ impl World {
             // the RNG stream is bit-identical to the unbatched scheme.
             if params.loss > 0.0 {
                 receivers.retain(|&(rx_node, _)| {
-                    let lost = self.rng.random::<f64>() < params.loss;
+                    let lost = self.pipe.rng.random::<f64>() < params.loss;
                     if lost {
-                        self.stats.incr_id(metric::LINK_FRAMES_DROPPED);
-                        self.tele_record(
-                            Some(rx_node),
-                            journey,
-                            telemetry::EventKind::FrameDrop { reason: DropReason::Loss },
-                        );
+                        let counter = metric::LINK_FRAMES_DROPPED;
+                        self.pipe.drop_frame(rx_node, journey, counter, DropReason::Loss);
                     }
                     !lost
                 });
@@ -1102,7 +926,7 @@ impl World {
                 let tx = self.txs.alloc(seg_id);
                 self.txs[tx].receivers = receivers.to_vec();
                 self.txs.arm(tx, frame, 1);
-                self.queue.push(self.time + params.latency, EventKind::RxBatch { tx });
+                self.pipe.queue.push(self.pipe.now + params.latency, EventKind::RxBatch { tx });
             }
             receivers.clear();
             self.rx_scratch = receivers;
@@ -1113,18 +937,14 @@ impl World {
         let tx = self.txs.alloc(seg_id);
         let mut pending = 0;
         for &(rx_node, rx_iface) in &receivers {
-            if params.loss > 0.0 && self.rng.random::<f64>() < params.loss {
-                self.stats.incr_id(metric::LINK_FRAMES_DROPPED);
-                self.tele_record(
-                    Some(rx_node),
-                    journey,
-                    telemetry::EventKind::FrameDrop { reason: DropReason::Loss },
-                );
+            if params.loss > 0.0 && self.pipe.rng.random::<f64>() < params.loss {
+                let counter = metric::LINK_FRAMES_DROPPED;
+                self.pipe.drop_frame(rx_node, journey, counter, DropReason::Loss);
                 continue;
             }
             let mut delay = params.latency;
             if params.jitter > SimDuration::ZERO {
-                let j = self.rng.random_range(0..=params.jitter.as_nanos());
+                let j = self.pipe.rng.random_range(0..=params.jitter.as_nanos());
                 delay += SimDuration::from_nanos(j);
             }
             // Receivers share the record: per-receiver cost is one plain
@@ -1138,18 +958,18 @@ impl World {
             let mut copy = tx;
             if params.corrupt > 0.0
                 && !frame.payload.is_empty()
-                && self.rng.random::<f64>() < params.corrupt
+                && self.pipe.rng.random::<f64>() < params.corrupt
             {
-                let bit = self.rng.random_range(0..frame.payload.len() * 8);
+                let bit = self.pipe.rng.random_range(0..frame.payload.len() * 8);
                 let mut bytes = frame.payload.to_vec();
                 bytes[bit / 8] ^= 1 << (bit % 8);
-                self.stats.incr_id(metric::LINK_FRAMES_CORRUPTED);
+                self.pipe.stats.incr_id(metric::LINK_FRAMES_CORRUPTED);
                 copy = self.txs.alloc(seg_id);
                 self.txs.arm(copy, Frame { payload: Payload::from(bytes), ..frame }, 1);
             } else {
                 pending += 1;
             }
-            self.queue.push(self.time + delay, rx_event(copy, rx_node, rx_iface));
+            self.pipe.queue.push(self.pipe.now + delay, rx_event(copy, rx_node, rx_iface));
         }
         if pending > 0 {
             self.txs.arm(tx, frame, pending);
@@ -1181,10 +1001,10 @@ impl Drop for World {
 impl fmt::Debug for World {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("World")
-            .field("time", &self.time)
+            .field("time", &self.pipe.now)
             .field("nodes", &self.nodes.len())
             .field("segments", &self.segments.len())
-            .field("queued_events", &self.queue.len())
+            .field("queued_events", &self.pipe.queue.len())
             .finish()
     }
 }
@@ -1529,7 +1349,7 @@ mod tests {
     #[test]
     fn fault_plan_runs_are_byte_identical() {
         use crate::faults::{FaultOp, FaultPlan};
-        let run = |seed: u64| -> (Vec<String>, Vec<(String, u64)>) {
+        let run = |seed: u64| -> (Vec<telemetry::Event>, Vec<(String, u64)>) {
             let mut w = World::new(seed);
             let seg = w.add_segment(SegmentParams {
                 loss: 0.2,
@@ -1540,7 +1360,7 @@ mod tests {
             w.add_iface(b, Some(seg));
             let c = w.add_node(Counter::new(true));
             w.add_iface(c, Some(seg));
-            w.set_tracing(true);
+            w.set_telemetry(true);
             let plan = FaultPlan::new()
                 .flap(
                     seg,
@@ -1555,18 +1375,33 @@ mod tests {
                 )
                 .crash(c, SimTime::from_millis(2), SimDuration::from_millis(1));
             w.install_faults(&plan);
+            // The first beacon falls into a flap; these land on either
+            // side of the crash, past the loss, jitter and corruption draws.
+            for i in 0..8 {
+                w.schedule_call(SimTime::from_micros(1_200 + 400 * i), move |w| {
+                    w.with_node::<Beacon, _>(b, |n, ctx| n.on_timer(ctx, TimerToken(1)));
+                });
+            }
             w.start();
             w.run_until(SimTime::from_secs(1));
-            let trace = w
-                .tracer()
-                .events()
-                .iter()
-                .map(|e| format!("{:?} {:?} {} {}", e.time, e.node, e.kind, e.detail))
-                .collect();
+            let events = w.telemetry().events().copied().collect();
             let counters = w.stats().counters().map(|(n, v)| (n.to_owned(), v)).collect();
-            (trace, counters)
+            (events, counters)
         };
-        assert_eq!(run(1994), run(1994));
+        let (events, counters) = run(1994);
+        if cfg!(feature = "telemetry") {
+            // Never compare two empty logs: every kind of record the run
+            // exercises is in there.
+            use telemetry::EventKind as K;
+            let has = |want: fn(&K) -> bool| events.iter().any(|e| want(&e.kind));
+            assert!(has(|k| matches!(k, K::Fault { .. })), "no Fault event");
+            assert!(has(|k| matches!(k, K::FrameRx { .. })), "no FrameRx event");
+            assert!(has(|k| matches!(k, K::Timer { .. })), "no Timer event");
+            assert!(has(|k| matches!(k, K::FrameDrop { .. })), "no FrameDrop event");
+        } else {
+            assert!(events.is_empty());
+        }
+        assert_eq!((events, counters), run(1994));
     }
 
     /// Arms one far-future timer on start; relays every frame received
