@@ -162,6 +162,10 @@ pub fn ipip_decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, PacketError> {
     Ok(inner)
 }
 
+// Per-data-packet counters.
+static TUNNELED: Counter = Counter::new("columbia.tunneled");
+static OVERHEAD_BYTES: Counter = Counter::new("columbia.overhead_bytes");
+
 /// A Mobile Support Router.
 #[derive(Debug)]
 pub struct MsrNode {
@@ -179,10 +183,6 @@ pub struct MsrNode {
     msr_cache: HashMap<Ipv4Addr, Ipv4Addr>,
     popup_bindings: HashMap<Ipv4Addr, Ipv4Addr>,
     pending: HashMap<Ipv4Addr, Vec<Ipv4Packet>>,
-    // Per-data-packet counters, cached to keep tunneling free of name
-    // hashing.
-    tunneled: Counter,
-    overhead_bytes: Counter,
 }
 
 impl MsrNode {
@@ -197,8 +197,6 @@ impl MsrNode {
             msr_cache: HashMap::new(),
             popup_bindings: HashMap::new(),
             pending: HashMap::new(),
-            tunneled: Counter::new("columbia.tunneled"),
-            overhead_bytes: Counter::new("columbia.overhead_bytes"),
         }
     }
 
@@ -227,8 +225,8 @@ impl MsrNode {
     }
 
     fn tunnel_to(&mut self, ctx: &mut Ctx<'_>, target: Ipv4Addr, inner: &Ipv4Packet) {
-        self.tunneled.incr(ctx.stats());
-        self.overhead_bytes.add(ctx.stats(), IPIP_OVERHEAD as u64);
+        TUNNELED.incr(ctx.stats());
+        OVERHEAD_BYTES.add(ctx.stats(), IPIP_OVERHEAD as u64);
         ctx.tele_event(TeleEventKind::Encap { by_sender: false });
         let ident = self.stack.next_ident();
         let mut outer = ipip_encapsulate(inner, self.self_addr(), target, ident);

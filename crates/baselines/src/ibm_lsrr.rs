@@ -215,6 +215,11 @@ impl Node for BaseStationNode {
     }
 }
 
+// Per-data-packet counters.
+static SOURCE_ROUTED: Counter = Counter::new("lsrr.host_source_routed");
+static OVERHEAD_BYTES: Counter = Counter::new("lsrr.overhead_bytes");
+static SENT_VIA_BS: Counter = Counter::new("lsrr.mobile_sent_via_bs");
+
 /// A correspondent host; `broken` models the deployed implementations
 /// that fail to reverse recorded routes (§7).
 #[derive(Debug)]
@@ -226,10 +231,6 @@ pub struct LsrrHostNode {
     /// Whether this host's LSRR implementation is broken.
     pub broken: bool,
     reverse_routes: HashMap<Ipv4Addr, Vec<Ipv4Addr>>,
-    // Per-data-packet counters, cached to keep source-routed sends free
-    // of name hashing.
-    source_routed: Counter,
-    overhead_bytes: Counter,
 }
 
 impl LsrrHostNode {
@@ -240,8 +241,6 @@ impl LsrrHostNode {
             endpoint: Endpoint::new(),
             broken,
             reverse_routes: HashMap::new(),
-            source_routed: Counter::new("lsrr.host_source_routed"),
-            overhead_bytes: Counter::new("lsrr.overhead_bytes"),
         }
     }
 
@@ -256,8 +255,8 @@ impl LsrrHostNode {
         if !self.broken {
             if let Some(route) = self.reverse_routes.get(&pkt.dst) {
                 if let Some(&first) = route.first() {
-                    self.source_routed.incr(ctx.stats());
-                    self.overhead_bytes.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
+                    SOURCE_ROUTED.incr(ctx.stats());
+                    OVERHEAD_BYTES.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
                     let final_dst = pkt.dst;
                     pkt.dst = first;
                     pkt.options.push(Ipv4Option::lsrr(vec![final_dst]));
@@ -368,8 +367,6 @@ pub struct LsrrMobileNode {
     /// The current base station, if visiting.
     pub base_station: Option<Ipv4Addr>,
     iface: IfaceId,
-    sent_via_bs: Counter,
-    overhead_bytes: Counter,
 }
 
 impl LsrrMobileNode {
@@ -383,8 +380,6 @@ impl LsrrMobileNode {
             home_gateway,
             base_station: None,
             iface: IfaceId(0),
-            sent_via_bs: Counter::new("lsrr.mobile_sent_via_bs"),
-            overhead_bytes: Counter::new("lsrr.overhead_bytes"),
         }
     }
 
@@ -413,8 +408,8 @@ impl LsrrMobileNode {
     /// host's base station and include an LSRR option").
     pub fn send_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
         if let Some(bs) = self.base_station {
-            self.sent_via_bs.incr(ctx.stats());
-            self.overhead_bytes.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
+            SENT_VIA_BS.incr(ctx.stats());
+            OVERHEAD_BYTES.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
             let final_dst = pkt.dst;
             pkt.dst = bs;
             pkt.options.push(Ipv4Option::lsrr(vec![final_dst]));

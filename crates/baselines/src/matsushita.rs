@@ -171,6 +171,10 @@ pub fn iptp_decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, PacketError> {
     Ok(inner)
 }
 
+// Per-forwarded-packet counters.
+static FORWARDED: Counter = Counter::new("iptp.forwarded");
+static OVERHEAD_BYTES: Counter = Counter::new("iptp.overhead_bytes");
+
 /// The Packet Forwarding Server: a home-network router that intercepts
 /// and tunnels its mobile hosts' packets.
 #[derive(Debug)]
@@ -184,10 +188,6 @@ pub struct PfsNode {
     pub autonomous_notifications: bool,
     bindings: HashMap<Ipv4Addr, Ipv4Addr>,
     notified: HashSet<(Ipv4Addr, Ipv4Addr)>,
-    // Per-forwarded-packet counters, cached to keep tunneling free of
-    // name hashing.
-    forwarded: Counter,
-    overhead_bytes: Counter,
 }
 
 impl PfsNode {
@@ -199,8 +199,6 @@ impl PfsNode {
             autonomous_notifications: true,
             bindings: HashMap::new(),
             notified: HashSet::new(),
-            forwarded: Counter::new("iptp.forwarded"),
-            overhead_bytes: Counter::new("iptp.overhead_bytes"),
         }
     }
 
@@ -229,8 +227,8 @@ impl Node for PfsNode {
                             ctx.stats().incr("iptp.no_binding");
                             return;
                         };
-                        self.forwarded.incr(ctx.stats());
-                        self.overhead_bytes.add(ctx.stats(), IPTP_OVERHEAD as u64);
+                        FORWARDED.incr(ctx.stats());
+                        OVERHEAD_BYTES.add(ctx.stats(), IPTP_OVERHEAD as u64);
                         let sender = pkt.src;
                         let ident = self.stack.next_ident();
                         let mut outer = iptp_encapsulate(&pkt, self.self_addr(), temp, ident);

@@ -438,25 +438,20 @@ impl Node for VipRouterNode {
     }
 }
 
+// Per-data-packet counters.
+static DATA_SENT: Counter = Counter::new("vip.data_sent");
+static OVERHEAD_BYTES: Counter = Counter::new("vip.overhead_bytes");
+
 /// Common VIP endpoint behaviour shared by stationary and mobile hosts.
 #[derive(Debug)]
 struct VipEndpoint {
     vip: Ipv4Addr,
     cache: HashMap<Ipv4Addr, Ipv4Addr>,
-    // Per-data-packet counters, cached to keep the send path free of
-    // name hashing.
-    data_sent: Counter,
-    overhead_bytes: Counter,
 }
 
 impl VipEndpoint {
     fn new(vip: Ipv4Addr) -> VipEndpoint {
-        VipEndpoint {
-            vip,
-            cache: HashMap::new(),
-            data_sent: Counter::new("vip.data_sent"),
-            overhead_bytes: Counter::new("vip.overhead_bytes"),
-        }
+        VipEndpoint { vip, cache: HashMap::new() }
     }
 }
 
@@ -469,8 +464,8 @@ impl VipEndpoint {
         mut pkt: Ipv4Packet,
     ) {
         let phys_dst = self.cache.get(&pkt.dst).copied().unwrap_or(pkt.dst);
-        self.overhead_bytes.add(ctx.stats(), VIP_SHIM_LEN as u64);
-        self.data_sent.incr(ctx.stats());
+        OVERHEAD_BYTES.add(ctx.stats(), VIP_SHIM_LEN as u64);
+        DATA_SENT.incr(ctx.stats());
         ctx.tele_event(TeleEventKind::Encap { by_sender: true });
         vip_encapsulate(&mut pkt, phys_src, phys_dst);
         stack.send(ctx, pkt);

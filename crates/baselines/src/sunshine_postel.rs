@@ -436,6 +436,10 @@ impl Node for SpMobileNode {
     }
 }
 
+// Per-data-packet counters.
+static VIA_FORWARDER: Counter = Counter::new("sp.data_via_forwarder");
+static OVERHEAD_BYTES: Counter = Counter::new("sp.overhead_bytes");
+
 /// A correspondent host under the Sunshine–Postel protocol: queries the
 /// directory before sending, re-queries on host-unreachable.
 #[derive(Debug)]
@@ -449,10 +453,6 @@ pub struct SpHostNode {
     bindings: HashMap<Ipv4Addr, Ipv4Addr>, // dst -> forwarder (0 = plain)
     pending: HashMap<Ipv4Addr, Vec<Ipv4Packet>>,
     recent: HashMap<Ipv4Addr, Vec<Ipv4Packet>>,
-    // Per-data-packet counters, cached to keep the send path free of
-    // name hashing.
-    via_forwarder: Counter,
-    overhead_bytes: Counter,
 }
 
 /// How many recently sent packets are kept per destination for
@@ -469,8 +469,6 @@ impl SpHostNode {
             bindings: HashMap::new(),
             pending: HashMap::new(),
             recent: HashMap::new(),
-            via_forwarder: Counter::new("sp.data_via_forwarder"),
-            overhead_bytes: Counter::new("sp.overhead_bytes"),
         }
     }
 
@@ -485,8 +483,8 @@ impl SpHostNode {
             Some(&fwd) => {
                 self.remember(dst, &pkt);
                 let mut pkt = pkt;
-                self.via_forwarder.incr(ctx.stats());
-                self.overhead_bytes.add(ctx.stats(), SP_SHIM_LEN as u64);
+                VIA_FORWARDER.incr(ctx.stats());
+                OVERHEAD_BYTES.add(ctx.stats(), SP_SHIM_LEN as u64);
                 encapsulate(&mut pkt, fwd);
                 self.stack.send(ctx, pkt);
             }

@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use ip::icmp::{IcmpMessage, LocationUpdate, LocationUpdateCode};
 use ip::ipv4::Ipv4Packet;
 use ip::proto;
-use netsim::{Counter, Ctx, TeleEventKind};
+use netsim::{Ctx, TeleEventKind};
 use netstack::IpStack;
 
 use crate::auth::AuthGate;
@@ -35,39 +35,23 @@ fn with_original(msg: &IcmpMessage, original: Vec<u8>) -> IcmpMessage {
     }
 }
 
-/// Cached [`Counter`] handles for the cache agent's per-packet counters
-/// (everything bumped on the tunneling/update fast paths).
-#[derive(Debug)]
-pub(crate) struct CaCounters {
-    pub(crate) tunneled_by_sender: Counter,
-    tunneled_by_router: Counter,
-    pub(crate) overhead_bytes: Counter,
-    updates_sent: Counter,
-    updates_received: Counter,
-    updates_snooped: Counter,
-    updates_rate_limited: Counter,
-    cache_evictions: Counter,
-    rate_limit_evictions: Counter,
-    rate_limit_readmitted: Counter,
-    poison_dropped: Counter,
-}
+/// The cache agent's per-packet counters (everything bumped on the
+/// tunneling/update fast paths); the other roles count their tunneling
+/// overhead here too.
+pub(crate) mod counters {
+    use netsim::Counter;
 
-impl CaCounters {
-    const fn new() -> CaCounters {
-        CaCounters {
-            tunneled_by_sender: Counter::new("mhrp.tunneled_by_sender"),
-            tunneled_by_router: Counter::new("mhrp.tunneled_by_router_ca"),
-            overhead_bytes: Counter::new("mhrp.overhead_bytes"),
-            updates_sent: Counter::new("mhrp.updates_sent"),
-            updates_received: Counter::new("mhrp.updates_received"),
-            updates_snooped: Counter::new("mhrp.updates_snooped"),
-            updates_rate_limited: Counter::new("mhrp.updates_rate_limited"),
-            cache_evictions: Counter::new("mhrp.cache.evictions"),
-            rate_limit_evictions: Counter::new("mhrp.rate_limit.evictions"),
-            rate_limit_readmitted: Counter::new("mhrp.rate_limit.readmitted"),
-            poison_dropped: Counter::new("mhrp.cache.poison_dropped"),
-        }
-    }
+    pub(crate) static TUNNELED_BY_SENDER: Counter = Counter::new("mhrp.tunneled_by_sender");
+    pub(crate) static TUNNELED_BY_ROUTER: Counter = Counter::new("mhrp.tunneled_by_router_ca");
+    pub(crate) static OVERHEAD_BYTES: Counter = Counter::new("mhrp.overhead_bytes");
+    pub(crate) static UPDATES_SENT: Counter = Counter::new("mhrp.updates_sent");
+    pub(crate) static UPDATES_RECEIVED: Counter = Counter::new("mhrp.updates_received");
+    pub(crate) static UPDATES_SNOOPED: Counter = Counter::new("mhrp.updates_snooped");
+    pub(crate) static UPDATES_RATE_LIMITED: Counter = Counter::new("mhrp.updates_rate_limited");
+    pub(crate) static CACHE_EVICTIONS: Counter = Counter::new("mhrp.cache.evictions");
+    pub(crate) static RATE_LIMIT_EVICTIONS: Counter = Counter::new("mhrp.rate_limit.evictions");
+    pub(crate) static RATE_LIMIT_READMITTED: Counter = Counter::new("mhrp.rate_limit.readmitted");
+    pub(crate) static POISON_DROPPED: Counter = Counter::new("mhrp.cache.poison_dropped");
 }
 
 /// Shared cache-agent state and behaviour.
@@ -85,7 +69,6 @@ pub struct CacheAgentCore {
     /// updates carry a MAC and incoming ones are verified (forgeries are
     /// dropped and counted as `mhrp.cache.poison_dropped`).
     gate: AuthGate,
-    pub(crate) counters: CaCounters,
     /// Eviction totals already published to the stats sink, so only the
     /// delta is added on the next publish.
     reported_cache_evictions: u64,
@@ -106,7 +89,6 @@ impl CacheAgentCore {
             max_prev_sources: config.effective_max_prev_sources(),
             detect_loops: config.detect_loops,
             gate: AuthGate::new(config.auth_key),
-            counters: CaCounters::new(),
             reported_cache_evictions: 0,
             reported_rate_evictions: 0,
             reported_rate_readmissions: 0,
@@ -118,22 +100,18 @@ impl CacheAgentCore {
     fn publish_evictions(&mut self, ctx: &mut Ctx<'_>) {
         let cache_total = self.cache.evictions();
         if cache_total > self.reported_cache_evictions {
-            self.counters
-                .cache_evictions
-                .add(ctx.stats(), cache_total - self.reported_cache_evictions);
+            counters::CACHE_EVICTIONS.add(ctx.stats(), cache_total - self.reported_cache_evictions);
             self.reported_cache_evictions = cache_total;
         }
         let rate_total = self.rate.evictions();
         if rate_total > self.reported_rate_evictions {
-            self.counters
-                .rate_limit_evictions
+            counters::RATE_LIMIT_EVICTIONS
                 .add(ctx.stats(), rate_total - self.reported_rate_evictions);
             self.reported_rate_evictions = rate_total;
         }
         let readmit_total = self.rate.readmissions();
         if readmit_total > self.reported_rate_readmissions {
-            self.counters
-                .rate_limit_readmitted
+            counters::RATE_LIMIT_READMITTED
                 .add(ctx.stats(), readmit_total - self.reported_rate_readmissions);
             self.reported_rate_readmissions = readmit_total;
         }
@@ -157,10 +135,10 @@ impl CacheAgentCore {
         let allowed = self.rate.allow(to, ctx.now());
         self.publish_evictions(ctx);
         if !allowed {
-            self.counters.updates_rate_limited.incr(ctx.stats());
+            counters::UPDATES_RATE_LIMITED.incr(ctx.stats());
             return;
         }
-        self.counters.updates_sent.incr(ctx.stats());
+        counters::UPDATES_SENT.incr(ctx.stats());
         let mac = self.gate.sign_update(code, mobile, foreign_agent);
         let msg = IcmpMessage::LocationUpdate(LocationUpdate { code, mobile, foreign_agent, mac });
         stack.send_icmp(ctx, to, &msg, None);
@@ -170,9 +148,9 @@ impl CacheAgentCore {
     /// authentication on, an update without a valid MAC is a poisoning
     /// attempt: it is dropped and counted instead of applied.
     pub fn on_update(&mut self, ctx: &mut Ctx<'_>, update: &LocationUpdate) {
-        self.counters.updates_received.incr(ctx.stats());
+        counters::UPDATES_RECEIVED.incr(ctx.stats());
         if !self.gate.update_authentic(update) {
-            self.counters.poison_dropped.incr(ctx.stats());
+            counters::POISON_DROPPED.incr(ctx.stats());
             ctx.tele_event(TeleEventKind::PoisonDrop);
             return;
         }
@@ -205,12 +183,12 @@ impl CacheAgentCore {
                 // cached, but the packet is still forwarded (the final
                 // recipient does its own verification and counting).
                 if self.gate.update_authentic(&lu) {
-                    self.counters.updates_snooped.incr(ctx.stats());
+                    counters::UPDATES_SNOOPED.incr(ctx.stats());
                     ctx.tele_event(TeleEventKind::CacheUpdate);
                     self.cache.apply_update(&lu, ctx.now());
                     self.publish_evictions(ctx);
                 } else {
-                    self.counters.poison_dropped.incr(ctx.stats());
+                    counters::POISON_DROPPED.incr(ctx.stats());
                     ctx.tele_event(TeleEventKind::PoisonDrop);
                 }
                 return Some(pkt);
@@ -220,9 +198,9 @@ impl CacheAgentCore {
             return Some(pkt);
         };
         let agent = stack.primary_addr();
-        self.counters.tunneled_by_router.incr(ctx.stats());
+        counters::TUNNELED_BY_ROUTER.incr(ctx.stats());
         // §4.2: an agent-built header is 12 octets.
-        self.counters.overhead_bytes.add(ctx.stats(), 12);
+        counters::OVERHEAD_BYTES.add(ctx.stats(), 12);
         ctx.tele_event(TeleEventKind::CacheHit);
         ctx.tele_event(TeleEventKind::Encap { by_sender: false });
         tunnel::encapsulate(&mut pkt, agent, fa, false);

@@ -22,6 +22,10 @@ pub const ADVERT_TIMER_BIT: u64 = 1 << 61;
 /// practice.
 const ADVERT_EPOCH_MASK: u64 = ADVERT_TIMER_BIT - 1;
 
+// Bumped once per advertisement: a per-second × per-cell path at
+// mega-world scale.
+static ADVERTS_SENT: Counter = Counter::new("mhrp.adverts_sent");
+
 /// Periodically broadcasts agent advertisements on a set of interfaces.
 #[derive(Debug)]
 pub struct Advertiser {
@@ -47,9 +51,6 @@ pub struct Advertiser {
     /// switching would change the typed-event logs that the determinism
     /// suite and the golden replay fixtures pin byte-for-byte.
     epoch: u64,
-    // Bumped once per advertisement — a per-second × per-cell path at
-    // mega-world scale, so the handle is cached.
-    adverts_sent: Counter,
 }
 
 impl Advertiser {
@@ -60,16 +61,7 @@ impl Advertiser {
         foreign: bool,
         interval: SimDuration,
     ) -> Advertiser {
-        Advertiser {
-            home,
-            foreign,
-            ifaces,
-            interval,
-            seq: 0,
-            running: false,
-            epoch: 0,
-            adverts_sent: Counter::new("mhrp.adverts_sent"),
-        }
+        Advertiser { home, foreign, ifaces, interval, seq: 0, running: false, epoch: 0 }
     }
 
     /// Begins periodic advertisement (call from `Node::on_start`, and
@@ -138,7 +130,7 @@ impl Advertiser {
         )
         .with_ident(ident)
         .with_ttl(1);
-        self.adverts_sent.incr(ctx.stats());
+        ADVERTS_SENT.incr(ctx.stats());
         stack.send_link_broadcast(ctx, iface, pkt);
     }
 }

@@ -28,6 +28,12 @@ pub struct Visitor {
     pub home_agent: Option<Ipv4Addr>,
 }
 
+// Per-data-packet and per-registration counters.
+static FA_DELIVERED: Counter = Counter::new("mhrp.fa_delivered");
+static FA_TUNNELED_HOME: Counter = Counter::new("mhrp.fa_tunneled_home");
+static FA_REGISTRATIONS: Counter = Counter::new("mhrp.fa_registrations");
+static FA_DEREGISTRATIONS: Counter = Counter::new("mhrp.fa_deregistrations");
+
 /// The foreign-agent role state.
 #[derive(Debug)]
 pub struct ForeignAgentCore {
@@ -54,12 +60,6 @@ pub struct ForeignAgentCore {
     /// recovery updates must carry a valid MAC before this agent
     /// "believes the home agent".
     gate: AuthGate,
-    // Per-data-packet counters, cached so tunnel delivery stays free of
-    // name hashing.
-    delivered: Counter,
-    tunneled_home: Counter,
-    registrations: Counter,
-    deregistrations: Counter,
 }
 
 impl ForeignAgentCore {
@@ -73,10 +73,6 @@ impl ForeignAgentCore {
             visitors: HashMap::new(),
             pending_verify: HashSet::new(),
             gate: AuthGate::new(config.auth_key),
-            delivered: Counter::new("mhrp.fa_delivered"),
-            tunneled_home: Counter::new("mhrp.fa_tunneled_home"),
-            registrations: Counter::new("mhrp.fa_registrations"),
-            deregistrations: Counter::new("mhrp.fa_deregistrations"),
         }
     }
 
@@ -123,7 +119,7 @@ impl ForeignAgentCore {
                 if !self.gate.admit(ctx, msg, auth) {
                     return true;
                 }
-                self.registrations.incr(ctx.stats());
+                FA_REGISTRATIONS.incr(ctx.stats());
                 self.visitors.insert(mobile, Visitor { home_agent: Some(home_agent) });
                 self.pending_verify.remove(&mobile);
                 // A registration supersedes any stale forwarding pointer.
@@ -146,7 +142,7 @@ impl ForeignAgentCore {
                     self.gate.reject(ctx);
                     return true;
                 }
-                self.deregistrations.incr(ctx.stats());
+                FA_DEREGISTRATIONS.incr(ctx.stats());
                 self.visitors.remove(&mobile);
                 if self.forwarding_pointers && !new_fa.is_unspecified() {
                     // §2: keep a "forwarding pointer" as an ordinary cache
@@ -204,7 +200,7 @@ impl ForeignAgentCore {
             }
             match tunnel::decapsulate(&mut pkt) {
                 Ok(_) => {
-                    self.delivered.incr(ctx.stats());
+                    FA_DELIVERED.incr(ctx.stats());
                     ctx.tele_event(TeleEventKind::Decap);
                     stack.send_direct(ctx, self.local_iface, pkt);
                 }
@@ -229,7 +225,7 @@ impl ForeignAgentCore {
                 None => {
                     // Tunnel to the mobile host's home IP address; the home
                     // agent intercepts it there.
-                    self.tunneled_home.incr(ctx.stats());
+                    FA_TUNNELED_HOME.incr(ctx.stats());
                     mobile
                 }
             },
@@ -243,7 +239,7 @@ impl ForeignAgentCore {
             ca.detect_loops,
         ) {
             Ok(tunnel::Retunnel::Forward { truncation_updates }) => {
-                ca.counters.overhead_bytes.add(ctx.stats(), 4); // §4.4: +4 per re-tunnel
+                crate::agent::counters::OVERHEAD_BYTES.add(ctx.stats(), 4); // §4.4: +4 per re-tunnel
                 ctx.tele_event(TeleEventKind::Retunnel);
                 for node in truncation_updates {
                     ca.send_update(stack, ctx, node, mobile, new_dst, LocationUpdateCode::Bind);

@@ -22,6 +22,11 @@ use crate::config::MhrpConfig;
 use crate::messages::{AuthExt, ControlMessage};
 use crate::tunnel;
 
+// Per-intercepted-packet and per-registration counters.
+static HA_TUNNELED: Counter = Counter::new("mhrp.ha_tunneled");
+static HA_REGISTRATIONS: Counter = Counter::new("mhrp.ha_registrations");
+static HA_ACKS_TUNNELED: Counter = Counter::new("mhrp.ha_acks_tunneled");
+
 /// The home-agent role state.
 #[derive(Debug)]
 pub struct HomeAgentCore {
@@ -51,11 +56,6 @@ pub struct HomeAgentCore {
     /// signed and `HaSync` is accepted only from the configured replica
     /// set.
     gate: AuthGate,
-    // Per-intercepted-packet counter, cached so the tunnel fast path
-    // stays free of name hashing.
-    tunneled: Counter,
-    registrations: Counter,
-    acks_tunneled: Counter,
 }
 
 impl HomeAgentCore {
@@ -71,9 +71,6 @@ impl HomeAgentCore {
             bindings: HashMap::new(),
             disk: config.home_agent_disk.then(HashMap::new),
             gate: AuthGate::new(config.auth_key),
-            tunneled: Counter::new("mhrp.ha_tunneled"),
-            registrations: Counter::new("mhrp.ha_registrations"),
-            acks_tunneled: Counter::new("mhrp.ha_acks_tunneled"),
         }
     }
 
@@ -206,7 +203,7 @@ impl HomeAgentCore {
             }
             _ => return false,
         };
-        self.registrations.incr(ctx.stats());
+        HA_REGISTRATIONS.incr(ctx.stats());
         self.apply_binding(stack, ctx, mobile, fa);
         // §2: keep replicas' view of the database consistent.
         let replicas = self.replicas.clone();
@@ -248,7 +245,7 @@ impl HomeAgentCore {
         let mut pkt =
             Ipv4Packet::new(self_addr, src, proto::UDP, datagram.encode()).with_ident(ident);
         if let Some(fa) = self.bindings.get(&src).copied() {
-            self.acks_tunneled.incr(ctx.stats());
+            HA_ACKS_TUNNELED.incr(ctx.stats());
             tunnel::encapsulate(&mut pkt, self_addr, fa, false);
         }
         pkt
@@ -315,7 +312,7 @@ impl HomeAgentCore {
                 ca.detect_loops,
             ) {
                 Ok(tunnel::Retunnel::Forward { truncation_updates }) => {
-                    ca.counters.overhead_bytes.add(ctx.stats(), 4);
+                    crate::agent::counters::OVERHEAD_BYTES.add(ctx.stats(), 4);
                     ctx.tele_event(TeleEventKind::Retunnel);
                     for node in truncation_updates {
                         ca.send_update(stack, ctx, node, mobile, fa, LocationUpdateCode::Bind);
@@ -350,8 +347,8 @@ impl HomeAgentCore {
                 ctx.stats().incr("mhrp.ha_intercept_stale");
                 return;
             };
-            self.tunneled.incr(ctx.stats());
-            ca.counters.overhead_bytes.add(ctx.stats(), 12);
+            HA_TUNNELED.incr(ctx.stats());
+            crate::agent::counters::OVERHEAD_BYTES.add(ctx.stats(), 12);
             ctx.tele_event(TeleEventKind::Encap { by_sender: false });
             let sender = pkt.src;
             let self_addr = stack

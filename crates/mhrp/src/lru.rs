@@ -40,9 +40,18 @@ struct Slot<V> {
 /// used entry (head, the eviction victim) to the most recently used
 /// (tail). [`LruMap::touch`] and [`LruMap::insert`] move an entry to the
 /// tail; nothing else reorders.
+///
+/// The index, slab and list sit behind one box allocated by the first
+/// insert, so a table nobody inserts into (an idle host's cache and both
+/// rate-limiter lists) costs two words and no heap.
 #[derive(Debug, Clone)]
 pub struct LruMap<V> {
     capacity: usize,
+    table: Option<Box<Table<V>>>,
+}
+
+#[derive(Debug, Clone)]
+struct Table<V> {
     index: HashMap<Ipv4Addr, usize>,
     slots: Vec<Slot<V>>,
     free: Vec<usize>,
@@ -53,24 +62,14 @@ pub struct LruMap<V> {
 
 impl<V> LruMap<V> {
     /// Creates a map holding at most `capacity` entries. Allocates
-    /// nothing: the index and the slab grow with the entries, so a table
-    /// nobody inserts into (an idle host's cache and rate limiter) costs
-    /// only this struct.
+    /// nothing until the first insert.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> LruMap<V> {
         assert!(capacity > 0, "LRU capacity must be positive");
-        LruMap {
-            capacity,
-            index: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            evictions: 0,
-        }
+        LruMap { capacity, table: None }
     }
 
     /// The configured capacity.
@@ -80,92 +79,100 @@ impl<V> LruMap<V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.table.as_ref().map_or(0, |t| t.index.len())
     }
 
     /// Whether the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Total entries evicted (not removed) since construction. Monotonic;
     /// survives [`LruMap::clear`] so callers can report per-run deltas.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.table.as_ref().map_or(0, |t| t.evictions)
     }
 
     /// Shared access to the value for `key` without touching recency.
     pub fn peek(&self, key: Ipv4Addr) -> Option<&V> {
-        let &slot = self.index.get(&key)?;
-        self.slots[slot].value.as_ref()
+        let t = self.table.as_ref()?;
+        let &slot = t.index.get(&key)?;
+        t.slots[slot].value.as_ref()
     }
 
     /// Mutable access to the value for `key` without touching recency.
     pub fn peek_mut(&mut self, key: Ipv4Addr) -> Option<&mut V> {
-        let &slot = self.index.get(&key)?;
-        self.slots[slot].value.as_mut()
+        let t = self.table.as_mut()?;
+        let &slot = t.index.get(&key)?;
+        t.slots[slot].value.as_mut()
     }
 
     /// Marks `key` most recently used and returns its value, or `None`
     /// when absent.
     pub fn touch(&mut self, key: Ipv4Addr) -> Option<&mut V> {
-        let &slot = self.index.get(&key)?;
-        self.unlink(slot);
-        self.push_back(slot);
-        self.slots[slot].value.as_mut()
+        let t = self.table.as_mut()?;
+        let &slot = t.index.get(&key)?;
+        t.unlink(slot);
+        t.push_back(slot);
+        t.slots[slot].value.as_mut()
     }
 
     /// Inserts or replaces the value for `key`, marking it most recently
     /// used. When the key is new and the map is full, the least recently
     /// used entry is evicted first and returned as `(key, value)`.
     pub fn insert(&mut self, key: Ipv4Addr, value: V) -> Option<(Ipv4Addr, V)> {
-        if let Some(&slot) = self.index.get(&key) {
-            self.slots[slot].value = Some(value);
-            self.unlink(slot);
-            self.push_back(slot);
+        let t = self.table.get_or_insert_with(|| {
+            Box::new(Table {
+                index: HashMap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                evictions: 0,
+            })
+        });
+        if let Some(&slot) = t.index.get(&key) {
+            t.slots[slot].value = Some(value);
+            t.unlink(slot);
+            t.push_back(slot);
             return None;
         }
-        let evicted = if self.index.len() >= self.capacity {
-            debug_assert!(self.head != NIL, "full map must have a head");
-            let victim = self.slots[self.head].key;
-            let v = self.remove(victim).expect("victim is live");
-            self.evictions += 1;
+        let evicted = if t.index.len() >= self.capacity {
+            debug_assert!(t.head != NIL, "full map must have a head");
+            let victim = t.slots[t.head].key;
+            let v = t.remove(victim).expect("victim is live");
+            t.evictions += 1;
             Some((victim, v))
         } else {
             None
         };
-        let slot = match self.free.pop() {
+        let slot = match t.free.pop() {
             Some(s) => {
-                self.slots[s] = Slot { key, value: Some(value), prev: NIL, next: NIL };
+                t.slots[s] = Slot { key, value: Some(value), prev: NIL, next: NIL };
                 s
             }
             None => {
-                self.slots.push(Slot { key, value: Some(value), prev: NIL, next: NIL });
-                self.slots.len() - 1
+                t.slots.push(Slot { key, value: Some(value), prev: NIL, next: NIL });
+                t.slots.len() - 1
             }
         };
-        self.index.insert(key, slot);
-        self.push_back(slot);
+        t.index.insert(key, slot);
+        t.push_back(slot);
         evicted
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: Ipv4Addr) -> Option<V> {
-        let slot = self.index.remove(&key)?;
-        self.unlink(slot);
-        self.free.push(slot);
-        self.slots[slot].value.take()
+        self.table.as_mut()?.remove(key)
     }
 
     /// Iterates `(key, &value)` from least to most recently used.
     /// Intended for tests and metrics, not hot paths.
     pub fn iter_lru(&self) -> impl Iterator<Item = (Ipv4Addr, &V)> {
-        let mut cursor = self.head;
+        let table = self.table.as_deref();
+        let mut cursor = table.map_or(NIL, |t| t.head);
         std::iter::from_fn(move || {
-            if cursor == NIL {
-                return None;
-            }
-            let slot = &self.slots[cursor];
+            let slot = table?.slots.get(cursor)?;
             cursor = slot.next;
             Some((slot.key, slot.value.as_ref().expect("listed slot is live")))
         })
@@ -173,21 +180,29 @@ impl<V> LruMap<V> {
 
     /// The current eviction victim (least recently used key), if any.
     pub fn lru_key(&self) -> Option<Ipv4Addr> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(self.slots[self.head].key)
-        }
+        let t = self.table.as_ref()?;
+        t.slots.get(t.head).map(|slot| slot.key)
     }
 
     /// Drops every entry (volatile state on reboot). The eviction total
-    /// is preserved; the slab is released.
+    /// is preserved.
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        if let Some(t) = &mut self.table {
+            t.index.clear();
+            t.slots.clear();
+            t.free.clear();
+            t.head = NIL;
+            t.tail = NIL;
+        }
+    }
+}
+
+impl<V> Table<V> {
+    fn remove(&mut self, key: Ipv4Addr) -> Option<V> {
+        let slot = self.index.remove(&key)?;
+        self.unlink(slot);
+        self.free.push(slot);
+        self.slots[slot].value.take()
     }
 
     fn unlink(&mut self, slot: usize) {

@@ -12,6 +12,7 @@
 //! [`MobileHostCore::adopt_own_fa`].
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use ip::icmp::{AgentAdvertisement, LocationUpdateCode};
 use ip::ipv4::Ipv4Packet;
@@ -106,29 +107,17 @@ impl Pending {
     }
 }
 
-/// Cached [`netsim::Counter`] handles for the per-packet delivery path
-/// (every tunneled packet delivered to this host walks these).
-#[derive(Debug)]
-struct MhCounters {
-    decapsulated: netsim::Counter,
-    not_for_us: netsim::Counter,
-    malformed: netsim::Counter,
-    solicits_sent: netsim::Counter,
-    moves: netsim::Counter,
-    registration_msgs: netsim::Counter,
-}
+/// The mobile host's counters (every tunneled packet delivered to a host
+/// walks the first three).
+mod counters {
+    use netsim::Counter;
 
-impl MhCounters {
-    const fn new() -> MhCounters {
-        MhCounters {
-            decapsulated: netsim::Counter::new("mhrp.mh_decapsulated"),
-            not_for_us: netsim::Counter::new("mhrp.mh_not_for_us"),
-            malformed: netsim::Counter::new("mhrp.mh_malformed"),
-            solicits_sent: netsim::Counter::new("mhrp.solicits_sent"),
-            moves: netsim::Counter::new("mhrp.mh_moves"),
-            registration_msgs: netsim::Counter::new("mhrp.registration_msgs_sent"),
-        }
-    }
+    pub(super) static DECAPSULATED: Counter = Counter::new("mhrp.mh_decapsulated");
+    pub(super) static NOT_FOR_US: Counter = Counter::new("mhrp.mh_not_for_us");
+    pub(super) static MALFORMED: Counter = Counter::new("mhrp.mh_malformed");
+    pub(super) static SOLICITS_SENT: Counter = Counter::new("mhrp.solicits_sent");
+    pub(super) static MOVES: Counter = Counter::new("mhrp.mh_moves");
+    pub(super) static REGISTRATION_MSGS: Counter = Counter::new("mhrp.registration_msgs_sent");
 }
 
 /// The mobile-host protocol engine.
@@ -148,7 +137,9 @@ pub struct MobileHostCore {
     pub state: Attachment,
     /// Observation counters.
     pub stats: MobilityStats,
-    config: MhrpConfig,
+    /// Protocol parameters, one copy shared by every host of a world
+    /// that was built from the same `Arc`.
+    config: Arc<MhrpConfig>,
     old_fa: Option<Ipv4Addr>,
     /// The regional agent owning the current cell's registration domain
     /// (learned from [`ControlMessage::FaRegisterAckRegional`]); `None`
@@ -168,7 +159,6 @@ pub struct MobileHostCore {
     pending_ha: Option<Pending>,
     pending_old_fa: Option<Pending>,
     pending_old_reg: Option<Pending>,
-    counters: MhCounters,
     /// Bumped on every (re)start so periodic timers armed before a crash
     /// are recognisably stale after the reboot (the low byte of the
     /// watchdog token carries it).
@@ -185,14 +175,15 @@ pub struct MobileHostCore {
 impl MobileHostCore {
     /// Creates the engine. The host starts [`Attachment::Searching`];
     /// call [`MobileHostCore::start`] from `Node::on_start` to attach at
-    /// home and arm the watchdog.
+    /// home and arm the watchdog. Pass an `Arc` to share one `config`
+    /// among many hosts.
     pub fn new(
         iface: IfaceId,
         home_addr: Ipv4Addr,
         home_prefix: Prefix,
         home_agent: Ipv4Addr,
         home_gateway: Ipv4Addr,
-        config: MhrpConfig,
+        config: impl Into<Arc<MhrpConfig>>,
     ) -> MobileHostCore {
         MobileHostCore {
             home_addr,
@@ -202,7 +193,7 @@ impl MobileHostCore {
             iface,
             state: Attachment::Searching,
             stats: MobilityStats::default(),
-            config,
+            config: config.into(),
             old_fa: None,
             regional: None,
             old_regional: None,
@@ -213,7 +204,6 @@ impl MobileHostCore {
             pending_ha: None,
             pending_old_fa: None,
             pending_old_reg: None,
-            counters: MhCounters::new(),
             epoch: 0,
         }
     }
@@ -358,7 +348,7 @@ impl MobileHostCore {
             return;
         }
         self.stats.solicits_sent += 1;
-        self.counters.solicits_sent.incr(ctx.stats());
+        counters::SOLICITS_SENT.incr(ctx.stats());
         let msg = ip::icmp::IcmpMessage::AgentSolicitation;
         let ident = stack.next_ident();
         let pkt =
@@ -400,7 +390,7 @@ impl MobileHostCore {
             }
             self.old_fa = Some(prev);
         }
-        self.counters.moves.incr(ctx.stats());
+        counters::MOVES.incr(ctx.stats());
         self.stats.moves += 1;
         self.reg_started = Some(ctx.now());
         self.configure_foreign_stack(stack, fa);
@@ -570,7 +560,7 @@ impl MobileHostCore {
             _ => self.pending_old_reg,
         };
         let Some(p) = pending else { return };
-        self.counters.registration_msgs.incr(ctx.stats());
+        counters::REGISTRATION_MSGS.incr(ctx.stats());
         let auth = p.seq.zip(self.config.auth_key).map(|(seq, key)| auth::sign(key, &p.msg, seq));
         // Control traffic is sourced from the home address like all our
         // traffic (§2: the mobile host "always uses only its home address").
@@ -784,12 +774,12 @@ impl MobileHostCore {
         let header = match tunnel::decapsulate(&mut pkt) {
             Ok(h) => h,
             Err(_) => {
-                self.counters.malformed.incr(ctx.stats());
+                counters::MALFORMED.incr(ctx.stats());
                 return None;
             }
         };
         if header.mobile != self.home_addr {
-            self.counters.not_for_us.incr(ctx.stats());
+            counters::NOT_FOR_US.incr(ctx.stats());
             return None;
         }
         // §6.3: tell everyone who handled this packet where we really are.
@@ -807,7 +797,7 @@ impl MobileHostCore {
         for t in targets {
             ca.send_update(stack, ctx, t, self.home_addr, fa, code);
         }
-        self.counters.decapsulated.incr(ctx.stats());
+        counters::DECAPSULATED.incr(ctx.stats());
         Some(pkt)
     }
 }

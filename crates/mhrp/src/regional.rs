@@ -49,6 +49,11 @@ struct PendingUpstream {
     interval: SimDuration,
 }
 
+// Per-packet and per-handoff counters.
+static REG_REGISTRATIONS: Counter = Counter::new("mhrp.reg_registrations");
+static REG_HANDOFFS_LOCAL: Counter = Counter::new("mhrp.reg_handoffs_local");
+static REG_RETUNNELED: Counter = Counter::new("mhrp.reg_retunneled");
+
 /// The regional-agent role state.
 #[derive(Debug)]
 pub struct RegionalAgentCore {
@@ -70,10 +75,6 @@ pub struct RegionalAgentCore {
     /// be signed, exactly like the cell foreign agents' registrations,
     /// and the upstream `HaRegister` is signed in turn.
     gate: AuthGate,
-    // Cached handles for the per-packet/per-handoff paths.
-    registrations: Counter,
-    handoffs_local: Counter,
-    retunneled: Counter,
 }
 
 impl RegionalAgentCore {
@@ -91,9 +92,6 @@ impl RegionalAgentCore {
             pending_upstream: HashMap::new(),
             seq: 0,
             gate: AuthGate::new(config.auth_key),
-            registrations: Counter::new("mhrp.reg_registrations"),
-            handoffs_local: Counter::new("mhrp.reg_handoffs_local"),
-            retunneled: Counter::new("mhrp.reg_retunneled"),
         }
     }
 
@@ -158,7 +156,7 @@ impl RegionalAgentCore {
                 if !self.gate.admit(ctx, msg, auth) {
                     return true;
                 }
-                self.registrations.incr(ctx.stats());
+                REG_REGISTRATIONS.incr(ctx.stats());
                 let prior = self.bindings.get(&mobile).map(|b| b.cell_fa);
                 self.bindings.insert(mobile, RegionalBinding { cell_fa: fa, home_agent });
                 self.journal(mobile);
@@ -179,7 +177,7 @@ impl RegionalAgentCore {
                         // intra-region handoff (or refresh) ends here. This
                         // is the hierarchical win — no backbone round trip.
                         if old_fa != fa {
-                            self.handoffs_local.incr(ctx.stats());
+                            REG_HANDOFFS_LOCAL.incr(ctx.stats());
                         }
                     }
                     None => {
@@ -380,8 +378,8 @@ impl RegionalAgentCore {
             ca.detect_loops,
         ) {
             Ok(tunnel::Retunnel::Forward { truncation_updates }) => {
-                self.retunneled.incr(ctx.stats());
-                ca.counters.overhead_bytes.add(ctx.stats(), 4);
+                REG_RETUNNELED.incr(ctx.stats());
+                crate::agent::counters::OVERHEAD_BYTES.add(ctx.stats(), 4);
                 ctx.tele_event(TeleEventKind::Retunnel);
                 for node in truncation_updates {
                     ca.send_update(stack, ctx, node, mobile, new_dst, LocationUpdateCode::Bind);

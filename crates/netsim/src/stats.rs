@@ -2,40 +2,47 @@
 //! hot path.
 //!
 //! Counters live in a dense `Vec<u64>` indexed by [`MetricId`]; series in
-//! a dense `Vec` indexed by [`SeriesId`]. Names are interned once (the
-//! only allocation a counter ever costs) and the world's per-event
-//! counters are pre-registered as the constants in [`metric`], so the
-//! event loop updates them by direct index with no hashing at all.
+//! a dense `Vec` indexed by [`SeriesId`]. A counter name is interned once
+//! per *process*, in one registry that every [`Stats`] shares (pre-seeded
+//! with the constants in [`metric`]), so a counter's id is the same in
+//! every world and on every thread: protocol code bumps `static`
+//! [`Counter`] handles by direct index, with no hashing and no per-node
+//! copy of the handle. Each `Stats` still owns its values, so worlds
+//! never see each other's counts, and everything a `Stats` reports is
+//! keyed and ordered by name, never by id, so the order in which worlds
+//! first used their names does not show.
 //!
 //! The string API (`incr`/`add`/`counter`/`record`) remains for cold
-//! paths and tests; it costs one hash lookup and allocates only the first
-//! time a name is seen.
+//! paths and tests; it costs one registry lookup and allocates only the
+//! first time the process sees a name.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 use crate::time::SimTime;
 use telemetry::Histogram;
 
-/// Dense handle for a counter, issued by [`Stats::metric`].
+/// Dense handle for a counter, issued by [`Stats::metric`] or
+/// [`Counter::id`].
 ///
-/// Ids are only meaningful for the [`Stats`] that issued them — except
-/// the pre-registered constants in [`metric`], which are valid for every
-/// `Stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ids come from the process-wide name registry, so one id means the same
+/// counter in every [`Stats`]; the constants in [`metric`] hold the
+/// registry's first ids. Ids order by first registration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricId(pub(crate) u32);
 
 /// Dense handle for a time series, issued by [`Stats::series_metric`].
 ///
-/// Same validity rule as [`MetricId`]; the constants in [`metric`] are
-/// universal.
+/// Only meaningful for the [`Stats`] that issued it; the constants in
+/// [`metric`] are universal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeriesId(pub(crate) u32);
 
 /// Dense handle for a histogram, issued by [`Stats::histogram_metric`].
 ///
-/// Same validity rule as [`MetricId`].
+/// Only meaningful for the [`Stats`] that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistId(pub(crate) u32);
 
@@ -87,7 +94,7 @@ pub mod metric {
     /// while run loops stay bounded, quadratic in a burst when not.
     pub const SIM_SCHED_LATE_SCAN_STEPS: MetricId = MetricId(18);
 
-    /// Names backing the pre-registered counters, in id order.
+    /// Names the counter registry is seeded with, in id order.
     pub(super) const COUNTER_NAMES: [&str; 19] = [
         "link.frames_sent",
         "link.bytes_sent",
@@ -117,11 +124,8 @@ pub mod metric {
     pub(super) const SERIES_NAMES: [&str; 1] = ["sim.queue_depth"];
 }
 
-/// String-name interner: `Box<str>` keys shared with a dense name table.
-///
-/// Keys live in a `BTreeMap` so that *ordered* queries — in particular
-/// [`Stats::counter_prefix_sum`] — can range-scan just the names sharing
-/// a prefix instead of walking every metric. Interning and lookup stay
+/// Per-[`Stats`] name interner for series and histograms: `Box<str>`
+/// keys shared with a dense name table. Interning and lookup are
 /// O(log n), which is irrelevant off the hot path (hot call sites hold
 /// dense ids and never touch the map).
 #[derive(Debug, Default, Clone)]
@@ -146,14 +150,49 @@ impl Interner {
     fn get(&self, name: &str) -> Option<u32> {
         self.ids.get(name).copied()
     }
+}
 
-    /// Ids of every interned name starting with `prefix`, via an ordered
-    /// range scan (touches only the matching names). Allocation-free.
-    fn prefix_ids<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = u32> + 'a {
-        self.ids
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(name, _)| name.starts_with(prefix))
-            .map(|(_, &id)| id)
+/// The process-wide counter-name registry: name ↔ [`MetricId`], shared by
+/// every [`Stats`] and every [`Counter`]. Names are leaked into it, one
+/// allocation per distinct name for the life of the process. The keys
+/// are a `BTreeMap` so that [`Stats::counter_prefix_sum`] can range-scan
+/// just the names sharing a prefix.
+struct Registry {
+    ids: BTreeMap<&'static str, u32>,
+    names: Vec<&'static str>,
+}
+
+static REGISTRY: LazyLock<RwLock<Registry>> = LazyLock::new(|| {
+    let mut r = Registry { ids: BTreeMap::new(), names: Vec::new() };
+    for name in metric::COUNTER_NAMES {
+        r.ids.insert(name, r.names.len() as u32);
+        r.names.push(name);
+    }
+    RwLock::new(r)
+});
+
+impl Registry {
+    /// Runs `f` on the registry under its read lock. Every write leaves
+    /// the registry valid (a name is pushed before its id is published),
+    /// so a lock poisoned by a panic elsewhere is still read.
+    fn read<R>(f: impl FnOnce(&Registry) -> R) -> R {
+        f(&REGISTRY.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The id of `name`, registering it on first sight.
+    fn intern(name: &str) -> MetricId {
+        if let Some(id) = Registry::read(|r| r.ids.get(name).copied()) {
+            return MetricId(id);
+        }
+        let mut r = REGISTRY.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = r.ids.get(name) {
+            return MetricId(id); // another thread got there first
+        }
+        let id = r.names.len() as u32;
+        let name: &'static str = Box::leak(Box::from(name));
+        r.names.push(name);
+        r.ids.insert(name, id);
+        MetricId(id)
     }
 }
 
@@ -183,7 +222,7 @@ impl Interner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stats {
-    counter_names: Interner,
+    /// Values by registry id; ids past the end read as zero.
     counters: Vec<u64>,
     series_names: Interner,
     series: Vec<Vec<(SimTime, f64)>>,
@@ -198,33 +237,44 @@ impl Default for Stats {
 }
 
 impl Stats {
-    /// Creates a statistics hub with the [`metric`] constants
-    /// pre-registered.
+    /// Creates a statistics hub with room for the [`metric`] counters
+    /// and the [`metric`] series registered.
     pub fn new() -> Stats {
         let mut s = Stats {
-            counter_names: Interner::default(),
-            counters: Vec::new(),
+            counters: vec![0; metric::COUNTER_NAMES.len()],
             series_names: Interner::default(),
             series: Vec::new(),
             hist_names: Interner::default(),
             hists: Vec::new(),
         };
-        for name in metric::COUNTER_NAMES {
-            s.metric(name);
-        }
         for name in metric::SERIES_NAMES {
             s.series_metric(name);
         }
         s
     }
 
-    /// Interns counter `name`, returning its dense id. Idempotent.
+    /// Interns counter `name` in the process-wide registry and makes room
+    /// for it here, returning its dense id. Idempotent.
     pub fn metric(&mut self, name: &str) -> MetricId {
-        let id = self.counter_names.intern(name);
-        if id as usize >= self.counters.len() {
-            self.counters.resize(id as usize + 1, 0);
+        let id = Registry::intern(name);
+        self.reserve(id);
+        id
+    }
+
+    /// Grows the value table to hold `id`.
+    fn reserve(&mut self, id: MetricId) {
+        if id.0 as usize >= self.counters.len() {
+            self.counters.resize(id.0 as usize + 1, 0);
         }
-        MetricId(id)
+    }
+
+    /// [`Stats::add_id`] for an id this hub has no room for yet: the
+    /// first count a world makes of a name.
+    #[cold]
+    #[inline(never)]
+    fn add_new(&mut self, id: MetricId, amount: u64) {
+        self.reserve(id);
+        self.counters[id.0 as usize] += amount;
     }
 
     /// Interns series `name`, returning its dense id. Idempotent.
@@ -236,22 +286,27 @@ impl Stats {
         SeriesId(id)
     }
 
-    /// Increments counter `id` by one (direct index, allocation-free).
+    /// Increments counter `id` by one (direct index; allocates only the
+    /// first time this hub counts `id`).
     #[inline]
     pub fn incr_id(&mut self, id: MetricId) {
-        self.counters[id.0 as usize] += 1;
+        self.add_id(id, 1);
     }
 
-    /// Adds `amount` to counter `id` (direct index, allocation-free).
+    /// Adds `amount` to counter `id` (direct index; allocates only the
+    /// first time this hub counts `id`).
     #[inline]
     pub fn add_id(&mut self, id: MetricId, amount: u64) {
-        self.counters[id.0 as usize] += amount;
+        match self.counters.get_mut(id.0 as usize) {
+            Some(value) => *value += amount,
+            None => self.add_new(id, amount),
+        }
     }
 
-    /// Reads counter `id`.
+    /// Reads counter `id` (0 if never written here).
     #[inline]
     pub fn counter_id(&self, id: MetricId) -> u64 {
-        self.counters[id.0 as usize]
+        self.counters.get(id.0 as usize).copied().unwrap_or(0)
     }
 
     /// Appends a `(time, value)` sample to series `id`.
@@ -268,25 +323,31 @@ impl Stats {
         self.add(name, 1);
     }
 
-    /// Adds `amount` to counter `name` (one hash lookup; allocates only
-    /// the first time `name` is seen).
+    /// Adds `amount` to counter `name` (one registry lookup; allocates
+    /// only the first time `name` is seen).
     pub fn add(&mut self, name: &str, amount: u64) {
-        let id = self.metric(name);
-        self.counters[id.0 as usize] += amount;
+        let id = Registry::intern(name);
+        self.add_id(id, amount);
     }
 
     /// Reads counter `name` (0 if never written). Allocation-free.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_names.get(name).map(|id| self.counters[id as usize]).unwrap_or(0)
+        Registry::read(|r| r.ids.get(name).map_or(0, |&id| self.counter_id(MetricId(id))))
     }
 
     /// Sum of every counter whose name starts with `prefix`.
     ///
-    /// Allocation-free, and O(log n + matches) thanks to the interner's
+    /// Allocation-free, and O(log n + matches) thanks to the registry's
     /// sorted index — report generation sums many prefixes over many
     /// metrics, so this must not scan the whole table per prefix.
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counter_names.prefix_ids(prefix).map(|id| self.counters[id as usize]).sum()
+        Registry::read(|r| {
+            r.ids
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .map(|(_, &id)| self.counter_id(MetricId(id)))
+                .sum()
+        })
     }
 
     /// Appends a `(time, value)` sample to series `name` (one hash
@@ -356,14 +417,14 @@ impl Stats {
     /// Counters that were merely registered but never incremented are
     /// skipped, so pre-registration does not clutter reports.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut entries: Vec<(&str, u64)> = self
-            .counter_names
-            .names
-            .iter()
-            .zip(&self.counters)
-            .filter(|(_, v)| **v != 0)
-            .map(|(name, v)| (&**name, *v))
-            .collect();
+        let mut entries: Vec<(&str, u64)> = Registry::read(|r| {
+            self.counters
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| **v != 0)
+                .map(|(id, v)| (r.names[id], *v))
+                .collect()
+        });
         entries.sort_unstable_by_key(|(name, _)| *name);
         entries.into_iter()
     }
@@ -372,11 +433,11 @@ impl Stats {
     /// `self`, matching by name — for combining per-run statistics in
     /// experiments that simulate several worlds.
     pub fn merge(&mut self, other: &Stats) {
-        for (name, value) in other.counter_names.names.iter().zip(&other.counters) {
-            if *value != 0 {
-                let id = self.metric(name);
-                self.counters[id.0 as usize] += value;
-            }
+        if other.counters.len() > self.counters.len() {
+            self.counters.resize(other.counters.len(), 0);
+        }
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            *mine += theirs;
         }
         for (name, samples) in other.series_names.names.iter().zip(&other.series) {
             if !samples.is_empty() {
@@ -392,8 +453,8 @@ impl Stats {
         }
     }
 
-    /// Resets all counter values and series samples. Interned names (and
-    /// thus issued ids) remain valid.
+    /// Resets all counter values and series samples. Issued ids remain
+    /// valid.
     pub fn clear(&mut self) {
         self.counters.fill(0);
         for s in &mut self.series {
@@ -405,51 +466,64 @@ impl Stats {
     }
 }
 
-/// A lazily-interned counter handle for caching inside a node.
+/// A counter handle for protocol code: a `static`, shared by every node
+/// of every world on every thread.
 ///
-/// Nodes that bump the same counter on every packet construct one of
-/// these once (`const`-constructible) and call [`Counter::add`]; the
-/// first call interns the name, later calls are a direct index.
+/// ```rust
+/// use netsim::{Counter, Stats};
+/// static SENT: Counter = Counter::new("pkt.sent");
+/// let mut s = Stats::new();
+/// SENT.incr(&mut s); // first use anywhere: registers the name
+/// SENT.add(&mut s, 4); // then a direct index, no hashing
+/// assert_eq!(s.counter("pkt.sent"), 5);
+/// ```
 ///
-/// The cached id is only valid for one [`Stats`] instance, which holds
-/// because a node lives in exactly one world. The `Cell` makes the type
-/// `!Sync`, so it cannot be placed in a `static` and shared across
-/// worlds by accident.
-#[derive(Debug, Default)]
+/// The first use anywhere in the process interns the name in the
+/// registry every [`Stats`] shares and caches the id in an atomic; ids are
+/// process-wide, so the cached id is right for whichever world's `Stats`
+/// the next call passes. Nothing about a counter lives in a node.
+#[derive(Debug)]
 pub struct Counter {
     name: &'static str,
-    id: Cell<Option<MetricId>>,
-}
-
-impl Clone for Counter {
-    fn clone(&self) -> Counter {
-        // The clone may be installed in a different world; drop the
-        // cached id rather than carry one that indexes foreign Stats.
-        Counter::new(self.name)
-    }
+    /// The registry id, or [`Counter::UNSET`] before first use.
+    id: AtomicU32,
 }
 
 impl Counter {
+    const UNSET: u32 = u32::MAX;
+
     /// Creates a handle for `name` (nothing is interned yet).
     pub const fn new(name: &'static str) -> Counter {
-        Counter { name, id: Cell::new(None) }
+        Counter { name, id: AtomicU32::new(Counter::UNSET) }
     }
 
-    /// Adds `amount`, interning the name on first use.
+    /// This counter's registry id, interning the name on first use.
+    #[inline]
+    pub fn id(&self) -> MetricId {
+        // Acquire pairs with `register`'s Release: a thread that sees the
+        // id also sees the registry entry behind it.
+        match self.id.load(Ordering::Acquire) {
+            Counter::UNSET => self.register(),
+            id => MetricId(id),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn register(&self) -> MetricId {
+        // Racing threads intern the same name and so store the same id.
+        let id = Registry::intern(self.name);
+        self.id.store(id.0, Ordering::Release);
+        id
+    }
+
+    /// Adds `amount` to this counter in `stats`.
     #[inline]
     pub fn add(&self, stats: &mut Stats, amount: u64) {
-        let id = match self.id.get() {
-            Some(id) => id,
-            None => {
-                let id = stats.metric(self.name);
-                self.id.set(Some(id));
-                id
-            }
-        };
-        stats.add_id(id, amount);
+        stats.add_id(self.id(), amount);
     }
 
-    /// Increments by one, interning the name on first use.
+    /// Increments this counter in `stats` by one.
     #[inline]
     pub fn incr(&self, stats: &mut Stats) {
         self.add(stats, 1);
@@ -596,15 +670,16 @@ mod tests {
 
     #[test]
     fn counter_handle_caches_id() {
-        let c = Counter::new("handle.hits");
+        static HITS: Counter = Counter::new("handle.hits");
         let mut s = Stats::new();
-        c.incr(&mut s);
-        c.add(&mut s, 4);
+        HITS.incr(&mut s);
+        HITS.add(&mut s, 4);
         assert_eq!(s.counter("handle.hits"), 5);
-        // A clone starts uncached, so it is safe in another world.
-        let c2 = c.clone();
+        assert_eq!(HITS.id(), s.metric("handle.hits"));
+        // The same static counts into another world's hub on its own.
         let mut s2 = Stats::new();
-        c2.incr(&mut s2);
+        HITS.incr(&mut s2);
         assert_eq!(s2.counter("handle.hits"), 1);
+        assert_eq!(s.counter("handle.hits"), 5);
     }
 }

@@ -279,7 +279,11 @@ impl World {
         let mac = MacAddr::from_index(mac_index);
         self.mac_counter = self.mac_counter.max(mac_index + 1);
         let iface = IfaceId(self.bindings[node.0].len());
+        // Exact growth: most nodes have one interface, and a `Vec` would
+        // round each table up to four.
+        self.bindings[node.0].reserve_exact(1);
         self.bindings[node.0].push(IfaceBinding { mac, segment });
+        self.iface_infos[node.0].reserve_exact(1);
         self.iface_infos[node.0].push(IfaceInfo { mac, attached: segment.is_some() });
         if let Some(seg) = segment {
             self.segments[seg.0].attach(node, iface, mac);

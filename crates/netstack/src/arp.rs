@@ -61,6 +61,9 @@ impl ArpModule {
 
     fn slot(&mut self, iface: IfaceId) -> &mut IfaceArp {
         if self.ifaces.len() <= iface.0 {
+            // Exactly as many slots as interfaces: a `Vec` would round a
+            // host's one 144 B slot up to four.
+            self.ifaces.reserve_exact(iface.0 + 1 - self.ifaces.len());
             self.ifaces.resize_with(iface.0 + 1, IfaceArp::default);
         }
         &mut self.ifaces[iface.0]

@@ -48,6 +48,10 @@ pub fn handle_icmp_delivery(
     Some(msg)
 }
 
+/// Transit packets a [`RouterNode`] forwarded after holding them for its
+/// option penalty.
+static SLOW_PATH_FORWARDED: Counter = Counter::new("router.slow_path_forwarded");
+
 /// A plain IP router: forwards transit packets, answers pings, generates
 /// ICMP errors. Knows nothing about mobility.
 #[derive(Debug)]
@@ -59,7 +63,6 @@ pub struct RouterNode {
     pub option_penalty: SimDuration,
     delayed: HashMap<u64, Ipv4Packet>,
     delay_seq: u64,
-    slow_path_forwarded: Counter,
 }
 
 impl RouterNode {
@@ -70,7 +73,6 @@ impl RouterNode {
             option_penalty: SimDuration::ZERO,
             delayed: HashMap::new(),
             delay_seq: 0,
-            slow_path_forwarded: Counter::new("router.slow_path_forwarded"),
         }
     }
 
@@ -112,7 +114,7 @@ impl Node for RouterNode {
         }
         if timer.0 & ROUTER_DELAY_BIT != 0 {
             if let Some(pkt) = self.delayed.remove(&(timer.0 & !ROUTER_DELAY_BIT)) {
-                self.slow_path_forwarded.incr(ctx.stats());
+                SLOW_PATH_FORWARDED.incr(ctx.stats());
                 self.stack.forward(ctx, pkt);
             }
         }

@@ -22,7 +22,7 @@ use ip::ipv4::Ipv4Packet;
 use ip::udp::UdpDatagram;
 use ip::{proto, Prefix};
 use netsim::time::SimDuration;
-use netsim::{Counter, Ctx, EtherType, Frame, IfaceId, MacAddr, TimerToken};
+use netsim::{Ctx, EtherType, Frame, IfaceId, MacAddr, TimerToken};
 
 use crate::arp::ArpModule;
 use crate::route::{NextHop, RoutingTable};
@@ -66,63 +66,34 @@ pub enum StackEvent {
     },
 }
 
-/// Cached [`Counter`] handles for the stack's per-packet statistics.
-///
-/// Every received or transmitted packet bumps several of these; caching
-/// the interned ids here keeps the steady-state path free of name
-/// hashing. Sound because a stack lives inside exactly one node, and a
-/// node inside exactly one world.
-#[derive(Debug)]
-struct StackCounters {
-    rx: Counter,
-    delivered: Counter,
-    forwarded: Counter,
-    originated: Counter,
-    slow_path: Counter,
-    tx: Counter,
-    tx_bytes: Counter,
-    sent_direct: Counter,
-    rx_malformed: Counter,
-    rx_not_for_us: Counter,
-    ttl_expired: Counter,
-    no_src_addr: Counter,
-    no_route: Counter,
-    icmp_errors_sent: Counter,
-    tx_limited_broadcast_dropped: Counter,
-    arp_failed: Counter,
-    arp_rx_malformed: Counter,
-    arp_replies_sent: Counter,
-    arp_requests_sent: Counter,
-    arp_gratuitous_sent: Counter,
-    arp_queued: Counter,
-}
+/// The stack's per-packet statistics. Every received or transmitted
+/// packet bumps several of these; as `static` [`netsim::Counter`]s they
+/// cost the stack no bytes and the steady-state path no name hashing.
+mod counters {
+    use netsim::Counter;
 
-impl StackCounters {
-    const fn new() -> StackCounters {
-        StackCounters {
-            rx: Counter::new("ip.rx"),
-            delivered: Counter::new("ip.delivered"),
-            forwarded: Counter::new("ip.forwarded"),
-            originated: Counter::new("ip.originated"),
-            slow_path: Counter::new("ip.slow_path"),
-            tx: Counter::new("ip.tx"),
-            tx_bytes: Counter::new("ip.tx_bytes"),
-            sent_direct: Counter::new("ip.sent_direct"),
-            rx_malformed: Counter::new("ip.rx_malformed"),
-            rx_not_for_us: Counter::new("ip.rx_not_for_us"),
-            ttl_expired: Counter::new("ip.ttl_expired"),
-            no_src_addr: Counter::new("ip.no_src_addr"),
-            no_route: Counter::new("ip.no_route"),
-            icmp_errors_sent: Counter::new("ip.icmp_errors_sent"),
-            tx_limited_broadcast_dropped: Counter::new("ip.tx_limited_broadcast_dropped"),
-            arp_failed: Counter::new("ip.arp_failed"),
-            arp_rx_malformed: Counter::new("arp.rx_malformed"),
-            arp_replies_sent: Counter::new("arp.replies_sent"),
-            arp_requests_sent: Counter::new("arp.requests_sent"),
-            arp_gratuitous_sent: Counter::new("arp.gratuitous_sent"),
-            arp_queued: Counter::new("arp.queued"),
-        }
-    }
+    pub(super) static RX: Counter = Counter::new("ip.rx");
+    pub(super) static DELIVERED: Counter = Counter::new("ip.delivered");
+    pub(super) static FORWARDED: Counter = Counter::new("ip.forwarded");
+    pub(super) static ORIGINATED: Counter = Counter::new("ip.originated");
+    pub(super) static SLOW_PATH: Counter = Counter::new("ip.slow_path");
+    pub(super) static TX: Counter = Counter::new("ip.tx");
+    pub(super) static TX_BYTES: Counter = Counter::new("ip.tx_bytes");
+    pub(super) static SENT_DIRECT: Counter = Counter::new("ip.sent_direct");
+    pub(super) static RX_MALFORMED: Counter = Counter::new("ip.rx_malformed");
+    pub(super) static RX_NOT_FOR_US: Counter = Counter::new("ip.rx_not_for_us");
+    pub(super) static TTL_EXPIRED: Counter = Counter::new("ip.ttl_expired");
+    pub(super) static NO_SRC_ADDR: Counter = Counter::new("ip.no_src_addr");
+    pub(super) static NO_ROUTE: Counter = Counter::new("ip.no_route");
+    pub(super) static ICMP_ERRORS_SENT: Counter = Counter::new("ip.icmp_errors_sent");
+    pub(super) static TX_LIMITED_BROADCAST_DROPPED: Counter =
+        Counter::new("ip.tx_limited_broadcast_dropped");
+    pub(super) static ARP_FAILED: Counter = Counter::new("ip.arp_failed");
+    pub(super) static ARP_RX_MALFORMED: Counter = Counter::new("arp.rx_malformed");
+    pub(super) static ARP_REPLIES_SENT: Counter = Counter::new("arp.replies_sent");
+    pub(super) static ARP_REQUESTS_SENT: Counter = Counter::new("arp.requests_sent");
+    pub(super) static ARP_GRATUITOUS_SENT: Counter = Counter::new("arp.gratuitous_sent");
+    pub(super) static ARP_QUEUED: Counter = Counter::new("arp.queued");
 }
 
 /// The IPv4 engine for one node.
@@ -139,7 +110,6 @@ pub struct IpStack {
     ident: u16,
     timer_seq: u64,
     arp_timers: HashMap<u64, (IfaceId, Ipv4Addr)>,
-    counters: StackCounters,
 }
 
 impl IpStack {
@@ -157,7 +127,6 @@ impl IpStack {
             ident: 0,
             timer_seq: 0,
             arp_timers: HashMap::new(),
-            counters: StackCounters::new(),
         }
     }
 
@@ -182,6 +151,7 @@ impl IpStack {
     /// Binds `addr`/`prefix` to `iface` and installs the connected route.
     pub fn add_iface(&mut self, iface: IfaceId, addr: Ipv4Addr, prefix: Prefix) {
         if self.ifaces.len() <= iface.0 {
+            self.ifaces.reserve_exact(iface.0 + 1 - self.ifaces.len());
             self.ifaces.resize(iface.0 + 1, None);
         }
         self.ifaces[iface.0] = Some(IfaceAddr { addr, prefix });
@@ -259,7 +229,7 @@ impl IpStack {
             EtherType::Ipv4 => match Ipv4Packet::decode(&frame.payload) {
                 Ok(pkt) => self.classify(ctx, iface, pkt),
                 Err(_) => {
-                    self.counters.rx_malformed.incr(ctx.stats());
+                    counters::RX_MALFORMED.incr(ctx.stats());
                     None
                 }
             },
@@ -269,14 +239,14 @@ impl IpStack {
 
     fn handle_arp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
         let Ok(msg) = ArpMessage::decode(&frame.payload) else {
-            self.counters.arp_rx_malformed.incr(ctx.stats());
+            counters::ARP_RX_MALFORMED.incr(ctx.stats());
             return;
         };
         let our_addr = self.iface_addr(iface).map(|ia| ia.addr);
         let our_mac = ctx.mac(iface);
         let outcome = self.arp.handle_message(iface, &msg, our_addr, our_mac);
         if let Some(reply) = outcome.reply {
-            self.counters.arp_replies_sent.incr(ctx.stats());
+            counters::ARP_REPLIES_SENT.incr(ctx.stats());
             let dst = MacAddr(reply.target_hw);
             ctx.send_frame(iface, Frame::new(our_mac, dst, EtherType::Arp, reply.encode()));
         }
@@ -300,18 +270,18 @@ impl IpStack {
         iface: IfaceId,
         pkt: Ipv4Packet,
     ) -> Option<StackEvent> {
-        self.counters.rx.incr(ctx.stats());
+        counters::RX.incr(ctx.stats());
         let dst = pkt.dst;
         let is_broadcast = dst == Ipv4Addr::BROADCAST
             || self.ifaces.iter().flatten().any(|ia| ia.prefix.broadcast() == dst);
         if is_broadcast || self.is_local_addr(dst) || self.capture.contains(&dst) {
-            self.counters.delivered.incr(ctx.stats());
+            counters::DELIVERED.incr(ctx.stats());
             return Some(StackEvent::Deliver { pkt, iface });
         }
         if self.forwarding {
             return Some(StackEvent::ForwardCandidate { pkt, in_iface: iface });
         }
-        self.counters.rx_not_for_us.incr(ctx.stats());
+        counters::RX_NOT_FOR_US.incr(ctx.stats());
         None
     }
 
@@ -322,10 +292,10 @@ impl IpStack {
         if pkt.has_options() {
             // Optioned packets take the router's slow path — the load the
             // paper holds against the IBM LSRR proposal (§7).
-            self.counters.slow_path.incr(ctx.stats());
+            counters::SLOW_PATH.incr(ctx.stats());
         }
         if pkt.ttl <= 1 {
-            self.counters.ttl_expired.incr(ctx.stats());
+            counters::TTL_EXPIRED.incr(ctx.stats());
             let original = pkt.encode();
             self.send_icmp_error(
                 ctx,
@@ -337,21 +307,21 @@ impl IpStack {
             return;
         }
         pkt.ttl -= 1;
-        self.counters.forwarded.incr(ctx.stats());
+        counters::FORWARDED.incr(ctx.stats());
         self.route_and_tx(ctx, pkt, true);
     }
 
     /// Transmits a packet originated by this node (no TTL decrement; no
     /// ICMP error generation back to ourselves — failures are counted).
     pub fn send(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        self.counters.originated.incr(ctx.stats());
+        counters::ORIGINATED.incr(ctx.stats());
         self.route_and_tx(ctx, pkt, false);
     }
 
     /// Broadcasts `pkt` on `iface` at the link layer (used for agent
     /// advertisements and solicitations).
     pub fn send_link_broadcast(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Ipv4Packet) {
-        self.counters.originated.incr(ctx.stats());
+        counters::ORIGINATED.incr(ctx.stats());
         let frame = Frame::broadcast(ctx.mac(iface), EtherType::Ipv4, pkt.encode());
         Self::originate(ctx, |ctx| ctx.send_frame(iface, frame));
     }
@@ -379,7 +349,7 @@ impl IpStack {
     ) {
         let src = src.or_else(|| self.pick_src(dst));
         let Some(src) = src else {
-            self.counters.no_src_addr.incr(ctx.stats());
+            counters::NO_SRC_ADDR.incr(ctx.stats());
             return;
         };
         let ident = self.next_ident();
@@ -397,7 +367,7 @@ impl IpStack {
         payload: Vec<u8>,
     ) {
         let Some(src) = self.pick_src(dst) else {
-            self.counters.no_src_addr.incr(ctx.stats());
+            counters::NO_SRC_ADDR.incr(ctx.stats());
             return;
         };
         let datagram = UdpDatagram::new(src_port, dst_port, payload);
@@ -424,7 +394,7 @@ impl IpStack {
                 }
             }
         }
-        self.counters.icmp_errors_sent.incr(ctx.stats());
+        counters::ICMP_ERRORS_SENT.incr(ctx.stats());
         self.send_icmp(ctx, offending.src, &msg, None);
     }
 
@@ -457,7 +427,7 @@ impl IpStack {
             }
             Ok(false) => {}
             Err(dropped) => {
-                self.counters.arp_failed.add(ctx.stats(), dropped.len() as u64);
+                counters::ARP_FAILED.add(ctx.stats(), dropped.len() as u64);
                 for (pkt, _journey) in dropped {
                     if !self.is_local_addr(pkt.src) {
                         self.send_host_unreachable(ctx, &pkt);
@@ -483,12 +453,12 @@ impl IpStack {
 
     fn route_and_tx(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet, transit: bool) {
         if pkt.dst == Ipv4Addr::BROADCAST {
-            self.counters.tx_limited_broadcast_dropped.incr(ctx.stats());
+            counters::TX_LIMITED_BROADCAST_DROPPED.incr(ctx.stats());
             return; // limited broadcasts require an explicit interface
         }
         match self.routes.lookup(pkt.dst) {
             None => {
-                self.counters.no_route.incr(ctx.stats());
+                counters::NO_ROUTE.incr(ctx.stats());
                 if transit {
                     let original = pkt.encode();
                     let limit = self.icmp_error_limit;
@@ -515,7 +485,7 @@ impl IpStack {
             self.tx_frame(ctx, iface, mac, &pkt);
             return;
         }
-        self.counters.arp_queued.incr(ctx.stats());
+        counters::ARP_QUEUED.incr(ctx.stats());
         if self.arp.enqueue(iface, next_hop, pkt, ctx.journey()) {
             self.send_arp_request(ctx, iface, next_hop);
             self.arm_arp_timer(ctx, iface, next_hop);
@@ -525,7 +495,7 @@ impl IpStack {
     fn send_arp_request(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, target: Ipv4Addr) {
         let our = self.iface_addr(iface).map(|ia| ia.addr).unwrap_or(Ipv4Addr::UNSPECIFIED);
         let req = ArpMessage::request(ctx.mac(iface).0, our, target);
-        self.counters.arp_requests_sent.incr(ctx.stats());
+        counters::ARP_REQUESTS_SENT.incr(ctx.stats());
         let frame = Frame::broadcast(ctx.mac(iface), EtherType::Arp, req.encode());
         Self::originate(ctx, |ctx| ctx.send_frame(iface, frame));
     }
@@ -538,8 +508,8 @@ impl IpStack {
     }
 
     fn tx_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, dst: MacAddr, pkt: &Ipv4Packet) {
-        self.counters.tx.incr(ctx.stats());
-        self.counters.tx_bytes.add(ctx.stats(), pkt.wire_len() as u64);
+        counters::TX.incr(ctx.stats());
+        counters::TX_BYTES.add(ctx.stats(), pkt.wire_len() as u64);
         ctx.send_frame(iface, Frame::new(ctx.mac(iface), dst, EtherType::Ipv4, pkt.encode()));
     }
 
@@ -549,7 +519,7 @@ impl IpStack {
     /// mobile host (paper §2: the visitor's address is from a *different*
     /// network, so normal routing would send it toward the home network).
     pub fn send_direct(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Ipv4Packet) {
-        self.counters.sent_direct.incr(ctx.stats());
+        counters::SENT_DIRECT.incr(ctx.stats());
         let dst = pkt.dst;
         self.tx_via(ctx, iface, dst, pkt);
     }
@@ -566,7 +536,7 @@ impl IpStack {
     /// the returning mobile host's cache repair (paper §2).
     pub fn send_gratuitous_arp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, ip_addr: Ipv4Addr) {
         let msg = ArpMessage::gratuitous(ctx.mac(iface).0, ip_addr);
-        self.counters.arp_gratuitous_sent.incr(ctx.stats());
+        counters::ARP_GRATUITOUS_SENT.incr(ctx.stats());
         ctx.send_frame(iface, Frame::broadcast(ctx.mac(iface), EtherType::Arp, msg.encode()));
     }
 }

@@ -40,6 +40,7 @@
 //! build, unwrapped by [`ShardedWorld::into_world`].
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use ip::Prefix;
 use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
@@ -398,6 +399,7 @@ impl ShardedHierarchy {
         // --- Mobile hosts: homed on the regional LAN, started away in the
         // region's cells (round-robin) ---
         let mut mobiles = Vec::with_capacity(p.host_count());
+        let config = Arc::new(p.config.clone());
         for r in 0..p.regions {
             for i in 0..p.mobiles_per_region {
                 let id = w.add_node(
@@ -407,7 +409,7 @@ impl ShardedHierarchy {
                         region_prefix(r),
                         region_router_addr(r),
                         region_router_addr(r),
-                        p.config.clone(),
+                        Arc::clone(&config),
                     ),
                 );
                 let cell = cells[r * p.fas_per_region + (i % p.fas_per_region)];
