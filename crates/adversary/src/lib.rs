@@ -8,12 +8,13 @@
 //! `(time, AttackOp)` pairs — the hostile sibling of
 //! [`netsim::faults::FaultPlan`] and `workload`'s `MovePlan` — compiled
 //! onto the world's single event queue at [`AttackPlan::install`] time,
-//! so attack traffic interleaves with frames, timers and admin
-//! operations under the same total `(time, seq)` order. The same seed
+//! so attack traffic interleaves with frames, timers and every other
+//! scheduled op under the same total `(time, seq)` order. The same seed
 //! plus the same plan reproduces a byte-identical run, on a plain
 //! [`netsim::World`] and on any shard count of a
-//! [`netsim::ShardedWorld`] alike (packet-forging ops lower to the
-//! shard-routable [`AdminOp::CallNode`]).
+//! [`netsim::ShardedWorld`] alike (packet-forging ops lower to node
+//! scripts, which the shard router sends to the attacker's shard; moves
+//! lower to [`Op::AttachIface`]).
 //!
 //! Plans speak in *indices* (attacker `0..`, mobile host `0..`, cell
 //! `0..`) plus concrete protocol addresses, not [`NodeId`]s, so a plan
@@ -54,7 +55,7 @@ use ip::proto;
 use mhrp::messages::{ControlMessage, MHRP_PORT};
 use mhrp::{MhrpHeader, MhrpHostNode};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{AdminOp, IfaceId, NodeId, SegmentId, SimWorld};
+use netsim::{Ctx, IfaceId, NodeId, Op, SegmentId, SimWorld};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -285,10 +286,10 @@ impl AttackPlan {
     }
 
     /// Compiles the plan onto `w`'s event queue. Packet-forging ops
-    /// lower to [`AdminOp::CallNode`] closures that run *inside* the
-    /// owning shard's deterministic event order; moves lower to plain
-    /// [`AdminOp::MoveIface`]. Installing the same plan at the same
-    /// times into equal worlds yields byte-identical runs.
+    /// lower to node scripts that run *inside* the owning shard's
+    /// deterministic event order; moves lower to a plain
+    /// [`Op::AttachIface`]. Installing the same plan at the same times
+    /// into equal worlds yields byte-identical runs.
     ///
     /// # Panics
     ///
@@ -296,76 +297,69 @@ impl AttackPlan {
     /// binding's range (eagerly, at install time — not mid-run).
     pub fn install<W: SimWorld>(&self, w: &mut W, b: &Binding) {
         for (at, op) in &self.ops {
-            w.schedule_admin(*at, lower(op.clone(), b));
+            let at = *at;
+            match op.clone() {
+                AttackOp::ForgeHaRegister { attacker, mobile, home_agent, fa, seq } => {
+                    forge(w, at, b.attackers[attacker], move |h, ctx| {
+                        let msg = ControlMessage::HaRegister { mobile, fa, seq };
+                        h.stack.send_udp(ctx, home_agent, MHRP_PORT, MHRP_PORT, msg.encode());
+                    });
+                }
+                AttackOp::ForgeRegRegister { attacker, mobile, regional, home_agent, fa, seq } => {
+                    forge(w, at, b.attackers[attacker], move |h, ctx| {
+                        let msg = ControlMessage::RegRegister { mobile, home_agent, fa, seq };
+                        h.stack.send_udp(ctx, regional, MHRP_PORT, MHRP_PORT, msg.encode());
+                    });
+                }
+                AttackOp::PoisonUpdate { attacker, target, mobile, foreign_agent } => {
+                    forge(w, at, b.attackers[attacker], move |h, ctx| {
+                        // Spoofed updates never carry a MAC: the attacker
+                        // does not hold the key.
+                        let msg = IcmpMessage::LocationUpdate(LocationUpdate {
+                            code: LocationUpdateCode::Bind,
+                            mobile,
+                            foreign_agent,
+                            mac: None,
+                        });
+                        h.stack.send_icmp(ctx, target, &msg, None);
+                    });
+                }
+                AttackOp::StormTunnel { attacker, mobile, mut fake_sources } => {
+                    forge(w, at, b.attackers[attacker], move |h, ctx| {
+                        let Some(src) = h.stack.pick_src(mobile) else { return };
+                        fake_sources.truncate(255);
+                        let mut header = MhrpHeader::new(proto::UDP, mobile);
+                        header.prev_sources = fake_sources;
+                        // A minimal inner datagram: the tunnel is addressed
+                        // to the victim's *home* address, so the home agent
+                        // intercepts it and fans §5.1 updates out to every
+                        // fabricated previous source.
+                        let inner = ip::udp::UdpDatagram::new(9, 9, vec![0xA5; 8]).encode();
+                        let mut payload = header.encode();
+                        payload.extend_from_slice(&inner);
+                        let ident = h.stack.next_ident();
+                        let pkt =
+                            Ipv4Packet::new(src, mobile, proto::MHRP, payload).with_ident(ident);
+                        h.stack.send(ctx, pkt);
+                    });
+                }
+                AttackOp::MoveMobile { host, cell } => {
+                    let (node, iface) = b.mobiles[host];
+                    w.schedule(at, Op::AttachIface { node, iface, segment: b.cells[cell] });
+                }
+            }
         }
     }
 }
 
-/// Lowers one op to the [`AdminOp`] that executes it.
-fn lower(op: AttackOp, b: &Binding) -> AdminOp {
-    match op {
-        AttackOp::ForgeHaRegister { attacker, mobile, home_agent, fa, seq } => AdminOp::CallNode {
-            node: b.attackers[attacker],
-            script: Box::new(move |w, n| {
-                w.with_node::<MhrpHostNode, _>(n, |h, ctx| {
-                    let msg = ControlMessage::HaRegister { mobile, fa, seq };
-                    h.stack.send_udp(ctx, home_agent, MHRP_PORT, MHRP_PORT, msg.encode());
-                });
-            }),
-        },
-        AttackOp::ForgeRegRegister { attacker, mobile, regional, home_agent, fa, seq } => {
-            AdminOp::CallNode {
-                node: b.attackers[attacker],
-                script: Box::new(move |w, n| {
-                    w.with_node::<MhrpHostNode, _>(n, |h, ctx| {
-                        let msg = ControlMessage::RegRegister { mobile, home_agent, fa, seq };
-                        h.stack.send_udp(ctx, regional, MHRP_PORT, MHRP_PORT, msg.encode());
-                    });
-                }),
-            }
-        }
-        AttackOp::PoisonUpdate { attacker, target, mobile, foreign_agent } => AdminOp::CallNode {
-            node: b.attackers[attacker],
-            script: Box::new(move |w, n| {
-                w.with_node::<MhrpHostNode, _>(n, |h, ctx| {
-                    // Spoofed updates never carry a MAC: the attacker
-                    // does not hold the key.
-                    let msg = IcmpMessage::LocationUpdate(LocationUpdate {
-                        code: LocationUpdateCode::Bind,
-                        mobile,
-                        foreign_agent,
-                        mac: None,
-                    });
-                    h.stack.send_icmp(ctx, target, &msg, None);
-                });
-            }),
-        },
-        AttackOp::StormTunnel { attacker, mobile, mut fake_sources } => AdminOp::CallNode {
-            node: b.attackers[attacker],
-            script: Box::new(move |w, n| {
-                w.with_node::<MhrpHostNode, _>(n, |h, ctx| {
-                    let Some(src) = h.stack.pick_src(mobile) else { return };
-                    fake_sources.truncate(255);
-                    let mut header = MhrpHeader::new(proto::UDP, mobile);
-                    header.prev_sources = fake_sources;
-                    // A minimal inner datagram: the tunnel is addressed
-                    // to the victim's *home* address, so the home agent
-                    // intercepts it and fans §5.1 updates out to every
-                    // fabricated previous source.
-                    let inner = ip::udp::UdpDatagram::new(9, 9, vec![0xA5; 8]).encode();
-                    let mut payload = header.encode();
-                    payload.extend_from_slice(&inner);
-                    let ident = h.stack.next_ident();
-                    let pkt = Ipv4Packet::new(src, mobile, proto::MHRP, payload).with_ident(ident);
-                    h.stack.send(ctx, pkt);
-                });
-            }),
-        },
-        AttackOp::MoveMobile { host, cell } => {
-            let (node, iface) = b.mobiles[host];
-            AdminOp::MoveIface { node, iface, segment: b.cells[cell] }
-        }
-    }
+/// Schedules `send` to run on attacker host `node` at `at`.
+fn forge<W: SimWorld>(
+    w: &mut W,
+    at: SimTime,
+    node: NodeId,
+    send: impl FnOnce(&mut MhrpHostNode, &mut Ctx<'_>) + Send + 'static,
+) {
+    w.schedule_script(at, node, Box::new(move |w, n| w.with_node::<MhrpHostNode, _>(n, send)));
 }
 
 #[cfg(test)]

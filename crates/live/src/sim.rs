@@ -46,17 +46,21 @@ pub fn run_sim(sc: &LoopbackScenario) -> RunOutcome {
     for p in &sc.probes {
         let dst = sc.mobile_addr(p.mobile);
         let (flow, seq) = (p.flow, p.seq);
-        w.schedule_call(p.at, move |w| {
-            w.with_node::<MhrpHostNode, _>(s, |h, ctx| {
-                h.send_udp(
-                    ctx,
-                    dst,
-                    LoopbackScenario::src_port(flow),
-                    PROBE_PORT,
-                    encode_probe(flow, seq, PROBE_LEN),
-                );
-            });
-        });
+        w.schedule_script(
+            p.at,
+            s,
+            Box::new(move |w, s| {
+                w.with_node::<MhrpHostNode, _>(s, |h, ctx| {
+                    h.send_udp(
+                        ctx,
+                        dst,
+                        LoopbackScenario::src_port(flow),
+                        PROBE_PORT,
+                        encode_probe(flow, seq, PROBE_LEN),
+                    );
+                });
+            }),
+        );
     }
 
     let hosts: Vec<(NodeId, IfaceId)> =

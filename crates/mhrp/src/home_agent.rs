@@ -7,7 +7,6 @@
 //! them to the current foreign agent, and fans out location updates to
 //! every out-of-date cache agent named in an arriving packet's MHRP header.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ip::icmp::LocationUpdateCode;
@@ -19,6 +18,7 @@ use netstack::IpStack;
 use crate::agent::CacheAgentCore;
 use crate::auth::AuthGate;
 use crate::config::MhrpConfig;
+use crate::journal::Journaled;
 use crate::messages::{AuthExt, ControlMessage};
 use crate::tunnel;
 
@@ -46,12 +46,10 @@ pub struct HomeAgentCore {
     /// replica keeps a synced database but does not intercept until
     /// [`HomeAgentCore::activate`].
     active: bool,
-    /// Volatile location database: mobile host → current foreign agent.
-    /// Mobile hosts connected at home have no entry.
-    bindings: HashMap<Ipv4Addr, Ipv4Addr>,
-    /// Stable-storage copy surviving reboots (§2: "should also be recorded
-    /// on disk"), when enabled.
-    disk: Option<HashMap<Ipv4Addr, Ipv4Addr>>,
+    /// Location database: mobile host → current foreign agent, with its
+    /// §2 disk copy when enabled. Mobile hosts connected at home have no
+    /// entry.
+    bindings: Journaled<Ipv4Addr>,
     /// Authentication (DESIGN.md §13): with a key, registrations must be
     /// signed and `HaSync` is accepted only from the configured replica
     /// set.
@@ -68,8 +66,7 @@ impl HomeAgentCore {
             replicas: Vec::new(),
             host_route_mode: false,
             active: true,
-            bindings: HashMap::new(),
-            disk: config.home_agent_disk.then(HashMap::new),
+            bindings: Journaled::new(config.home_agent_disk),
             gate: AuthGate::new(config.auth_key),
         }
     }
@@ -92,12 +89,10 @@ impl HomeAgentCore {
     pub fn activate(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
         self.active = true;
         ctx.stats().incr("mhrp.ha_activations");
-        let mobiles: Vec<Ipv4Addr> = self.bindings.keys().copied().collect();
-        for mobile in mobiles {
+        for mobile in self.bindings.mobiles() {
             self.arm(stack, ctx, mobile);
         }
-        let snapshot: Vec<(Ipv4Addr, Ipv4Addr)> =
-            self.bindings.iter().map(|(&m, &fa)| (m, fa)).collect();
+        let snapshot: Vec<(Ipv4Addr, Ipv4Addr)> = self.bindings.iter().collect();
         for replica in self.replicas.clone() {
             for &(mobile, fa) in &snapshot {
                 let sync = ControlMessage::HaSync { mobile, fa };
@@ -138,7 +133,7 @@ impl HomeAgentCore {
     ) {
         if fa.is_unspecified() {
             // §3: "a special foreign agent address of zero" = back home.
-            self.bindings.remove(&mobile);
+            self.bindings.remove(mobile);
             self.disarm(stack, mobile);
         } else {
             self.bindings.insert(mobile, fa);
@@ -146,23 +141,11 @@ impl HomeAgentCore {
                 self.arm(stack, ctx, mobile);
             }
         }
-        self.journal(mobile);
-    }
-
-    /// Mirrors `mobile`'s binding, or its absence, to the disk copy: the
-    /// one entry a registration changed, not the whole database.
-    fn journal(&mut self, mobile: Ipv4Addr) {
-        if let Some(disk) = &mut self.disk {
-            match self.bindings.get(&mobile) {
-                Some(&fa) => disk.insert(mobile, fa),
-                None => disk.remove(&mobile),
-            };
-        }
     }
 
     /// The recorded foreign agent for `mobile` (None = at home).
     pub fn binding(&self, mobile: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.bindings.get(&mobile).copied()
+        self.bindings.get(mobile)
     }
 
     /// Number of away mobile hosts (state-size metric, E07).
@@ -244,7 +227,7 @@ impl HomeAgentCore {
         let ident = stack.next_ident();
         let mut pkt =
             Ipv4Packet::new(self_addr, src, proto::UDP, datagram.encode()).with_ident(ident);
-        if let Some(fa) = self.bindings.get(&src).copied() {
+        if let Some(fa) = self.bindings.get(src) {
             HA_ACKS_TUNNELED.incr(ctx.stats());
             tunnel::encapsulate(&mut pkt, self_addr, fa, false);
         }
@@ -275,7 +258,7 @@ impl HomeAgentCore {
                 return;
             };
             let mobile = header.mobile;
-            let Some(fa) = self.bindings.get(&mobile).copied() else {
+            let Some(fa) = self.bindings.get(mobile) else {
                 // Captured but no binding (stale capture): drop.
                 ctx.stats().incr("mhrp.ha_intercept_stale");
                 return;
@@ -342,7 +325,7 @@ impl HomeAgentCore {
             // build the MHRP header, tunnel to the foreign agent, and tell
             // the sender where the mobile host is.
             let mobile = pkt.dst;
-            let Some(fa) = self.bindings.get(&mobile).copied() else {
+            let Some(fa) = self.bindings.get(mobile) else {
                 // Captured but no binding (stale capture): drop.
                 ctx.stats().incr("mhrp.ha_intercept_stale");
                 return;
@@ -366,21 +349,16 @@ impl HomeAgentCore {
     /// be at home until it re-registers. Stale interception from before
     /// the crash is disarmed, then re-armed for every reloaded binding.
     pub fn reboot(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
-        let stale: Vec<Ipv4Addr> = self.bindings.keys().copied().collect();
-        for mobile in stale {
+        for mobile in self.bindings.mobiles() {
             self.disarm(stack, mobile);
         }
-        match &self.disk {
-            Some(disk) => self.bindings.clone_from(disk),
-            None => self.bindings.clear(),
-        }
+        self.bindings.reload();
         // The replay window is volatile (re-seeds from the next
         // authenticated registration); only the binding database is
         // journaled.
         self.gate.clear();
         if self.active {
-            let reloaded: Vec<Ipv4Addr> = self.bindings.keys().copied().collect();
-            for mobile in reloaded {
+            for mobile in self.bindings.mobiles() {
                 // Re-arm through `arm` so the gratuitous-ARP broadcast is
                 // repeated: home-segment hosts may have re-ARPed the mobile
                 // host's address while we were down and would otherwise
@@ -393,14 +371,10 @@ impl HomeAgentCore {
     /// Forcibly forgets every binding *and* the disk copy (test/failure
     /// injection helper).
     pub fn wipe(&mut self, stack: &mut IpStack) {
-        let mobiles: Vec<Ipv4Addr> = self.bindings.keys().copied().collect();
-        for mobile in mobiles {
+        for mobile in self.bindings.mobiles() {
             self.disarm(stack, mobile);
         }
-        self.bindings.clear();
-        if let Some(disk) = &mut self.disk {
-            disk.clear();
-        }
+        self.bindings.wipe();
     }
 }
 
@@ -441,9 +415,6 @@ mod tests {
         let mut stack = home_stack();
         let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
         ha.bindings.insert(a(7), a(100));
-        if let Some(d) = &mut ha.disk {
-            d.insert(a(7), a(100));
-        }
         with_ctx(|ctx| ha.reboot(&mut stack, ctx));
         assert_eq!(ha.binding(a(7)), Some(a(100)));
         assert!(stack.is_captured(a(7)));
@@ -532,51 +503,5 @@ mod tests {
         let pkt = with_ctx(|ctx| ha.ack_packet(&mut stack, ctx, a(7), &ack));
         assert_eq!(pkt.protocol, proto::UDP);
         assert_eq!(pkt.dst, a(7));
-    }
-
-    mod journal {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Mirroring one binding per registration leaves the disk copy
-            /// exactly where copying the whole database did, across
-            /// registrations, moves home (a zero foreign agent) and
-            /// reboots that reload from it.
-            #[test]
-            fn per_binding_journal_matches_a_full_copy(
-                // (mobile, foreign agent; 0 = back home), or a reboot.
-                ops in prop::collection::vec(
-                    prop_oneof![
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        Just(None),
-                    ],
-                    1..60,
-                ),
-            ) {
-                let mut stack = home_stack();
-                let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
-                let mut full_copy = HashMap::new();
-                with_ctx(|ctx| {
-                    for op in ops {
-                        match op {
-                            Some((m, fa)) => {
-                                let fa = if fa == 0 { Ipv4Addr::UNSPECIFIED } else { a(100 + fa) };
-                                ha.apply_binding(&mut stack, ctx, a(m), fa);
-                                full_copy.clone_from(&ha.bindings);
-                            }
-                            None => {
-                                ha.reboot(&mut stack, ctx);
-                                prop_assert_eq!(&ha.bindings, &full_copy);
-                            }
-                        }
-                        prop_assert_eq!(ha.disk.as_ref(), Some(&full_copy));
-                    }
-                    Ok(())
-                })?;
-            }
-        }
     }
 }

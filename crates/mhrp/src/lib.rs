@@ -57,6 +57,7 @@ pub mod discovery;
 pub mod foreign_agent;
 pub mod header;
 pub mod home_agent;
+mod journal;
 pub mod lru;
 pub mod messages;
 pub mod mobile_host;

@@ -23,6 +23,7 @@ use netstack::IpStack;
 use crate::agent::CacheAgentCore;
 use crate::auth::AuthGate;
 use crate::config::MhrpConfig;
+use crate::journal::Journaled;
 use crate::messages::{AuthExt, ControlMessage, MHRP_PORT};
 use crate::tunnel;
 
@@ -64,11 +65,10 @@ pub struct RegionalAgentCore {
     backoff: f64,
     retry_cap: SimDuration,
     max_retries: u32,
-    /// Intra-region location database: mobile host → serving cell FA.
-    bindings: HashMap<Ipv4Addr, RegionalBinding>,
-    /// Stable-storage copy surviving reboots (same §2 argument as the
-    /// home agent's journal, same config switch).
-    disk: Option<HashMap<Ipv4Addr, RegionalBinding>>,
+    /// Intra-region location database: mobile host → serving cell FA,
+    /// with a disk copy surviving reboots (same §2 argument as the home
+    /// agent's journal, same config switch).
+    bindings: Journaled<RegionalBinding>,
     pending_upstream: HashMap<Ipv4Addr, PendingUpstream>,
     seq: u16,
     /// Authentication (DESIGN.md §13): with a key, `RegRegister`s must
@@ -87,8 +87,7 @@ impl RegionalAgentCore {
             backoff: config.registration_backoff,
             retry_cap: config.registration_retry_cap,
             max_retries: config.registration_max_retries,
-            bindings: HashMap::new(),
-            disk: config.home_agent_disk.then(HashMap::new),
+            bindings: Journaled::new(config.home_agent_disk),
             pending_upstream: HashMap::new(),
             seq: 0,
             gate: AuthGate::new(config.auth_key),
@@ -98,7 +97,7 @@ impl RegionalAgentCore {
     /// The recorded cell foreign agent for `mobile` (None = not in this
     /// region).
     pub fn binding(&self, mobile: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.bindings.get(&mobile).map(|b| b.cell_fa)
+        self.bindings.get(mobile).map(|b| b.cell_fa)
     }
 
     /// Number of mobiles bound in this region (state-size metric).
@@ -112,17 +111,6 @@ impl RegionalAgentCore {
 
     fn token(mobile: Ipv4Addr) -> TimerToken {
         TimerToken(REGIONAL_TIMER_BIT | u64::from(u32::from(mobile)))
-    }
-
-    /// Mirrors `mobile`'s binding, or its absence, to the disk copy: the
-    /// one entry a registration changed, not the whole database.
-    fn journal(&mut self, mobile: Ipv4Addr) {
-        if let Some(disk) = &mut self.disk {
-            match self.bindings.get(&mobile) {
-                Some(&b) => disk.insert(mobile, b),
-                None => disk.remove(&mobile),
-            };
-        }
     }
 
     fn send_upstream(
@@ -157,9 +145,8 @@ impl RegionalAgentCore {
                     return true;
                 }
                 REG_REGISTRATIONS.incr(ctx.stats());
-                let prior = self.bindings.get(&mobile).map(|b| b.cell_fa);
+                let prior = self.bindings.get(mobile).map(|b| b.cell_fa);
                 self.bindings.insert(mobile, RegionalBinding { cell_fa: fa, home_agent });
-                self.journal(mobile);
                 // Ack the mobile host through its cell: the mobile's home
                 // address routes toward its home network, so the ack rides
                 // the intra-region tunnel like any data packet.
@@ -217,10 +204,9 @@ impl RegionalAgentCore {
                     self.gate.reject(ctx);
                     return true;
                 }
-                if self.bindings.remove(&mobile).is_none() {
+                if self.bindings.remove(mobile).is_none() {
                     return false;
                 }
-                self.journal(mobile);
                 self.pending_upstream.remove(&mobile);
                 ctx.stats().incr("mhrp.reg_deregistrations");
                 if !new_fa.is_unspecified() {
@@ -258,7 +244,7 @@ impl RegionalAgentCore {
             return false;
         }
         let mobile = Ipv4Addr::from((token.0 & 0xffff_ffff) as u32);
-        let Some(home_agent) = self.bindings.get(&mobile).map(|b| b.home_agent) else {
+        let Some(home_agent) = self.bindings.get(mobile).map(|b| b.home_agent) else {
             self.pending_upstream.remove(&mobile);
             return true;
         };
@@ -418,10 +404,7 @@ impl RegionalAgentCore {
         // The replay window is volatile; it re-seeds from the first
         // authenticated registration after recovery.
         self.gate.clear();
-        match &self.disk {
-            Some(disk) => self.bindings.clone_from(disk),
-            None => self.bindings.clear(),
-        }
+        self.bindings.reload();
     }
 }
 
@@ -454,7 +437,6 @@ mod tests {
             &MhrpConfig { home_agent_disk: true, ..Default::default() },
         );
         with_disk.bindings.insert(m, b);
-        with_disk.journal(m);
         with_disk.reboot();
         assert_eq!(with_disk.binding(m), Some(b.cell_fa));
 
@@ -463,85 +445,8 @@ mod tests {
             &MhrpConfig { home_agent_disk: false, ..Default::default() },
         );
         without.bindings.insert(m, b);
-        without.journal(m);
         without.reboot();
         assert_eq!(without.binding(m), None);
         assert_eq!(without.binding_count(), 0);
-    }
-
-    mod journal {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn a(x: u8) -> Ipv4Addr {
-            Ipv4Addr::new(10, 0, 0, x)
-        }
-
-        proptest! {
-            /// Mirroring one binding per registration leaves the disk copy
-            /// exactly where copying the whole database did, across
-            /// regional registrations, deregistrations (of bound and
-            /// unknown mobiles) and reboots that reload from it.
-            #[test]
-            fn per_binding_journal_matches_a_full_copy(
-                // (mobile, cell foreign agent; 0 = deregister), or a reboot.
-                ops in prop::collection::vec(
-                    prop_oneof![
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        (1u8..7, 0u8..4).prop_map(Some),
-                        Just(None),
-                    ],
-                    1..60,
-                ),
-            ) {
-                struct Probe;
-                impl netsim::Node for Probe {
-                    fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: &netsim::Frame) {}
-                }
-                let config = MhrpConfig { home_agent_disk: true, ..Default::default() };
-                let mut reg = RegionalAgentCore::new(IfaceId(0), &config);
-                let mut ca = CacheAgentCore::new(&config);
-                let mut stack = IpStack::new(true);
-                stack.add_iface(IfaceId(0), a(1), "10.0.0.0/24".parse().unwrap());
-                let mut w = netsim::World::new(0);
-                let n = w.add_node(Probe);
-                let seg = w.add_segment(netsim::SegmentParams::default());
-                w.add_iface(n, Some(seg));
-                let mut full_copy = HashMap::new();
-                let mut seq = 0u16;
-                w.with_node::<Probe, _>(n, |_, ctx| {
-                    for op in ops {
-                        match op {
-                            Some((m, fa)) => {
-                                seq += 1;
-                                let mobile = Ipv4Addr::new(10, 9, 0, m);
-                                let msg = if fa == 0 {
-                                    ControlMessage::FaDeregister {
-                                        mobile,
-                                        new_fa: Ipv4Addr::UNSPECIFIED,
-                                    }
-                                } else {
-                                    ControlMessage::RegRegister {
-                                        mobile,
-                                        home_agent: a(200),
-                                        fa: a(100 + fa),
-                                        seq,
-                                    }
-                                };
-                                reg.on_control(&mut ca, &mut stack, ctx, mobile, &msg, None);
-                                full_copy.clone_from(&reg.bindings);
-                            }
-                            None => {
-                                reg.reboot();
-                                prop_assert_eq!(&reg.bindings, &full_copy);
-                            }
-                        }
-                        prop_assert_eq!(reg.disk.as_ref(), Some(&full_copy));
-                    }
-                    Ok(())
-                })?;
-            }
-        }
     }
 }

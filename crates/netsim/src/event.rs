@@ -26,13 +26,13 @@
 
 use std::collections::HashMap;
 
-use crate::faults::FaultOp;
+use crate::faults::Scheduled;
 use crate::frame::Frame;
 use crate::id::{IfaceId, NodeId, SegmentId};
 use crate::node::TimerToken;
 use crate::sched::TimerWheel;
 use crate::time::SimTime;
-use crate::world::AdminOp;
+use crate::world::NodeScript;
 
 /// One frame on the wire: what every queue entry of a transmission
 /// shares. A jittered broadcast to 50 receivers is one record and 50
@@ -136,8 +136,8 @@ impl std::ops::IndexMut<u32> for Transmissions {
 /// millions of them, so the enum is kept to 16 bytes: a frame arrival
 /// carries indices, not the frame, which lives once in the world's
 /// [`Transmissions`] slab however many receivers it has, and every node
-/// id is narrowed to `u32` (`World::add_node` checks it fits). Admin and
-/// fault events are rare enough to pay a real allocation.
+/// id is narrowed to `u32` (`World::add_node` checks it fits). Scripted
+/// ops and node scripts are rare enough to pay a real allocation.
 pub(crate) enum EventKind {
     /// One receiver's copy of transmission `tx` arrives at `iface` of
     /// `node` (ids narrowed to `u32`; the world checks they fit).
@@ -148,10 +148,10 @@ pub(crate) enum EventKind {
     RxBatch { tx: u32 },
     /// A timer of `node` fires (build it with [`EventKind::timer`]).
     Timer { node: u32, token: TimerToken },
-    /// A scripted world operation executes.
-    Admin(Box<AdminOp>),
-    /// A scheduled fault fires (see `World::install_faults`).
-    Fault(Box<FaultOp>),
+    /// A scheduled world change applies (see `World::schedule`).
+    Op(Box<Scheduled>),
+    /// A node-scoped script runs (see `World::schedule_script`).
+    Script(Box<(NodeId, NodeScript)>),
     /// Periodic queue-depth sample (see `World::set_queue_sampling`).
     SampleQueue,
 }

@@ -1,35 +1,21 @@
-//! Deterministic, schedule-driven fault injection.
+//! Scripted world changes and deterministic fault injection.
 //!
-//! A [`FaultPlan`] is an ordered list of `(time, FaultOp)` pairs. Installing
-//! a plan ([`crate::World::install_faults`]) compiles every entry onto the
-//! world's single event queue, so faults interleave with frames, timers and
-//! admin operations under the same total `(time, seq)` order. The same seed
-//! plus the same plan therefore reproduces a byte-identical run — every
-//! trace event, every counter.
+//! An [`Op`] is one change to the network from outside the protocols —
+//! link flaps and partitions, loss, latency and corruption changes, host
+//! moves, node crashes with state loss, advertisement suppression (the
+//! failure modes of the paper's §5). Every op is scheduled the same way
+//! ([`crate::SimWorld::schedule`]) on the world's single event queue,
+//! totally ordered with frames and timers, so the same seed plus the same
+//! ops reproduces a byte-identical run — every trace event, every counter.
 //!
-//! The operations cover the failure modes the paper's §5 robustness
-//! mechanisms are designed around:
-//!
-//! * **Link flaps and partitions** — [`FaultOp::SegmentDown`] /
-//!   [`FaultOp::SegmentUp`], with the [`FaultPlan::flap`] and
-//!   [`FaultPlan::partition`] conveniences.
-//! * **Latency spikes and loss changes** — [`FaultOp::LatencySpike`],
-//!   [`FaultOp::SetSegmentLatency`], [`FaultOp::SetSegmentLoss`].
-//! * **Payload corruption** — [`FaultOp::SetSegmentCorruption`] flips one
-//!   random bit per affected frame copy, which downstream IPv4 header or
-//!   UDP checksums then catch (`ip.rx_malformed`).
-//! * **Node crashes with state loss** — [`FaultOp::Crash`] takes a node
-//!   dark (frames and timers addressed to it are dropped) and reboots it
-//!   after the outage via [`crate::Node::on_reboot`]; pending timers do
-//!   *not* survive, so nodes must re-arm from `on_reboot`.
-//! * **Advertisement suppression** — [`FaultOp::MuteBroadcasts`] drops
-//!   broadcast frames transmitted by one interface (a jammed beacon
-//!   channel), without affecting unicast forwarding.
+//! A [`FaultPlan`] is an ordered list of `(time, Op)` pairs installed as
+//! *faults* (see [`Scheduled`]); mobility and attack plans lower to the
+//! same ops and install silently.
 //!
 //! # Example
 //!
 //! ```rust
-//! use netsim::faults::{FaultOp, FaultPlan};
+//! use netsim::faults::{FaultPlan, Op};
 //! use netsim::time::{SimDuration, SimTime};
 //! use netsim::SegmentId;
 //!
@@ -41,35 +27,32 @@
 //!         SimDuration::from_millis(500),
 //!         4,
 //!     )
-//!     .op(SimTime::from_secs(10), FaultOp::SetSegmentLoss {
-//!         segment: SegmentId(0),
-//!         loss: 0.2,
-//!     });
+//!     .op(SimTime::from_secs(10), Op::SetSegmentLoss { segment: SegmentId(0), loss: 0.2 });
 //! assert_eq!(plan.len(), 9);
 //! ```
 
 use std::fmt;
 
 use crate::id::{IfaceId, NodeId, SegmentId};
+use crate::shard::SimWorld;
 use crate::time::{SimDuration, SimTime};
+use telemetry::FaultKind;
 
-/// One injectable fault, applied at a scheduled instant.
+/// One scripted world change, applied at a scheduled instant.
 ///
 /// Every variant is a pure value (`Clone + PartialEq`), so plans can be
 /// generated, compared and replayed — the foundation of the golden
 /// determinism tests and the property tests over random plans.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultOp {
-    /// Take a segment down: transmissions onto it are dropped
-    /// (`link.tx_segment_down`). One half of a link flap or partition.
-    SegmentDown {
-        /// The segment to take down.
+pub enum Op {
+    /// Take a segment down (transmissions onto it are dropped,
+    /// `link.tx_segment_down`) or bring it back up: one half of a link
+    /// flap or partition.
+    SetSegmentUp {
+        /// The segment to change.
         segment: SegmentId,
-    },
-    /// Bring a segment back up (flap recovery / partition heal).
-    SegmentUp {
-        /// The segment to restore.
-        segment: SegmentId,
+        /// New state.
+        up: bool,
     },
     /// Change a segment's per-receiver loss probability.
     SetSegmentLoss {
@@ -114,7 +97,8 @@ pub enum FaultOp {
         /// The interface to detach.
         iface: IfaceId,
     },
-    /// Attach an interface to a segment (cable restored).
+    /// Attach an interface to a segment, detaching it first if it is
+    /// elsewhere (host movement, cable restored).
     AttachIface {
         /// The node owning the interface.
         node: NodeId,
@@ -134,39 +118,61 @@ pub enum FaultOp {
         down_for: SimDuration,
     },
     /// Reboot a node immediately (fires [`crate::Node::on_reboot`]; also
-    /// ends a [`FaultOp::Crash`] outage early).
+    /// ends a [`Op::Crash`] outage early).
     Reboot {
         /// The node to reboot.
         node: NodeId,
     },
     /// Drop every *broadcast* frame transmitted by `(node, iface)` —
     /// agent advertisements, ARP requests, recovery queries — while
-    /// leaving unicast traffic untouched (a jammed beacon channel).
-    MuteBroadcasts {
-        /// The node whose broadcasts are suppressed.
+    /// leaving unicast traffic untouched (a jammed beacon channel), or
+    /// stop doing so.
+    SetBroadcastsMuted {
+        /// The node owning the interface.
         node: NodeId,
-        /// The interface to mute.
+        /// The interface to mute or restore.
         iface: IfaceId,
-    },
-    /// Stop suppressing broadcasts from `(node, iface)`.
-    UnmuteBroadcasts {
-        /// The node to restore.
-        node: NodeId,
-        /// The interface to restore.
-        iface: IfaceId,
+        /// New state.
+        muted: bool,
     },
 }
 
-impl fmt::Display for FaultOp {
+impl Op {
+    /// This op scheduled as a fault: it counts in `fault.ops_applied` and
+    /// records a telemetry `Fault` event when it applies.
+    pub fn fault(self) -> Scheduled {
+        Scheduled { op: self, fault: true }
+    }
+
+    /// The telemetry class of this op when it applies as a fault.
+    pub(crate) fn fault_kind(&self) -> FaultKind {
+        match self {
+            Op::SetSegmentUp { up: false, .. } => FaultKind::SegmentDown,
+            Op::SetSegmentUp { up: true, .. } => FaultKind::SegmentUp,
+            Op::SetSegmentLoss { .. } => FaultKind::Loss,
+            Op::SetSegmentLatency { .. } | Op::LatencySpike { .. } => FaultKind::Latency,
+            Op::SetSegmentCorruption { .. } => FaultKind::Corruption,
+            Op::DetachIface { .. } => FaultKind::Detach,
+            Op::AttachIface { .. } => FaultKind::Attach,
+            Op::Crash { .. } => FaultKind::Crash,
+            Op::Reboot { .. } => FaultKind::Reboot,
+            Op::SetBroadcastsMuted { muted: true, .. } => FaultKind::Mute,
+            Op::SetBroadcastsMuted { muted: false, .. } => FaultKind::Unmute,
+        }
+    }
+}
+
+impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultOp::SegmentDown { segment } => write!(f, "segment-down {segment}"),
-            FaultOp::SegmentUp { segment } => write!(f, "segment-up {segment}"),
-            FaultOp::SetSegmentLoss { segment, loss } => write!(f, "set-loss {segment} {loss}"),
-            FaultOp::SetSegmentLatency { segment, latency } => {
+            Op::SetSegmentUp { segment, up } => {
+                write!(f, "segment-{} {segment}", if *up { "up" } else { "down" })
+            }
+            Op::SetSegmentLoss { segment, loss } => write!(f, "set-loss {segment} {loss}"),
+            Op::SetSegmentLatency { segment, latency } => {
                 write!(f, "set-latency {segment} {}us", latency.as_micros())
             }
-            FaultOp::LatencySpike { segment, extra, duration } => {
+            Op::LatencySpike { segment, extra, duration } => {
                 write!(
                     f,
                     "latency-spike {segment} +{}us for {}us",
@@ -174,33 +180,54 @@ impl fmt::Display for FaultOp {
                     duration.as_micros()
                 )
             }
-            FaultOp::SetSegmentCorruption { segment, probability } => {
+            Op::SetSegmentCorruption { segment, probability } => {
                 write!(f, "set-corruption {segment} {probability}")
             }
-            FaultOp::DetachIface { node, iface } => write!(f, "detach {node} {iface}"),
-            FaultOp::AttachIface { node, iface, segment } => {
+            Op::DetachIface { node, iface } => write!(f, "detach {node} {iface}"),
+            Op::AttachIface { node, iface, segment } => {
                 write!(f, "attach {node} {iface} {segment}")
             }
-            FaultOp::Crash { node, down_for } => {
+            Op::Crash { node, down_for } => {
                 write!(f, "crash {node} for {}us", down_for.as_micros())
             }
-            FaultOp::Reboot { node } => write!(f, "reboot {node}"),
-            FaultOp::MuteBroadcasts { node, iface } => write!(f, "mute-bcast {node} {iface}"),
-            FaultOp::UnmuteBroadcasts { node, iface } => write!(f, "unmute-bcast {node} {iface}"),
+            Op::Reboot { node } => write!(f, "reboot {node}"),
+            Op::SetBroadcastsMuted { node, iface, muted } => {
+                write!(f, "{}mute-bcast {node} {iface}", if *muted { "" } else { "un" })
+            }
         }
     }
 }
 
-/// An ordered schedule of timed [`FaultOp`]s.
+/// An [`Op`] as it sits on the event queue. A `fault` entry counts in
+/// `fault.ops_applied` and records a telemetry `Fault` event when it
+/// applies, as do the spike restore and crash reboot it schedules itself;
+/// any other entry (host moves, attack moves, portal mirrors) is silent.
+/// A plain [`Op`] converts into a silent entry, [`Op::fault`] into a
+/// fault entry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scheduled {
+    /// The change to apply.
+    pub op: Op,
+    /// Whether the change is accounted as an injected fault.
+    pub fault: bool,
+}
+
+impl From<Op> for Scheduled {
+    fn from(op: Op) -> Scheduled {
+        Scheduled { op, fault: false }
+    }
+}
+
+/// An ordered schedule of timed [`Op`]s, installed as faults.
 ///
 /// Built with the chainable constructors below, then handed to
-/// [`crate::World::install_faults`], which pushes every entry onto the
-/// event queue. Entries do not need to be added in time order; the queue
-/// orders them. Installing the same plan into two worlds built with the
-/// same seed yields byte-identical runs.
+/// [`FaultPlan::install`], which pushes every entry onto the event queue.
+/// Entries do not need to be added in time order; the queue orders them.
+/// Installing the same plan into two worlds built with the same seed
+/// yields byte-identical runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    ops: Vec<(SimTime, FaultOp)>,
+    ops: Vec<(SimTime, Op)>,
 }
 
 impl FaultPlan {
@@ -210,7 +237,7 @@ impl FaultPlan {
     }
 
     /// Adds one operation at an absolute time.
-    pub fn op(mut self, at: SimTime, op: FaultOp) -> FaultPlan {
+    pub fn op(mut self, at: SimTime, op: Op) -> FaultPlan {
         self.ops.push((at, op));
         self
     }
@@ -228,8 +255,8 @@ impl FaultPlan {
     ) -> FaultPlan {
         let mut at = first_down;
         for _ in 0..cycles {
-            self.ops.push((at, FaultOp::SegmentDown { segment }));
-            self.ops.push((at + down_for, FaultOp::SegmentUp { segment }));
+            self.ops.push((at, Op::SetSegmentUp { segment, up: false }));
+            self.ops.push((at + down_for, Op::SetSegmentUp { segment, up: true }));
             at = at + down_for + up_for;
         }
         self
@@ -239,15 +266,15 @@ impl FaultPlan {
     /// at `heal_at`.
     pub fn partition(mut self, segment: SegmentId, from: SimTime, heal_at: SimTime) -> FaultPlan {
         assert!(heal_at > from, "partition must heal after it starts");
-        self.ops.push((from, FaultOp::SegmentDown { segment }));
-        self.ops.push((heal_at, FaultOp::SegmentUp { segment }));
+        self.ops.push((from, Op::SetSegmentUp { segment, up: false }));
+        self.ops.push((heal_at, Op::SetSegmentUp { segment, up: true }));
         self
     }
 
     /// Adds a crash-with-reboot: the node goes dark at `at` and reboots
     /// `down_for` later.
     pub fn crash(mut self, node: NodeId, at: SimTime, down_for: SimDuration) -> FaultPlan {
-        self.ops.push((at, FaultOp::Crash { node, down_for }));
+        self.ops.push((at, Op::Crash { node, down_for }));
         self
     }
 
@@ -261,13 +288,13 @@ impl FaultPlan {
         until: SimTime,
     ) -> FaultPlan {
         assert!(until > from, "mute window must end after it starts");
-        self.ops.push((from, FaultOp::MuteBroadcasts { node, iface }));
-        self.ops.push((until, FaultOp::UnmuteBroadcasts { node, iface }));
+        self.ops.push((from, Op::SetBroadcastsMuted { node, iface, muted: true }));
+        self.ops.push((until, Op::SetBroadcastsMuted { node, iface, muted: false }));
         self
     }
 
     /// The scheduled operations, in insertion order.
-    pub fn ops(&self) -> &[(SimTime, FaultOp)] {
+    pub fn ops(&self) -> &[(SimTime, Op)] {
         &self.ops
     }
 
@@ -289,12 +316,24 @@ impl FaultPlan {
         self.ops
             .iter()
             .map(|(at, op)| match op {
-                FaultOp::Crash { down_for, .. } => *at + *down_for,
-                FaultOp::LatencySpike { duration, .. } => *at + *duration,
+                Op::Crash { down_for, .. } => *at + *down_for,
+                Op::LatencySpike { duration, .. } => *at + *duration,
                 _ => *at,
             })
             .max()
             .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Schedules every entry onto `world` as a fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry lies before the current time, or if a sharded
+    /// world refuses it (see [`crate::ShardedWorld::schedule`]).
+    pub fn install<W: SimWorld>(&self, world: &mut W) {
+        for (at, op) in &self.ops {
+            world.schedule(*at, op.clone().fault());
+        }
     }
 }
 
@@ -313,13 +352,14 @@ mod tests {
         );
         assert_eq!(plan.len(), 6);
         let ops = plan.ops();
-        assert_eq!(ops[0], (SimTime::from_secs(1), FaultOp::SegmentDown { segment: SegmentId(2) }));
+        let seg = SegmentId(2);
+        assert_eq!(ops[0], (SimTime::from_secs(1), Op::SetSegmentUp { segment: seg, up: false }));
         assert_eq!(
             ops[1],
-            (SimTime::from_millis(1200), FaultOp::SegmentUp { segment: SegmentId(2) })
+            (SimTime::from_millis(1200), Op::SetSegmentUp { segment: seg, up: true })
         );
         // Last op restores the segment.
-        assert!(matches!(ops[5].1, FaultOp::SegmentUp { .. }));
+        assert!(matches!(ops[5].1, Op::SetSegmentUp { up: true, .. }));
         assert_eq!(plan.end(), SimTime::from_millis(2200));
     }
 
@@ -328,7 +368,7 @@ mod tests {
         let plan =
             FaultPlan::new().crash(NodeId(1), SimTime::from_secs(5), SimDuration::from_secs(3)).op(
                 SimTime::from_secs(6),
-                FaultOp::LatencySpike {
+                Op::LatencySpike {
                     segment: SegmentId(0),
                     extra: SimDuration::from_millis(50),
                     duration: SimDuration::from_secs(4),
@@ -345,13 +385,13 @@ mod tests {
             FaultPlan::new().partition(SegmentId(0), SimTime::from_secs(1), SimTime::from_secs(2));
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        let c = b.clone().op(SimTime::from_secs(3), FaultOp::Reboot { node: NodeId(0) });
+        let c = b.clone().op(SimTime::from_secs(3), Op::Reboot { node: NodeId(0) });
         assert_ne!(a, c);
     }
 
     #[test]
     fn display_is_compact() {
-        let op = FaultOp::Crash { node: NodeId(3), down_for: SimDuration::from_secs(2) };
+        let op = Op::Crash { node: NodeId(3), down_for: SimDuration::from_secs(2) };
         assert_eq!(op.to_string(), "crash n3 for 2000000us");
     }
 }

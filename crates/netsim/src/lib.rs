@@ -14,9 +14,10 @@
 //!   [`World`] is one queue; a [`ShardedWorld`] runs several worlds in
 //!   conservative barrier windows, exchanging cross-shard frames through
 //!   portal segments ([`shard`]).
-//! * **Admin operations** — scripted topology changes (interface moves for
-//!   host mobility, segment up/down, node reboots) and arbitrary scripted
-//!   callbacks, all scheduled on the same queue.
+//! * **Scripted ops** — one [`Op`] enum of world changes (interface moves
+//!   for host mobility, segment up/down, loss, latency and corruption,
+//!   node crashes and reboots, broadcast suppression) plus node-scoped
+//!   scripts, all scheduled on the same queue.
 //!
 //! # Example
 //!
@@ -61,11 +62,11 @@
 //!
 //! # Fault injection
 //!
-//! The [`faults`] module adds a deterministic fault layer on top of the
-//! admin operations: a [`faults::FaultPlan`] of timed [`faults::FaultOp`]s
-//! (link flaps, partitions, latency spikes, payload corruption, node
-//! crashes with state loss, broadcast suppression) compiled onto the same
-//! event queue via [`World::install_faults`].
+//! The [`faults`] module defines the [`Op`]s and a [`FaultPlan`] of timed
+//! ops (link flaps, partitions, latency spikes, payload corruption, node
+//! crashes with state loss, broadcast suppression) that
+//! [`FaultPlan::install`] schedules onto the same event queue as faults:
+//! each one counts in `fault.ops_applied` and records a telemetry event.
 //!
 //! # Structured telemetry
 //!
@@ -93,7 +94,7 @@ pub mod stats;
 pub mod time;
 pub mod world;
 
-pub use faults::{FaultOp, FaultPlan};
+pub use faults::{FaultPlan, Op, Scheduled};
 pub use frame::Payload;
 pub use frame::{EtherType, Frame};
 pub use id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
@@ -104,7 +105,7 @@ pub use segment::SegmentParams;
 pub use shard::{ShardedWorld, SimWorld};
 pub use stats::{metric, Counter, HistId, MetricId, SeriesId, Stats};
 pub use time::{SimDuration, SimTime};
-pub use world::{AdminOp, World};
+pub use world::World;
 
 pub use telemetry;
 pub use telemetry::{

@@ -18,7 +18,7 @@
 //! wheel has [`LEVELS`] levels of [`SLOTS`] slots each; a slot at level
 //! `L` spans `SLOTS^L` ticks, so level 0 resolves single ticks and the
 //! whole wheel spans 2^36 ticks ≈ 6.5 days. Events beyond the span —
-//! soak horizons, fault plans, admin ops scheduled "at infinity" — go to
+//! soak horizons, fault plans, ops scheduled "at infinity" — go to
 //! a small overflow `BinaryHeap` and migrate into the wheel as the
 //! cursor approaches them. An event's level is the position of the
 //! highest bit in which its tick differs from the cursor (the hashed

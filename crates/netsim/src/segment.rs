@@ -17,7 +17,7 @@ pub struct SegmentParams {
     pub loss: f64,
     /// Independent per-receiver probability in `[0, 1]` that a delivered
     /// frame has one random payload bit flipped (fault injection; see
-    /// [`crate::faults::FaultOp::SetSegmentCorruption`]). Corrupted copies
+    /// [`crate::faults::Op::SetSegmentCorruption`]). Corrupted copies
     /// still arrive — IPv4/UDP checksums make the damage visible.
     pub corrupt: f64,
 }

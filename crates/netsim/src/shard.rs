@@ -40,13 +40,13 @@
 
 use std::collections::HashMap;
 
-use crate::faults::{FaultOp, FaultPlan};
+use crate::faults::{Op, Scheduled};
 use crate::id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
 use crate::node::Ctx;
 use crate::segment::SegmentParams;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::world::{AdminOp, EgressFrame, World};
+use crate::world::{EgressFrame, NodeScript, World};
 use crate::Node;
 use telemetry::{Event, EventKind, FaultKind, JourneyId};
 
@@ -55,8 +55,7 @@ use telemetry::{Event, EventKind, FaultKind, JourneyId};
 /// needs to run a simulation without caring how it executes.
 ///
 /// Generic drivers take `W: SimWorld` and work unchanged on both; code
-/// that needs world-building or fault-injection APIs keeps the concrete
-/// type.
+/// that needs world-building APIs keeps the concrete type.
 pub trait SimWorld {
     /// Current simulated time.
     fn now(&self) -> SimTime;
@@ -81,8 +80,11 @@ pub trait SimWorld {
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R;
 
-    /// Schedules an [`AdminOp`] at absolute time `at`.
-    fn schedule_admin(&mut self, at: SimTime, op: AdminOp);
+    /// Schedules a world change at absolute time `at`.
+    fn schedule(&mut self, at: SimTime, op: impl Into<Scheduled>);
+
+    /// Schedules a script scoped to `node` at absolute time `at`.
+    fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript);
 
     /// A named counter's value (summed over shards for sharded worlds).
     fn counter(&self, name: &str) -> u64;
@@ -108,8 +110,11 @@ impl SimWorld for World {
     ) -> R {
         World::with_node(self, id, f)
     }
-    fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
-        World::schedule_admin(self, at, op);
+    fn schedule(&mut self, at: SimTime, op: impl Into<Scheduled>) {
+        World::schedule(self, at, op);
+    }
+    fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript) {
+        World::schedule_script(self, at, node, script);
     }
     fn counter(&self, name: &str) -> u64 {
         self.stats().counter(name)
@@ -386,122 +391,76 @@ impl ShardedWorld {
         self.cells[shard as usize].0.node_is_down(local)
     }
 
-    /// Compiles a [`FaultPlan`] onto the shards, translating each
-    /// operation to its owning shard (see [`ShardedWorld::schedule_fault`]
-    /// for the rules).
-    pub fn install_faults(&mut self, plan: &FaultPlan) {
-        for (at, op) in plan.ops() {
-            self.schedule_fault(*at, op.clone());
-        }
-    }
-
-    /// Schedules one [`FaultOp`], translated to the owning shard:
-    ///
-    /// * node-scoped ops go to the node's shard;
-    /// * local-segment ops go to the segment's shard;
-    /// * portal `SegmentDown`/`SegmentUp` apply the real fault on the
-    ///   first replica (one telemetry event and one `fault.ops_applied`
-    ///   count, exactly like a single world) and mirror the up/down state
-    ///   silently onto the other replicas.
+    /// Schedules a world change (global ids) on the shard owning its node
+    /// or segment, ids rewritten to that shard's. A portal takes only
+    /// up/down, set on every replica: the first carries the entry's
+    /// accounting (one count, one telemetry event, like a single world),
+    /// the others mirror it silently.
     ///
     /// # Panics
     ///
-    /// Panics for latency/loss/corruption faults on a portal: they would
-    /// invalidate the lookahead bound or desynchronize the replicas'
-    /// RNG-free replay. Partition the hierarchy with portal
-    /// `SegmentDown` instead.
-    pub fn schedule_fault(&mut self, at: SimTime, op: FaultOp) {
-        match op {
-            FaultOp::SegmentDown { segment } | FaultOp::SegmentUp { segment } => {
-                let up = matches!(op, FaultOp::SegmentUp { .. });
-                match self.seg_loc[segment.0] {
-                    SegLoc::Local { shard, seg } => {
-                        let op = if up {
-                            FaultOp::SegmentUp { segment: seg }
-                        } else {
-                            FaultOp::SegmentDown { segment: seg }
-                        };
-                        self.cells[shard as usize].0.schedule_fault(at, op);
-                    }
-                    SegLoc::Portal(p) => {
-                        for (i, &(shard, seg)) in self.portals[p.0].replicas.iter().enumerate() {
-                            if i == 0 {
-                                let op = if up {
-                                    FaultOp::SegmentUp { segment: seg }
-                                } else {
-                                    FaultOp::SegmentDown { segment: seg }
-                                };
-                                self.cells[shard as usize].0.schedule_fault(at, op);
-                            } else {
-                                self.cells[shard as usize]
-                                    .0
-                                    .schedule_admin(at, AdminOp::SetSegmentUp { segment: seg, up });
-                            }
-                        }
-                    }
+    /// On loss, latency or corruption changes to a portal (they would
+    /// break the lookahead bound or the replicas' RNG-free replay), and on
+    /// an attach outside the node's shard (mobility must stay
+    /// region-confined).
+    pub fn schedule(&mut self, at: SimTime, op: impl Into<Scheduled>) {
+        let Scheduled { op, fault } = op.into();
+        if let Op::SetSegmentUp { segment, up } = op {
+            if let SegLoc::Portal(p) = self.seg_loc[segment.0] {
+                for (i, &(shard, segment)) in self.portals[p.0].replicas.iter().enumerate() {
+                    let mirror =
+                        Scheduled { op: Op::SetSegmentUp { segment, up }, fault: fault && i == 0 };
+                    self.cells[shard as usize].0.schedule(at, mirror);
                 }
-            }
-            FaultOp::SetSegmentLoss { segment, loss } => {
-                let (shard, seg) = self.local_seg_only(segment, "SetSegmentLoss");
-                self.cells[shard]
-                    .0
-                    .schedule_fault(at, FaultOp::SetSegmentLoss { segment: seg, loss });
-            }
-            FaultOp::SetSegmentLatency { segment, latency } => {
-                let (shard, seg) = self.local_seg_only(segment, "SetSegmentLatency");
-                self.cells[shard]
-                    .0
-                    .schedule_fault(at, FaultOp::SetSegmentLatency { segment: seg, latency });
-            }
-            FaultOp::LatencySpike { segment, extra, duration } => {
-                let (shard, seg) = self.local_seg_only(segment, "LatencySpike");
-                self.cells[shard]
-                    .0
-                    .schedule_fault(at, FaultOp::LatencySpike { segment: seg, extra, duration });
-            }
-            FaultOp::SetSegmentCorruption { segment, probability } => {
-                let (shard, seg) = self.local_seg_only(segment, "SetSegmentCorruption");
-                self.cells[shard].0.schedule_fault(
-                    at,
-                    FaultOp::SetSegmentCorruption { segment: seg, probability },
-                );
-            }
-            FaultOp::DetachIface { node, iface } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_fault(at, FaultOp::DetachIface { node: local, iface });
-            }
-            FaultOp::AttachIface { node, iface, segment } => {
-                let (shard, local) = self.node_loc[node.0];
-                let seg = self.seg_in_shard(segment, shard);
-                self.cells[shard as usize]
-                    .0
-                    .schedule_fault(at, FaultOp::AttachIface { node: local, iface, segment: seg });
-            }
-            FaultOp::Crash { node, down_for } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_fault(at, FaultOp::Crash { node: local, down_for });
-            }
-            FaultOp::Reboot { node } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize].0.schedule_fault(at, FaultOp::Reboot { node: local });
-            }
-            FaultOp::MuteBroadcasts { node, iface } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_fault(at, FaultOp::MuteBroadcasts { node: local, iface });
-            }
-            FaultOp::UnmuteBroadcasts { node, iface } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_fault(at, FaultOp::UnmuteBroadcasts { node: local, iface });
+                return;
             }
         }
+        let (shard, op) = self.localize(op);
+        self.cells[shard].0.schedule(at, Scheduled { op, fault });
+    }
+
+    /// The one routing rule of [`ShardedWorld::schedule`]: the shard that
+    /// applies `op`, and `op` with its ids rewritten to that shard's.
+    /// Portal up/down never gets here.
+    fn localize(&self, mut op: Op) -> (usize, Op) {
+        let shard = match &mut op {
+            Op::SetSegmentUp { segment, .. }
+            | Op::SetSegmentLoss { segment, .. }
+            | Op::SetSegmentLatency { segment, .. }
+            | Op::LatencySpike { segment, .. }
+            | Op::SetSegmentCorruption { segment, .. } => match self.seg_loc[segment.0] {
+                SegLoc::Local { shard, seg } => {
+                    *segment = seg;
+                    shard
+                }
+                SegLoc::Portal(_) => panic!(
+                    "loss, latency and corruption are not supported on portal {segment}: the \
+                     lookahead needs its fixed latency; take it down to partition instead"
+                ),
+            },
+            Op::AttachIface { node, segment, .. } => {
+                let (shard, local) = self.node_loc[node.0];
+                *node = local;
+                *segment = self.seg_in_shard(*segment, shard);
+                shard
+            }
+            Op::DetachIface { node, .. }
+            | Op::Crash { node, .. }
+            | Op::Reboot { node }
+            | Op::SetBroadcastsMuted { node, .. } => {
+                let (shard, local) = self.node_loc[node.0];
+                *node = local;
+                shard
+            }
+        };
+        (shard as usize, op)
+    }
+
+    /// Schedules a script scoped to `node` (global id) on the node's
+    /// shard; the script receives that shard and the shard-local id.
+    pub fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript) {
+        let (shard, local) = self.node_loc[node.0];
+        self.cells[shard as usize].0.schedule_script(at, local, script);
     }
 
     /// A merged copy of every shard's statistics (counters summed,
@@ -678,72 +637,6 @@ impl ShardedWorld {
         out
     }
 
-    /// Schedules an [`AdminOp`] (global ids), translated to the owning
-    /// shard. Portal segments accept only `SetSegmentUp` (mirrored onto
-    /// every replica).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `AdminOp::Call` (a script closure cannot run against
-    /// one shard and still observe the whole world — use the node-scoped
-    /// `AdminOp::CallNode`, which is routed to the owning shard with the
-    /// node id rewritten to the shard-local one), on cross-shard
-    /// `MoveIface` (shard migration is unsupported; keep
-    /// mobility region-confined), and on `SetSegmentLoss` for a portal.
-    pub fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
-        match op {
-            AdminOp::MoveIface { node, iface, segment } => {
-                let (shard, local) = self.node_loc[node.0];
-                let seg = self.seg_in_shard(segment, shard);
-                self.cells[shard as usize]
-                    .0
-                    .schedule_admin(at, AdminOp::MoveIface { node: local, iface, segment: seg });
-            }
-            AdminOp::DetachIface { node, iface } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_admin(at, AdminOp::DetachIface { node: local, iface });
-            }
-            AdminOp::SetSegmentUp { segment, up } => match self.seg_loc[segment.0] {
-                SegLoc::Local { shard, seg } => {
-                    self.cells[shard as usize]
-                        .0
-                        .schedule_admin(at, AdminOp::SetSegmentUp { segment: seg, up });
-                }
-                SegLoc::Portal(p) => {
-                    for &(shard, seg) in &self.portals[p.0].replicas {
-                        self.cells[shard as usize]
-                            .0
-                            .schedule_admin(at, AdminOp::SetSegmentUp { segment: seg, up });
-                    }
-                }
-            },
-            AdminOp::SetSegmentLoss { segment, loss } => {
-                let (shard, seg) = self.local_seg_only(segment, "SetSegmentLoss");
-                self.cells[shard]
-                    .0
-                    .schedule_admin(at, AdminOp::SetSegmentLoss { segment: seg, loss });
-            }
-            AdminOp::Reboot { node } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize].0.schedule_admin(at, AdminOp::Reboot { node: local });
-            }
-            AdminOp::Call(_) => {
-                panic!(
-                    "AdminOp::Call is not supported on a ShardedWorld: a script closure \
-                        would see one shard, not the world"
-                )
-            }
-            AdminOp::CallNode { node, script } => {
-                let (shard, local) = self.node_loc[node.0];
-                self.cells[shard as usize]
-                    .0
-                    .schedule_admin(at, AdminOp::CallNode { node: local, script });
-            }
-        }
-    }
-
     /// Resolves a global segment to its id inside `shard` (a local
     /// segment owned by that shard, or that shard's portal replica).
     fn seg_in_shard(&self, segment: SegmentId, shard: u32) -> SegmentId {
@@ -762,18 +655,6 @@ impl ShardedWorld {
                 .find(|&&(s, _)| s == shard)
                 .map(|&(_, seg)| seg)
                 .unwrap_or_else(|| panic!("shard {shard} has no replica of portal {segment}")),
-        }
-    }
-
-    /// Resolves a global segment that must not be a portal.
-    fn local_seg_only(&self, segment: SegmentId, what: &str) -> (usize, SegmentId) {
-        match self.seg_loc[segment.0] {
-            SegLoc::Local { shard, seg } => (shard as usize, seg),
-            SegLoc::Portal(_) => panic!(
-                "{what} is not supported on portal {segment}: portals must keep fixed latency \
-                 and deterministic delivery (the lookahead bound depends on it); use \
-                 SegmentDown/SegmentUp to partition instead"
-            ),
         }
     }
 
@@ -836,8 +717,11 @@ impl SimWorld for ShardedWorld {
     ) -> R {
         ShardedWorld::with_node(self, id, f)
     }
-    fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
-        ShardedWorld::schedule_admin(self, at, op);
+    fn schedule(&mut self, at: SimTime, op: impl Into<Scheduled>) {
+        ShardedWorld::schedule(self, at, op);
+    }
+    fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript) {
+        ShardedWorld::schedule_script(self, at, node, script);
     }
     fn counter(&self, name: &str) -> u64 {
         ShardedWorld::counter(self, name)
@@ -1029,8 +913,9 @@ mod tests {
         let sink = w.add_node(1, Sink::new(false));
         w.add_iface(sink, Some(portal));
         // Down before the 1 ms ping, up afterwards.
-        w.schedule_fault(SimTime::from_micros(100), FaultOp::SegmentDown { segment: portal });
-        w.schedule_fault(SimTime::from_millis(5), FaultOp::SegmentUp { segment: portal });
+        let set = |up| Op::SetSegmentUp { segment: portal, up }.fault();
+        w.schedule(SimTime::from_micros(100), set(false));
+        w.schedule(SimTime::from_millis(5), set(true));
         w.start();
         w.run_until(SimTime::from_millis(4));
         assert_eq!(w.node::<Sink>(sink).rx, 0, "down portal must block the ping");
@@ -1043,7 +928,7 @@ mod tests {
         assert_eq!(w.counter("fault.ops_applied"), 2, "one count per scheduled fault");
     }
 
-    /// Node-scoped faults and admin moves translate to the owning shard.
+    /// Node-scoped faults and moves translate to the owning shard.
     #[test]
     fn node_faults_and_moves_translate_to_owning_shard() {
         let mut w = ShardedWorld::new(9, 2);
@@ -1055,20 +940,16 @@ mod tests {
         let sink = w.add_node(1, Sink::new(false));
         w.add_iface(sink, Some(portal));
         // Crash the sink across the ping, then move it to a local cell.
-        w.schedule_fault(
-            SimTime::from_micros(500),
-            FaultOp::Crash { node: sink, down_for: SimDuration::from_millis(3) },
-        );
+        let crash = Op::Crash { node: sink, down_for: SimDuration::from_millis(3) };
+        w.schedule(SimTime::from_micros(500), crash.fault());
         w.start();
         w.run_until(SimTime::from_millis(2));
         assert!(w.node_is_down(sink));
         assert_eq!(w.counter("fault.frames_dropped_node_down"), 1);
         w.run_until(SimTime::from_millis(5));
         assert!(!w.node_is_down(sink));
-        w.schedule_admin(
-            SimTime::from_millis(6),
-            AdminOp::MoveIface { node: sink, iface: IfaceId(0), segment: cell_a },
-        );
+        let attach = Op::AttachIface { node: sink, iface: IfaceId(0), segment: cell_a };
+        w.schedule(SimTime::from_millis(6), attach);
         w.run_until(SimTime::from_millis(7));
         assert_eq!(w.counter("world.reboots"), 1);
     }
@@ -1105,7 +986,7 @@ mod tests {
         assert_eq!(a, run(), "merged stream must replay identically");
     }
 
-    /// Detached/attached link events still fire through translated admin
+    /// Detached/attached link events still fire through translated
     /// ops (regression guard for the id translation).
     #[test]
     fn translated_detach_fires_link_event() {
@@ -1123,11 +1004,44 @@ mod tests {
         let n = w.add_node(1, Watcher { events: Vec::new() });
         w.add_iface(n, Some(seg));
         w.start();
-        w.schedule_admin(
-            SimTime::from_millis(1),
-            AdminOp::DetachIface { node: n, iface: IfaceId(0) },
-        );
+        w.schedule(SimTime::from_millis(1), Op::DetachIface { node: n, iface: IfaceId(0) });
         w.run_until(SimTime::from_millis(2));
         assert_eq!(w.node::<Watcher>(n).events, vec![LinkEvent::Detached]);
+    }
+
+    /// Routes `op(portal, a cell of shard 0, a node of shard 1)` on a
+    /// two-shard world.
+    fn route(op: impl FnOnce(SegmentId, SegmentId, NodeId) -> Op) {
+        let mut w = ShardedWorld::new(1, 2);
+        let portal = w.add_portal_segment(SegmentParams::default(), &[0, 1]);
+        let cell = w.add_segment(0, SegmentParams::default());
+        let node = w.add_node(1, Sink::new(false));
+        w.add_iface(node, Some(portal));
+        w.schedule(SimTime::ZERO, op(portal, cell, node).fault());
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported on portal")]
+    fn portal_refuses_loss() {
+        route(|segment, _, _| Op::SetSegmentLoss { segment, loss: 0.1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported on portal")]
+    fn portal_refuses_latency_spike() {
+        let extra = SimDuration::from_millis(1);
+        route(|segment, _, _| Op::LatencySpike { segment, extra, duration: extra });
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported on portal")]
+    fn portal_refuses_corruption() {
+        route(|segment, _, _| Op::SetSegmentCorruption { segment, probability: 0.1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-shard attachment is unsupported")]
+    fn cross_shard_attach_panics() {
+        route(|_, segment, node| Op::AttachIface { node, iface: IfaceId(0), segment });
     }
 }

@@ -77,9 +77,9 @@ pub mod metric {
     pub const FAULT_FRAMES_DROPPED_NODE_DOWN: MetricId = MetricId(11);
     /// Timers that fired on a crashed (down) node and were discarded.
     pub const FAULT_TIMERS_DROPPED_NODE_DOWN: MetricId = MetricId(12);
-    /// Broadcast transmissions suppressed by `FaultOp::MuteBroadcasts`.
+    /// Broadcast transmissions suppressed by `Op::SetBroadcastsMuted`.
     pub const FAULT_TX_MUTED: MetricId = MetricId(13);
-    /// Node crashes injected (`FaultOp::Crash`).
+    /// Node crashes injected (`Op::Crash`).
     pub const FAULT_CRASHES: MetricId = MetricId(14);
     /// Timer events discarded by `Ctx::cancel_timer` before dispatch.
     pub const SIM_TIMERS_CANCELLED: MetricId = MetricId(15);

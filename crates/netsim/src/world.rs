@@ -9,7 +9,7 @@ use rand::RngExt;
 
 use crate::arena::NodeArena;
 use crate::event::{EventKind, ScheduledEvent, Transmissions};
-use crate::faults::{FaultOp, FaultPlan};
+use crate::faults::{Op, Scheduled};
 use crate::frame::{Frame, Payload};
 use crate::id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
 use crate::node::{Ctx, IfaceInfo, LinkEvent, Node, Pipeline};
@@ -17,94 +17,12 @@ use crate::segment::{Segment, SegmentParams};
 use crate::stats::{metric, Stats};
 use crate::time::{SimDuration, SimTime};
 use telemetry::pcapng::PcapWriter;
-use telemetry::{DropReason, EventLog, FaultKind, Journey, JourneyId};
+use telemetry::{DropReason, EventLog, Journey, JourneyId};
 
-/// A node-scoped admin script: receives the world and the (possibly
-/// shard-local) id of the node it is bound to.
+/// A node-scoped script: receives the world and the (possibly
+/// shard-local) id of its node. `Send`, because a shard's queue moves
+/// between worker threads.
 pub type NodeScript = Box<dyn FnOnce(&mut World, NodeId) + Send>;
-
-/// A scripted world mutation, schedulable on the event queue.
-///
-/// Admin operations model everything "physical" that happens to the network
-/// from outside the protocols: a host being carried to a different network,
-/// a link going down, a router crashing and rebooting.
-pub enum AdminOp {
-    /// Detach interface `iface` of `node` from whatever segment it is on.
-    DetachIface {
-        /// The node owning the interface.
-        node: NodeId,
-        /// The interface to detach.
-        iface: IfaceId,
-    },
-    /// Attach interface `iface` of `node` to `segment`, detaching it
-    /// first if it is elsewhere (host movement).
-    MoveIface {
-        /// The node owning the interface.
-        node: NodeId,
-        /// The interface to move.
-        iface: IfaceId,
-        /// The destination segment.
-        segment: SegmentId,
-    },
-    /// Bring a whole segment up or down (backbone link failure).
-    SetSegmentUp {
-        /// The segment to change.
-        segment: SegmentId,
-        /// New state.
-        up: bool,
-    },
-    /// Change a segment's loss rate on the fly.
-    SetSegmentLoss {
-        /// The segment to change.
-        segment: SegmentId,
-        /// New per-receiver loss probability in `[0, 1]`.
-        loss: f64,
-    },
-    /// Reboot a node ([`Node::on_reboot`] fires; volatile state is the
-    /// node's responsibility to discard).
-    Reboot {
-        /// The node to reboot.
-        node: NodeId,
-    },
-    /// Run an arbitrary script against the world.
-    ///
-    /// `Send` because worlds (and the queues holding pending ops) migrate
-    /// to worker threads when run as a shard of a
-    /// [`ShardedWorld`](crate::shard::ShardedWorld).
-    Call(Box<dyn FnOnce(&mut World) + Send>),
-    /// Run a script scoped to a single node.
-    ///
-    /// Unlike [`AdminOp::Call`], this variant is shard-routable: a
-    /// [`ShardedWorld`](crate::shard::ShardedWorld) forwards it to the
-    /// shard owning `node` (with `node` rewritten to the shard-local id),
-    /// so the same plan lowers identically on flat and sharded worlds.
-    /// The script must confine its effects to `node` — in a sharded run
-    /// the `World` it receives is one shard, not the whole topology.
-    CallNode {
-        /// The node the script is scoped to.
-        node: NodeId,
-        /// The script; receives the (possibly shard-local) node id.
-        script: NodeScript,
-    },
-}
-
-impl fmt::Debug for AdminOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdminOp::DetachIface { node, iface } => write!(f, "DetachIface({node}, {iface})"),
-            AdminOp::MoveIface { node, iface, segment } => {
-                write!(f, "MoveIface({node}, {iface}, {segment})")
-            }
-            AdminOp::SetSegmentUp { segment, up } => write!(f, "SetSegmentUp({segment}, {up})"),
-            AdminOp::SetSegmentLoss { segment, loss } => {
-                write!(f, "SetSegmentLoss({segment}, {loss})")
-            }
-            AdminOp::Reboot { node } => write!(f, "Reboot({node})"),
-            AdminOp::Call(_) => write!(f, "Call(<script>)"),
-            AdminOp::CallNode { node, .. } => write!(f, "CallNode({node}, <script>)"),
-        }
-    }
-}
 
 /// The queue entry for one receiver's copy of transmission `tx`.
 #[inline]
@@ -446,8 +364,11 @@ impl World {
                 self.pipe.record(Some(node), None, telemetry::EventKind::Timer { token: token.0 });
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
             }
-            EventKind::Admin(op) => self.apply_admin(*op),
-            EventKind::Fault(op) => self.apply_fault(*op),
+            EventKind::Op(op) => self.apply(*op),
+            EventKind::Script(script) => {
+                let (node, script) = *script;
+                script(self, node);
+            }
             EventKind::SampleQueue => {
                 // The sample event itself was already popped, so `queue_len`
                 // reflects only real pending work at this instant.
@@ -505,99 +426,71 @@ impl World {
         }
     }
 
-    /// Schedules an [`AdminOp`] at absolute time `at`.
-    pub fn schedule_admin(&mut self, at: SimTime, op: AdminOp) {
-        self.pipe.queue.push(at, EventKind::Admin(Box::new(op)));
-    }
-
-    /// Schedules a script callback at absolute time `at`.
-    pub fn schedule_call(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
-        self.schedule_admin(at, AdminOp::Call(Box::new(f)));
-    }
-
-    /// Schedules one [`FaultOp`] at absolute time `at`.
-    pub fn schedule_fault(&mut self, at: SimTime, op: FaultOp) {
-        assert!(at >= self.pipe.now, "fault scheduled in the past");
-        self.pipe.queue.push(at, EventKind::Fault(Box::new(op)));
-    }
-
-    /// Compiles a [`FaultPlan`] onto the event queue: every scheduled
-    /// operation becomes an event, totally ordered with frames, timers and
-    /// admin operations. Deterministic: the same seed and the same plan
-    /// reproduce a byte-identical run.
+    /// Schedules a world change at absolute time `at`: a plain [`Op`]
+    /// applies silently, [`Op::fault`] as a fault (see [`Scheduled`]).
     ///
     /// # Panics
     ///
-    /// Panics if any operation is scheduled before the current time.
-    pub fn install_faults(&mut self, plan: &FaultPlan) {
-        for (at, op) in plan.ops() {
-            self.schedule_fault(*at, op.clone());
-        }
+    /// Panics if `at` is before the current time.
+    pub fn schedule(&mut self, at: SimTime, op: impl Into<Scheduled>) {
+        assert!(at >= self.pipe.now, "op scheduled in the past");
+        self.pipe.queue.push(at, EventKind::Op(Box::new(op.into())));
     }
 
-    /// Whether `node` is currently crashed by a [`FaultOp::Crash`] (it
+    /// Schedules `script` to run against `node` at absolute time `at`. It
+    /// must confine its effects to `node`: on a sharded world it receives
+    /// the node's shard, not the whole topology.
+    pub fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript) {
+        self.pipe.queue.push(at, EventKind::Script(Box::new((node, script))));
+    }
+
+    /// Whether `node` is currently crashed by an [`Op::Crash`] (it
     /// receives no frames or timers until its scheduled reboot).
     pub fn node_is_down(&self, node: NodeId) -> bool {
         self.down_nodes[node.0]
     }
 
-    fn apply_fault(&mut self, op: FaultOp) {
-        self.pipe.stats.incr_id(metric::FAULT_OPS_APPLIED);
-        let fault_kind = match &op {
-            FaultOp::SegmentDown { .. } => FaultKind::SegmentDown,
-            FaultOp::SegmentUp { .. } => FaultKind::SegmentUp,
-            FaultOp::SetSegmentLoss { .. } => FaultKind::Loss,
-            FaultOp::SetSegmentLatency { .. } | FaultOp::LatencySpike { .. } => FaultKind::Latency,
-            FaultOp::SetSegmentCorruption { .. } => FaultKind::Corruption,
-            FaultOp::DetachIface { .. } => FaultKind::Detach,
-            FaultOp::AttachIface { .. } => FaultKind::Attach,
-            FaultOp::Crash { .. } => FaultKind::Crash,
-            FaultOp::Reboot { .. } => FaultKind::Reboot,
-            FaultOp::MuteBroadcasts { .. } => FaultKind::Mute,
-            FaultOp::UnmuteBroadcasts { .. } => FaultKind::Unmute,
-        };
-        self.pipe.record(None, None, telemetry::EventKind::Fault { kind: fault_kind });
+    /// Applies one scheduled op. The restore a latency spike schedules and
+    /// the reboot that ends a crash inherit the entry's accounting.
+    fn apply(&mut self, Scheduled { op, fault }: Scheduled) {
+        if fault {
+            self.pipe.stats.incr_id(metric::FAULT_OPS_APPLIED);
+            self.pipe.record(None, None, telemetry::EventKind::Fault { kind: op.fault_kind() });
+        }
+        let follow_up = |op| Scheduled { op, fault };
         match op {
-            FaultOp::SegmentDown { segment } => self.segments[segment.0].up = false,
-            FaultOp::SegmentUp { segment } => self.segments[segment.0].up = true,
-            FaultOp::SetSegmentLoss { segment, loss } => {
+            Op::SetSegmentUp { segment, up } => self.segments[segment.0].up = up,
+            Op::SetSegmentLoss { segment, loss } => {
                 assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
                 self.segments[segment.0].params.loss = loss;
             }
-            FaultOp::SetSegmentLatency { segment, latency } => {
+            Op::SetSegmentLatency { segment, latency } => {
                 self.segments[segment.0].params.latency = latency;
             }
-            FaultOp::LatencySpike { segment, extra, duration } => {
+            Op::LatencySpike { segment, extra, duration } => {
                 let previous = self.segments[segment.0].params.latency;
                 self.segments[segment.0].params.latency = previous + extra;
-                self.schedule_fault(
-                    self.pipe.now + duration,
-                    FaultOp::SetSegmentLatency { segment, latency: previous },
-                );
+                let restore = Op::SetSegmentLatency { segment, latency: previous };
+                self.schedule(self.pipe.now + duration, follow_up(restore));
             }
-            FaultOp::SetSegmentCorruption { segment, probability } => {
+            Op::SetSegmentCorruption { segment, probability } => {
                 assert!((0.0..=1.0).contains(&probability), "corruption must be a probability");
                 self.segments[segment.0].params.corrupt = probability;
             }
-            FaultOp::DetachIface { node, iface } => self.move_iface(node, iface, None),
-            FaultOp::AttachIface { node, iface, segment } => {
-                self.move_iface(node, iface, Some(segment));
-            }
-            FaultOp::Crash { node, down_for } => {
+            Op::DetachIface { node, iface } => self.move_iface(node, iface, None),
+            Op::AttachIface { node, iface, segment } => self.move_iface(node, iface, Some(segment)),
+            Op::Crash { node, down_for } => {
                 if !self.down_nodes[node.0] {
                     self.pipe.stats.incr_id(metric::FAULT_CRASHES);
                     self.down_nodes[node.0] = true;
-                    self.schedule_fault(self.pipe.now + down_for, FaultOp::Reboot { node });
+                    self.schedule(self.pipe.now + down_for, follow_up(Op::Reboot { node }));
                 }
             }
-            FaultOp::Reboot { node } => {
-                self.down_nodes[node.0] = false;
-                self.reboot_node(node);
-            }
-            FaultOp::MuteBroadcasts { node, iface } => {
+            Op::Reboot { node } => self.reboot_node(node),
+            Op::SetBroadcastsMuted { node, iface, muted: true } => {
                 self.muted_broadcasts.insert((node, iface));
             }
-            FaultOp::UnmuteBroadcasts { node, iface } => {
+            Op::SetBroadcastsMuted { node, iface, muted: false } => {
                 self.muted_broadcasts.remove(&(node, iface));
             }
         }
@@ -632,8 +525,10 @@ impl World {
         }
     }
 
-    /// Immediately reboots `node` (fires [`Node::on_reboot`]).
+    /// Immediately reboots `node` (fires [`Node::on_reboot`]), ending a
+    /// crash outage if one is under way.
     pub fn reboot_node(&mut self, node: NodeId) {
+        self.down_nodes[node.0] = false;
         self.pipe.stats.incr_id(metric::WORLD_REBOOTS);
         self.dispatch(node, |n, ctx| n.on_reboot(ctx));
     }
@@ -780,7 +675,7 @@ impl World {
     }
 
     /// Total events processed since the world was created (frames, timers
-    /// and admin operations). The bench harness divides this by wall time
+    /// and scheduled ops). The bench harness divides this by wall time
     /// to report simulator throughput.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -805,23 +700,6 @@ impl World {
     /// The MAC address assigned to `iface` of `node`.
     pub fn iface_mac(&self, node: NodeId, iface: IfaceId) -> MacAddr {
         self.bindings[node.0][iface.0].mac
-    }
-
-    fn apply_admin(&mut self, op: AdminOp) {
-        match op {
-            AdminOp::DetachIface { node, iface } => self.move_iface(node, iface, None),
-            AdminOp::MoveIface { node, iface, segment } => {
-                self.move_iface(node, iface, Some(segment));
-            }
-            AdminOp::SetSegmentUp { segment, up } => self.segments[segment.0].up = up,
-            AdminOp::SetSegmentLoss { segment, loss } => {
-                assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-                self.segments[segment.0].params.loss = loss;
-            }
-            AdminOp::Reboot { node } => self.reboot_node(node),
-            AdminOp::Call(f) => f(self),
-            AdminOp::CallNode { node, script } => script(self, node),
-        }
     }
 
     fn dispatch(&mut self, node_id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
@@ -1016,6 +894,7 @@ impl fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::frame::EtherType;
     use crate::node::TimerToken;
 
@@ -1121,9 +1000,9 @@ mod tests {
     #[test]
     fn segment_down_blocks_tx() {
         let (mut w, _b, c) = two_node_world();
-        w.schedule_admin(
+        w.schedule(
             SimTime::from_micros(500),
-            AdminOp::SetSegmentUp { segment: SegmentId(0), up: false },
+            Op::SetSegmentUp { segment: SegmentId(0), up: false },
         );
         w.start();
         w.run_until(SimTime::from_secs(1));
@@ -1158,11 +1037,16 @@ mod tests {
 
     #[test]
     fn scheduled_call_runs_at_time() {
-        let (mut w, _b, _c) = two_node_world();
+        let (mut w, _b, c) = two_node_world();
         w.start();
-        w.schedule_call(SimTime::from_millis(5), |w| {
-            w.stats_mut().incr("script.ran");
-        });
+        w.schedule_script(
+            SimTime::from_millis(5),
+            c,
+            Box::new(move |w, n| {
+                assert_eq!(n, c);
+                w.stats_mut().incr("script.ran");
+            }),
+        );
         w.run_until(SimTime::from_millis(4));
         assert_eq!(w.stats().counter("script.ran"), 0);
         w.run_until(SimTime::from_millis(5));
@@ -1245,12 +1129,11 @@ mod tests {
 
     #[test]
     fn crash_window_drops_frames_and_timers_then_reboots() {
-        use crate::faults::FaultPlan;
         let (mut w, _b, c) = two_node_world();
         // Beacon fires at 1ms (lands 1.5ms); crash the counter across
         // that window and give it a pending timer that must be consumed.
         let plan = FaultPlan::new().crash(c, SimTime::from_millis(1), SimDuration::from_millis(2));
-        w.install_faults(&plan);
+        plan.install(&mut w);
         w.start();
         w.with_node::<Counter, _>(c, |_n, ctx| {
             ctx.set_timer(SimDuration::from_millis(2), TimerToken(9));
@@ -1269,10 +1152,26 @@ mod tests {
     }
 
     #[test]
-    fn muted_broadcasts_are_suppressed_but_unicast_passes() {
-        use crate::faults::FaultOp;
+    fn plain_reboot_ends_a_crash_outage() {
         let (mut w, b, c) = two_node_world();
-        w.schedule_fault(SimTime::ZERO, FaultOp::MuteBroadcasts { node: b, iface: IfaceId(0) });
+        let crash = Op::Crash { node: c, down_for: SimDuration::from_secs(10) };
+        w.schedule(SimTime::ZERO, crash.fault());
+        w.schedule(SimTime::from_secs(1), Op::Reboot { node: c });
+        w.start();
+        w.run_until(SimTime::from_secs(2));
+        assert!(!w.node_is_down(c), "a reboot must end the outage");
+        w.with_node::<Beacon, _>(b, |n, ctx| n.on_timer(ctx, TimerToken(1)));
+        w.run_until(SimTime::from_secs(3));
+        let n = w.node::<Counter>(c);
+        assert_eq!((n.rx, n.reboots), (1, 1), "a rebooted node must hear frames again");
+        assert_eq!(w.stats().counter("fault.ops_applied"), 1, "the plain reboot is silent");
+    }
+
+    #[test]
+    fn muted_broadcasts_are_suppressed_but_unicast_passes() {
+        let (mut w, b, c) = two_node_world();
+        let mute = |muted| Op::SetBroadcastsMuted { node: b, iface: IfaceId(0), muted }.fault();
+        w.schedule(SimTime::ZERO, mute(true));
         w.start();
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.node::<Counter>(c).rx, 0);
@@ -1285,7 +1184,7 @@ mod tests {
         });
         w.run_until(SimTime::from_secs(2));
         assert_eq!(w.node::<Counter>(c).rx, 1);
-        w.schedule_fault(w.now(), FaultOp::UnmuteBroadcasts { node: b, iface: IfaceId(0) });
+        w.schedule(w.now(), mute(false));
         w.run_until(w.now()); // apply the unmute before transmitting
         w.with_node::<Beacon, _>(b, |n, ctx| n.on_timer(ctx, TimerToken(1)));
         w.run_until(SimTime::from_secs(3));
@@ -1294,17 +1193,14 @@ mod tests {
 
     #[test]
     fn latency_spike_applies_and_restores() {
-        use crate::faults::FaultOp;
         let (mut w, _b, c) = two_node_world();
         // Spike covers the 1ms beacon: delivery at 1ms + (500us + 10ms).
-        w.schedule_fault(
-            SimTime::ZERO,
-            FaultOp::LatencySpike {
-                segment: SegmentId(0),
-                extra: SimDuration::from_millis(10),
-                duration: SimDuration::from_millis(5),
-            },
-        );
+        let spike = Op::LatencySpike {
+            segment: SegmentId(0),
+            extra: SimDuration::from_millis(10),
+            duration: SimDuration::from_millis(5),
+        };
+        w.schedule(SimTime::ZERO, spike.fault());
         w.start();
         w.run_until(SimTime::from_millis(11));
         assert_eq!(w.node::<Counter>(c).rx, 0, "spiked latency must delay delivery");
@@ -1319,8 +1215,6 @@ mod tests {
 
     #[test]
     fn corruption_flips_exactly_one_bit_per_corrupted_copy() {
-        use crate::faults::FaultOp;
-
         struct Keeper {
             got: Vec<Vec<u8>>,
         }
@@ -1336,10 +1230,8 @@ mod tests {
         w.add_iface(b, Some(seg));
         let k = w.add_node(Keeper { got: Vec::new() });
         w.add_iface(k, Some(seg));
-        w.schedule_fault(
-            SimTime::ZERO,
-            FaultOp::SetSegmentCorruption { segment: seg, probability: 1.0 },
-        );
+        let corrupt = Op::SetSegmentCorruption { segment: seg, probability: 1.0 };
+        w.schedule(SimTime::ZERO, corrupt.fault());
         w.start();
         w.run_until(SimTime::from_secs(1));
         let got = &w.node::<Keeper>(k).got;
@@ -1352,7 +1244,6 @@ mod tests {
 
     #[test]
     fn fault_plan_runs_are_byte_identical() {
-        use crate::faults::{FaultOp, FaultPlan};
         let run = |seed: u64| -> (Vec<telemetry::Event>, Vec<(String, u64)>) {
             let mut w = World::new(seed);
             let seg = w.add_segment(SegmentParams {
@@ -1375,16 +1266,20 @@ mod tests {
                 )
                 .op(
                     SimTime::from_micros(950),
-                    FaultOp::SetSegmentCorruption { segment: seg, probability: 0.5 },
+                    Op::SetSegmentCorruption { segment: seg, probability: 0.5 },
                 )
                 .crash(c, SimTime::from_millis(2), SimDuration::from_millis(1));
-            w.install_faults(&plan);
+            plan.install(&mut w);
             // The first beacon falls into a flap; these land on either
             // side of the crash, past the loss, jitter and corruption draws.
             for i in 0..8 {
-                w.schedule_call(SimTime::from_micros(1_200 + 400 * i), move |w| {
-                    w.with_node::<Beacon, _>(b, |n, ctx| n.on_timer(ctx, TimerToken(1)));
-                });
+                w.schedule_script(
+                    SimTime::from_micros(1_200 + 400 * i),
+                    b,
+                    Box::new(|w, b| {
+                        w.with_node::<Beacon, _>(b, |n, ctx| n.on_timer(ctx, TimerToken(1)));
+                    }),
+                );
             }
             w.start();
             w.run_until(SimTime::from_secs(1));

@@ -5,7 +5,7 @@
 
 use netsim::time::{SimDuration, SimTime};
 use netsim::{
-    Ctx, EtherType, FaultOp, FaultPlan, Frame, IfaceId, Node, NodeId, SegmentId, SegmentParams,
+    Ctx, EtherType, FaultPlan, Frame, IfaceId, Node, NodeId, Op, SegmentId, SegmentParams,
     TimerToken, World,
 };
 use proptest::prelude::*;
@@ -59,29 +59,27 @@ fn build_plan(raw: &[RawOp], seg: SegmentId) -> FaultPlan {
     for &(sel, at_us, mag) in raw {
         let at = SimTime::from_micros(at_us % 2_000_000);
         let op = match sel % 8 {
-            0 => FaultOp::SegmentDown { segment: seg },
-            1 => FaultOp::SegmentUp { segment: seg },
-            2 => FaultOp::SetSegmentLoss { segment: seg, loss: (mag % 90) as f64 / 100.0 },
-            3 => FaultOp::SetSegmentLatency {
+            0 => Op::SetSegmentUp { segment: seg, up: false },
+            1 => Op::SetSegmentUp { segment: seg, up: true },
+            2 => Op::SetSegmentLoss { segment: seg, loss: (mag % 90) as f64 / 100.0 },
+            3 => Op::SetSegmentLatency {
                 segment: seg,
                 latency: SimDuration::from_micros(1 + mag % 5_000),
             },
-            4 => FaultOp::LatencySpike {
+            4 => Op::LatencySpike {
                 segment: seg,
                 extra: SimDuration::from_micros(mag % 10_000),
                 duration: SimDuration::from_micros(1 + mag % 300_000),
             },
-            5 => FaultOp::SetSegmentCorruption {
-                segment: seg,
-                probability: (mag % 100) as f64 / 100.0,
-            },
-            6 => FaultOp::Crash {
+            5 => Op::SetSegmentCorruption { segment: seg, probability: (mag % 100) as f64 / 100.0 },
+            6 => Op::Crash {
                 node: NodeId((mag % NODES as u64) as usize),
                 down_for: SimDuration::from_micros(1 + mag % 500_000),
             },
-            _ => FaultOp::MuteBroadcasts {
+            _ => Op::SetBroadcastsMuted {
                 node: NodeId((mag % NODES as u64) as usize),
                 iface: IfaceId(0),
+                muted: true,
             },
         };
         plan = plan.op(at, op);
@@ -101,7 +99,7 @@ fn run_with_plan(seed: u64, plan: &FaultPlan) -> (Vec<u64>, Vec<(String, u64)>) 
             id
         })
         .collect();
-    w.install_faults(plan);
+    plan.install(&mut w);
     w.start();
     w.run_until(SimTime::from_secs(3));
     let rx = ids.iter().map(|&id| w.node::<Chatter>(id).received).collect();
@@ -171,7 +169,7 @@ proptest! {
             SimTime::from_micros(crash_at_us),
             SimDuration::from_micros(down_us),
         );
-        w.install_faults(&plan);
+        plan.install(&mut w);
         w.start();
         w.run_until(SimTime::from_micros(crash_at_us) + SimDuration::from_micros(down_us));
         prop_assert!(!w.node_is_down(victim));

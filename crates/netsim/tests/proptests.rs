@@ -129,7 +129,7 @@ fn clock_never_goes_backwards() {
 
 mod lifecycle {
     use super::*;
-    use netsim::{AdminOp, FaultOp, MacAddr, NodeId, Payload, SegmentId, ShardedWorld};
+    use netsim::{MacAddr, NodeId, Op, Payload, SegmentId, ShardedWorld};
 
     const SITES: usize = 4;
     const ET: EtherType = EtherType::Other(0x4c43);
@@ -320,34 +320,27 @@ mod lifecycle {
                     // Carried to another segment of the same site.
                     let to = [sites[site].lan, sites[site].cell, sites[site].noisy]
                         [mix.below(3) as usize];
-                    let op = AdminOp::MoveIface { node, iface: IfaceId(1), segment: to };
-                    w.schedule_admin(at(&mut mix), op);
+                    let op = Op::AttachIface { node, iface: IfaceId(1), segment: to };
+                    w.schedule(at(&mut mix), op);
                 }
                 1 => {
-                    w.schedule_admin(
-                        at(&mut mix),
-                        AdminOp::DetachIface { node, iface: IfaceId(0) },
-                    );
+                    w.schedule(at(&mut mix), Op::DetachIface { node, iface: IfaceId(0) });
                 }
                 _ => {
                     let down_for = SimDuration::from_micros(300 + mix.below(2_000));
-                    w.schedule_fault(at(&mut mix), FaultOp::Crash { node, down_for });
+                    w.schedule(at(&mut mix), Op::Crash { node, down_for }.fault());
                 }
             }
         }
         let flapped = sites[mix.below(SITES as u64) as usize].cell;
         let t = at(&mut mix);
-        w.schedule_fault(t, FaultOp::SegmentDown { segment: flapped });
-        w.schedule_fault(
-            t + SimDuration::from_micros(700),
-            FaultOp::SegmentUp { segment: flapped },
-        );
+        let set = |up| Op::SetSegmentUp { segment: flapped, up }.fault();
+        w.schedule(t, set(false));
+        w.schedule(t + SimDuration::from_micros(700), set(true));
         // A LAN that starts corrupting stops batching.
         let noisy_lan = sites[mix.below(SITES as u64) as usize].lan;
-        w.schedule_fault(
-            at(&mut mix),
-            FaultOp::SetSegmentCorruption { segment: noisy_lan, probability: 0.2 },
-        );
+        let corrupt = Op::SetSegmentCorruption { segment: noisy_lan, probability: 0.2 };
+        w.schedule(at(&mut mix), corrupt.fault());
         Run { world: w, talkers }
     }
 

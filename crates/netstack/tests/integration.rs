@@ -325,10 +325,7 @@ fn segment_down_kills_connectivity_and_recovers() {
     let mut c = build_chain(1, 11);
     let dst = addr(1, 10);
     let mid = c.segments[1];
-    c.world.schedule_admin(
-        SimTime::from_millis(1),
-        netsim::AdminOp::SetSegmentUp { segment: mid, up: false },
-    );
+    c.world.schedule(SimTime::from_millis(1), netsim::Op::SetSegmentUp { segment: mid, up: false });
     c.world.run_until(SimTime::from_millis(10));
     c.world.with_node::<HostNode, _>(c.host_a, |h, ctx| {
         h.ping(ctx, dst);
@@ -337,7 +334,7 @@ fn segment_down_kills_connectivity_and_recovers() {
     assert_eq!(c.world.node::<HostNode>(c.host_a).log().echo_replies.len(), 0);
     // Bring it back; ping again (the router's ARP entry for the host may
     // need re-resolution, which happens transparently).
-    c.world.schedule_admin(c.world.now(), netsim::AdminOp::SetSegmentUp { segment: mid, up: true });
+    c.world.schedule(c.world.now(), netsim::Op::SetSegmentUp { segment: mid, up: true });
     c.world.run_for(SimDuration::from_millis(10));
     c.world.with_node::<HostNode, _>(c.host_a, |h, ctx| {
         h.ping(ctx, dst);

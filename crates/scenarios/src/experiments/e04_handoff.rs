@@ -14,7 +14,7 @@
 
 use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{FaultOp, FaultPlan};
+use netsim::{FaultPlan, Op};
 
 use crate::metrics::HandoffResult;
 use crate::shootout::DATA_PORT;
@@ -54,7 +54,7 @@ pub fn run_one(seed: u64, forwarding_pointers: bool, label: &str) -> HandoffResu
     let mut sent_during_move = 0u64;
     let move_at = f.world.now() + SimDuration::from_millis(200);
     let plan = FaultPlan::new().crash(f.r2, move_at, HA_OUTAGE);
-    f.world.install_faults(&plan);
+    plan.install(&mut f.world);
     let mut moved_at: Option<SimTime> = None;
     for i in 0..150u32 {
         if moved_at.is_none() && f.world.now() >= move_at {
@@ -118,9 +118,8 @@ pub fn run_ha_partitioned(seed: u64, forwarding_pointers: bool, label: &str) -> 
 
     // The home agent drops off the network entirely — scheduled as a
     // fault so the outage is part of the reproducible plan.
-    let outage = FaultPlan::new()
-        .op(f.world.now(), FaultOp::DetachIface { node: f.r2, iface: netsim::IfaceId(0) });
-    f.world.install_faults(&outage);
+    let outage = Op::DetachIface { node: f.r2, iface: netsim::IfaceId(0) };
+    f.world.schedule(f.world.now(), outage.fault());
     // M moves to R5. Its home-agent registration backs off to exhaustion
     // (~9.5 s with the default schedule); the mobile host then notifies
     // the old foreign agent anyway, which (when configured) installs the

@@ -38,10 +38,8 @@ fn run_moves(p: &mut Phys, mobiles: &[NodeId], target: SegmentId) {
     p.world.run_until(SimTime::from_secs(2));
     for (i, &m) in mobiles.iter().enumerate() {
         let at = p.world.now() + SimDuration::from_millis(300 * (i as u64 + 1));
-        p.world.schedule_admin(
-            at,
-            netsim::AdminOp::MoveIface { node: m, iface: IfaceId(0), segment: target },
-        );
+        p.world
+            .schedule(at, netsim::Op::AttachIface { node: m, iface: IfaceId(0), segment: target });
     }
     let horizon = p.world.now() + SimDuration::from_secs(10 + mobiles.len() as u64);
     p.world.run_until(horizon);

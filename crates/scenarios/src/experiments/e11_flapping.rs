@@ -62,7 +62,7 @@ pub fn run_one(seed: u64, plan: &FaultPlan, label: &str) -> FlapResult {
         ..Default::default()
     });
     let m_addr = f.addrs.m;
-    f.world.install_faults(plan);
+    plan.install(&mut f.world);
 
     f.world.run_until(MOVE_AT);
     let reg0 = f.world.stats().counter("mhrp.registration_msgs_sent");

@@ -52,7 +52,7 @@ pub fn run_one(seed: u64, forwarding_pointers: bool, label: &str) -> PartitionRe
     // Partition the backbone, then move M to R5 two seconds in.
     let from = f.world.now();
     let heal_at = from + PARTITION;
-    f.world.install_faults(&FaultPlan::new().partition(f.backbone, from, heal_at));
+    FaultPlan::new().partition(f.backbone, from, heal_at).install(&mut f.world);
     f.world.run_for(SimDuration::from_secs(2));
     let probes0 = f.world.stats().counter("mhrp.registration_probes");
     let acked0 = f.world.node::<MobileHostNode>(f.m).core.stats.ha_registrations_acked;

@@ -633,10 +633,9 @@ mod tests {
         // visit that must be served by region 1's regional agent.
         let mover = h.mobiles[0];
         let at = h.world.now() + SimDuration::from_millis(10);
-        h.world.schedule_admin(
-            at,
-            netsim::AdminOp::MoveIface { node: mover, iface: IfaceId(0), segment: h.cells[3 + 1] },
-        );
+        let visit =
+            netsim::Op::AttachIface { node: mover, iface: IfaceId(0), segment: h.cells[3 + 1] };
+        h.world.schedule(at, visit);
         h.world.run_for(SimDuration::from_secs(10));
         let state = h.world.node::<MobileHostNode>(mover).core.state;
         assert_eq!(state, Attachment::Foreign(fa_cell_addr(1, 1)));

@@ -6,7 +6,7 @@
 
 use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{Event, FaultOp, FaultPlan, IfaceId, MacAddr, TeleEventKind};
+use netsim::{Event, FaultPlan, IfaceId, MacAddr, Op, TeleEventKind};
 use netstack::nodes::HostNode;
 use scenarios::topology::{CorrespondentKind, Figure1, Figure1Options};
 
@@ -34,7 +34,7 @@ fn crashed_mobile_host_reboots_and_reregisters() {
     let acked_before = f.world.node::<MobileHostNode>(f.m).core.stats.ha_registrations_acked;
 
     let crash_at = f.world.now() + SimDuration::from_millis(100);
-    f.world.install_faults(&FaultPlan::new().crash(f.m, crash_at, SimDuration::from_secs(2)));
+    FaultPlan::new().crash(f.m, crash_at, SimDuration::from_secs(2)).install(&mut f.world);
     f.world.run_until(crash_at + SimDuration::from_secs(1));
     assert!(f.world.node_is_down(f.m), "M should be down mid-window");
 
@@ -74,7 +74,7 @@ fn crashed_foreign_agent_recovers_its_visitors() {
 
     let adverts_before = f.world.stats().counter("mhrp.adverts_sent");
     let crash_at = f.world.now() + SimDuration::from_millis(100);
-    f.world.install_faults(&FaultPlan::new().crash(f.r4, crash_at, SimDuration::from_secs(2)));
+    FaultPlan::new().crash(f.r4, crash_at, SimDuration::from_secs(2)).install(&mut f.world);
     f.world.run_until(crash_at + SimDuration::from_secs(2) + SimDuration::from_millis(1));
     assert!(f.world.stats().counter("mhrp.fa_recovery_queries") >= 1);
 
@@ -136,7 +136,7 @@ fn rebooted_home_agent_rebroadcasts_gratuitous_arp() {
     // R2 crashes. While it is down H's cache goes stale (modeling cache
     // churn during the outage: the entry now names a MAC nobody owns).
     let crash_at = f.world.now() + SimDuration::from_millis(100);
-    f.world.install_faults(&FaultPlan::new().crash(f.r2, crash_at, SimDuration::from_secs(2)));
+    FaultPlan::new().crash(f.r2, crash_at, SimDuration::from_secs(2)).install(&mut f.world);
     f.world.run_until(crash_at + SimDuration::from_secs(1));
     assert!(f.world.node_is_down(f.r2), "R2 should be down mid-window");
     let bogus = MacAddr::from_index(9_999);
@@ -183,19 +183,16 @@ fn drill(seed: u64) -> (Vec<Event>, Vec<(String, u64)>) {
         .partition(f.backbone, SimTime::from_secs(8), SimTime::from_secs(12))
         .op(
             SimTime::from_secs(6),
-            FaultOp::LatencySpike {
+            Op::LatencySpike {
                 segment: f.net_c,
                 extra: SimDuration::from_millis(30),
                 duration: SimDuration::from_secs(2),
             },
         )
-        .op(
-            SimTime::from_secs(7),
-            FaultOp::SetSegmentCorruption { segment: f.net_e, probability: 0.2 },
-        )
+        .op(SimTime::from_secs(7), Op::SetSegmentCorruption { segment: f.net_e, probability: 0.2 })
         .crash(f.r4, SimTime::from_secs(13), SimDuration::from_secs(2))
         .mute_window(f.r5, IfaceId(1), SimTime::from_secs(4), SimTime::from_secs(5));
-    f.world.install_faults(&plan);
+    plan.install(&mut f.world);
 
     f.world.run_until(SimTime::from_secs(2));
     f.move_m_to_d();

@@ -7,11 +7,12 @@
 //!    logs, on jitter-free worlds (`deterministic_cells`): per-receiver
 //!    jitter draws consume the owning shard's RNG and are the one
 //!    intentional divergence between shard layouts.
-//! 3. Both hold under an active fault plan (crashes, mutes, cell and
-//!    portal partitions).
+//! 3. Both hold under an active fault plan that routes every op variant
+//!    (crashes and reboots, mutes, cell and portal partitions, loss,
+//!    latency and corruption changes, a within-region move).
 
 use netsim::time::{SimDuration, SimTime};
-use netsim::FaultOp;
+use netsim::{FaultPlan, IfaceId, Op, SegmentId};
 use proptest::prelude::*;
 use scenarios::hierarchy::{Hierarchy, HierarchyParams, ShardedHierarchy};
 use scenarios::soak::{run_random_waypoint_soak_sharded, RwSoakConfig};
@@ -94,37 +95,39 @@ fn run_world(seed: u64, shards: usize, faults: bool) -> (Vec<netsim::Event>, u64
     h.world.set_telemetry(true);
     if faults {
         // Faults with global ids: translation must land each on its
-        // owning shard regardless of the layout. The portal partition
-        // exercises the replica mirroring; timings use odd-microsecond
-        // offsets so fault instants never collide with protocol timers.
-        let backbone_cut = SimTime::from_micros(6_000_300);
-        let backbone_heal = SimTime::from_micros(9_000_700);
-        h.world.schedule_fault(
-            SimTime::from_micros(4_000_100),
-            FaultOp::Crash { node: h.mobiles[5], down_for: SimDuration::from_secs(3) },
-        );
-        h.world.schedule_fault(
-            SimTime::from_micros(5_000_900),
-            FaultOp::MuteBroadcasts { node: h.fas[3], iface: netsim::IfaceId(1) },
-        );
-        h.world.schedule_fault(
-            SimTime::from_micros(12_000_500),
-            FaultOp::UnmuteBroadcasts { node: h.fas[3], iface: netsim::IfaceId(1) },
-        );
-        // Cell partition (a local segment on whichever shard owns it).
-        h.world.schedule_fault(
-            SimTime::from_micros(7_000_300),
-            FaultOp::SegmentDown { segment: h.cells[2] },
-        );
-        h.world.schedule_fault(
-            SimTime::from_micros(10_000_900),
-            FaultOp::SegmentUp { segment: h.cells[2] },
-        );
-        // Backbone partition: the portal itself goes down and heals.
-        // (Segment id 0 is the backbone by build order.)
-        h.world
-            .schedule_fault(backbone_cut, FaultOp::SegmentDown { segment: netsim::SegmentId(0) });
-        h.world.schedule_fault(backbone_heal, FaultOp::SegmentUp { segment: netsim::SegmentId(0) });
+        // owning shard regardless of the layout, and every op variant
+        // passes through the router. The portal partition exercises the
+        // replica mirroring. Loss and corruption are only ever 0 or 1, so
+        // no outcome depends on whose RNG draws; timings use
+        // odd-microsecond offsets so fault instants never collide with
+        // protocol timers.
+        let at = SimTime::from_micros;
+        let ms = SimDuration::from_millis;
+        let (mover, crashed) = (h.mobiles[1], h.mobiles[5]);
+        let spike = Op::LatencySpike { segment: h.cells[6], extra: ms(7), duration: ms(2_000) };
+        FaultPlan::new()
+            .crash(crashed, at(4_000_100), SimDuration::from_secs(3))
+            .op(at(5_500_300), Op::Reboot { node: crashed })
+            .mute_window(h.fas[3], IfaceId(1), at(5_000_900), at(12_000_500))
+            // Cell partition (a local segment on whichever shard owns it).
+            .partition(h.cells[2], at(7_000_300), at(10_000_900))
+            // Backbone partition: the portal itself goes down and heals.
+            // (Segment id 0 is the backbone by build order.)
+            .partition(SegmentId(0), at(6_000_300), at(9_000_700))
+            // A cell blacks out: every copy lost, then none.
+            .op(at(4_500_700), Op::SetSegmentLoss { segment: h.cells[4], loss: 1.0 })
+            .op(at(6_500_100), Op::SetSegmentLoss { segment: h.cells[4], loss: 0.0 })
+            .op(at(5_200_500), spike)
+            .op(at(8_300_300), Op::SetSegmentLatency { segment: h.cells[7], latency: ms(2) })
+            .op(at(8_700_900), Op::SetSegmentCorruption { segment: h.cells[6], probability: 0.0 })
+            // A within-region move: region 0's host drops off the air,
+            // then lands on the region's second cell.
+            .op(at(7_500_500), Op::DetachIface { node: mover, iface: IfaceId(0) })
+            .op(
+                at(8_100_100),
+                Op::AttachIface { node: mover, iface: IfaceId(0), segment: h.cells[1] },
+            )
+            .install(&mut h.world);
     }
     h.world.run_until(SimTime::from_secs(16));
     (h.world.merged_events(), h.world.counter("link.frames_delivered"), h.attached_count())

@@ -9,8 +9,9 @@
 //! 1. **Mobility** ([`mobility`]) — a seeded, deterministic
 //!    [`MobilityModel`] trait ([`RandomWaypoint`], [`Commuter`],
 //!    [`FlashCrowd`]) compiling to a [`MovePlan`] of timed
-//!    attach/detach operations, installed onto the world's event queue
-//!    exactly like `netsim::faults::FaultPlan`.
+//!    attach/detach operations, lowered to the same `netsim::Op`s a
+//!    `netsim::faults::FaultPlan` holds and installed onto the world's
+//!    event queue the same way.
 //! 2. **Traffic** ([`traffic`]) — open-loop Poisson/on-off/CBR senders
 //!    and closed-loop request/response clients with per-request
 //!    deadlines, bounded retries and in-flight windows; every probe

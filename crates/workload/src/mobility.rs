@@ -4,9 +4,9 @@
 //! A [`MobilityModel`] turns a static [`Layout`] (how many wireless cells
 //! exist, where each mobile host starts) into a [`MovePlan`]: an ordered
 //! list of `(time, MoveOp)` pairs, exactly analogous to
-//! [`netsim::faults::FaultPlan`]. Installing a plan compiles every entry
-//! onto the world's single event queue as an
-//! [`netsim::AdminOp::MoveIface`] / [`netsim::AdminOp::DetachIface`], so
+//! [`netsim::faults::FaultPlan`]. Installing a plan lowers every entry to
+//! a [`netsim::Op::AttachIface`] / [`netsim::Op::DetachIface`] on the
+//! world's single event queue (silent: moves are not faults), so
 //! movement interleaves with frames and timers under the same total
 //! `(time, seq)` order — the same seed plus the same plan reproduces a
 //! byte-identical run.
@@ -31,7 +31,7 @@
 
 use netsim::id::{IfaceId, NodeId, SegmentId};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{AdminOp, SimWorld};
+use netsim::{Op, SimWorld};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
@@ -163,13 +163,13 @@ impl MovePlan {
         self.ops.iter().map(|(at, _)| *at).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Compiles the plan onto `world`'s event queue.
+    /// Lowers the plan to [`Op`]s on `world`'s event queue.
     ///
     /// `hosts[i]` is the `(node, iface)` that represents host index `i`;
     /// `cells[c]` is the segment for cell index `c`. Works on any
     /// [`SimWorld`]; on a sharded world, every host must stay inside
-    /// its owning shard (region-confined mobility), or the admin
-    /// translation panics.
+    /// its owning shard (region-confined mobility), or the shard router
+    /// panics.
     ///
     /// # Panics
     ///
@@ -181,17 +181,17 @@ impl MovePlan {
         cells: &[SegmentId],
     ) {
         for &(at, op) in &self.ops {
-            let scheduled = match op {
+            let op = match op {
                 MoveOp::Attach { host, cell } => {
                     let (node, iface) = hosts[host];
-                    AdminOp::MoveIface { node, iface, segment: cells[cell] }
+                    Op::AttachIface { node, iface, segment: cells[cell] }
                 }
                 MoveOp::Detach { host } => {
                     let (node, iface) = hosts[host];
-                    AdminOp::DetachIface { node, iface }
+                    Op::DetachIface { node, iface }
                 }
             };
-            world.schedule_admin(at, scheduled);
+            world.schedule(at, op);
         }
     }
 }

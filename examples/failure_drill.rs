@@ -89,7 +89,7 @@ fn main() {
     // Crash the home agent for two seconds — volatile state (timers,
     // pending work) dies; the location binding is journaled to disk.
     let crash_at = f.world.now() + SimDuration::from_millis(100);
-    f.world.install_faults(&FaultPlan::new().crash(f.r2, crash_at, SimDuration::from_secs(2)));
+    FaultPlan::new().crash(f.r2, crash_at, SimDuration::from_secs(2)).install(&mut f.world);
     f.world.run_until(crash_at + SimDuration::from_secs(2) + SimDuration::from_millis(1));
     let binding = f.world.node::<MhrpRouterNode>(f.r2).ha.as_ref().unwrap().binding(m_addr);
     println!("  home agent crashed and rebooted; binding reloaded from disk: {binding:?}");

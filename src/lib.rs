@@ -55,7 +55,7 @@ pub mod prelude {
     pub use ip::{PacketError, Prefix};
     pub use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
     pub use netsim::time::{SimDuration, SimTime};
-    pub use netsim::{AdminOp, IfaceId, NodeId, SegmentParams, World};
+    pub use netsim::{IfaceId, NodeId, Op, SegmentParams, World};
     pub use netstack::nodes::{HostNode, RouterNode};
     pub use scenarios::topology::{CorrespondentKind, Figure1, Figure1Addrs, Figure1Options};
 }

@@ -57,10 +57,7 @@ fn lossy_wireless_still_registers_via_retransmission() {
     // 20% loss on the wireless cell: registration control messages are
     // retransmitted until acknowledged (our documented §3 choice).
     let (mut f, _) = figure1_with_mobiles(103, 0);
-    f.world.schedule_admin(
-        SimTime::from_millis(1),
-        AdminOp::SetSegmentLoss { segment: f.net_d, loss: 0.2 },
-    );
+    f.world.schedule(SimTime::from_millis(1), Op::SetSegmentLoss { segment: f.net_d, loss: 0.2 });
     f.world.run_until(SimTime::from_secs(2));
     f.move_m_to_d();
     assert!(
