@@ -504,4 +504,51 @@ mod tests {
         assert_eq!(pkt.protocol, proto::UDP);
         assert_eq!(pkt.dst, a(7));
     }
+
+    mod journal {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        proptest! {
+            /// Mirroring one binding per registration leaves the disk copy
+            /// exactly where copying the whole database did, across
+            /// registrations, moves home (a zero foreign agent) and
+            /// reboots that reload from it.
+            #[test]
+            fn per_binding_journal_matches_a_full_copy(
+                // (mobile, foreign agent; 0 = back home), or a reboot.
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        Just(None),
+                    ],
+                    1..60,
+                ),
+            ) {
+                let mut stack = home_stack();
+                let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
+                let mut full_copy = HashMap::new();
+                with_ctx(|ctx| {
+                    for op in ops {
+                        match op {
+                            Some((m, fa)) => {
+                                let fa = if fa == 0 { Ipv4Addr::UNSPECIFIED } else { a(100 + fa) };
+                                ha.apply_binding(&mut stack, ctx, a(m), fa);
+                                full_copy.clone_from(ha.bindings.live());
+                            }
+                            None => {
+                                ha.reboot(&mut stack, ctx);
+                                prop_assert_eq!(ha.bindings.live(), &full_copy);
+                            }
+                        }
+                        prop_assert_eq!(ha.bindings.disk(), Some(&full_copy));
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+    }
 }

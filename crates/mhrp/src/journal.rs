@@ -78,6 +78,19 @@ impl<V: Copy> Journaled<V> {
 }
 
 #[cfg(test)]
+impl<V> Journaled<V> {
+    /// The volatile table, for tests that compare it with a reference.
+    pub fn live(&self) -> &HashMap<Ipv4Addr, V> {
+        &self.live
+    }
+
+    /// The disk copy, if journaling is on.
+    pub fn disk(&self) -> Option<&HashMap<Ipv4Addr, V>> {
+        self.disk.as_ref()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

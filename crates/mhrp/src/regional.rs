@@ -449,4 +449,80 @@ mod tests {
         assert_eq!(without.binding(m), None);
         assert_eq!(without.binding_count(), 0);
     }
+
+    mod journal {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn a(x: u8) -> Ipv4Addr {
+            Ipv4Addr::new(10, 0, 0, x)
+        }
+
+        proptest! {
+            /// Mirroring one binding per registration leaves the disk copy
+            /// exactly where copying the whole database did, across
+            /// regional registrations, deregistrations (of bound and
+            /// unknown mobiles) and reboots that reload from it.
+            #[test]
+            fn per_binding_journal_matches_a_full_copy(
+                // (mobile, cell foreign agent; 0 = deregister), or a reboot.
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        (1u8..7, 0u8..4).prop_map(Some),
+                        Just(None),
+                    ],
+                    1..60,
+                ),
+            ) {
+                struct Probe;
+                impl netsim::Node for Probe {
+                    fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: &netsim::Frame) {}
+                }
+                let config = MhrpConfig { home_agent_disk: true, ..Default::default() };
+                let mut reg = RegionalAgentCore::new(IfaceId(0), &config);
+                let mut ca = CacheAgentCore::new(&config);
+                let mut stack = IpStack::new(true);
+                stack.add_iface(IfaceId(0), a(1), "10.0.0.0/24".parse().unwrap());
+                let mut w = netsim::World::new(0);
+                let n = w.add_node(Probe);
+                let seg = w.add_segment(netsim::SegmentParams::default());
+                w.add_iface(n, Some(seg));
+                let mut full_copy = HashMap::new();
+                let mut seq = 0u16;
+                w.with_node::<Probe, _>(n, |_, ctx| {
+                    for op in ops {
+                        match op {
+                            Some((m, fa)) => {
+                                seq += 1;
+                                let mobile = Ipv4Addr::new(10, 9, 0, m);
+                                let msg = if fa == 0 {
+                                    ControlMessage::FaDeregister {
+                                        mobile,
+                                        new_fa: Ipv4Addr::UNSPECIFIED,
+                                    }
+                                } else {
+                                    ControlMessage::RegRegister {
+                                        mobile,
+                                        home_agent: a(200),
+                                        fa: a(100 + fa),
+                                        seq,
+                                    }
+                                };
+                                reg.on_control(&mut ca, &mut stack, ctx, mobile, &msg, None);
+                                full_copy.clone_from(reg.bindings.live());
+                            }
+                            None => {
+                                reg.reboot();
+                                prop_assert_eq!(reg.bindings.live(), &full_copy);
+                            }
+                        }
+                        prop_assert_eq!(reg.bindings.disk(), Some(&full_copy));
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+    }
 }
