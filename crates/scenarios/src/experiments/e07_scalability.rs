@@ -22,7 +22,7 @@ use baselines::sony_vip::{VipMobileNode, VipRouterNode};
 use baselines::sunshine_postel::{SpDirectoryNode, SpForwarderNode, SpHostNode, SpMobileNode};
 use mhrp::{MhrpConfig, MhrpRouterNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{IfaceId, NodeId, SegmentId};
+use netsim::{IfaceId, NodeId, SegmentId, World};
 
 use crate::metrics::ScalabilityPoint;
 use crate::shootout::{add_plain_router, phys, Phys};
@@ -100,8 +100,13 @@ pub fn mhrp_point(seed: u64, n: usize) -> ScalabilityPoint {
 
 /// Sunshine–Postel with `n` mobile hosts (the global directory).
 pub fn sp_point(seed: u64, n: usize) -> ScalabilityPoint {
+    sp_run(phys(seed), n).0
+}
+
+/// [`sp_point`] on the bare substrate `p`; also returns the world
+/// after the run, for goldens over its counters and event log.
+pub fn sp_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     let addrs = Figure1Addrs::plan();
-    let mut p = phys(seed);
     for pos in 1..=3 {
         add_plain_router(&mut p, pos);
     }
@@ -142,19 +147,25 @@ pub fn sp_point(seed: u64, n: usize) -> ScalabilityPoint {
     let ctl = stats.counter("sp.mobile_registrations")
         + 2 * stats.counter("sp.host_queries")
         + stats.counter("sp.fwd_registrations");
-    ScalabilityPoint {
+    let point = ScalabilityPoint {
         protocol: "Sunshine-Postel".into(),
         mobiles: n,
         control_msgs_per_move: ctl as f64 / n.max(1) as f64,
         max_node_state: p.world.node::<SpDirectoryNode>(dir).db_size().max(dir_load as usize),
         temp_addrs_used: 0,
-    }
+    };
+    (point, p.world)
 }
 
 /// Columbia with `n` mobile hosts (MSR multicast queries).
 pub fn columbia_point(seed: u64, n: usize) -> ScalabilityPoint {
+    columbia_run(phys(seed), n).0
+}
+
+/// [`columbia_point`] on the bare substrate `p`; also returns the world
+/// after the run, for goldens over its counters and event log.
+pub fn columbia_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     let addrs = Figure1Addrs::plan();
-    let mut p = phys(seed);
     add_plain_router(&mut p, 1);
     add_plain_router(&mut p, 3);
     let msr_addrs = [addrs.r2, addrs.r4, addrs.r5];
@@ -202,19 +213,25 @@ pub fn columbia_point(seed: u64, n: usize) -> ScalabilityPoint {
         + stats.counter("columbia.query_rounds");
     let max_cache =
         msrs.iter().map(|&id| p.world.node::<MsrNode>(id).cache_len()).max().unwrap_or(0);
-    ScalabilityPoint {
+    let point = ScalabilityPoint {
         protocol: "Columbia IPIP".into(),
         mobiles: n,
         control_msgs_per_move: ctl as f64 / n.max(1) as f64,
         max_node_state: max_cache.max(n), // the home MSR captures all n
         temp_addrs_used: 0,               // in-campus movement needs none
-    }
+    };
+    (point, p.world)
 }
 
 /// Sony VIP with `n` mobile hosts (flooding + temporary addresses).
 pub fn sony_point(seed: u64, n: usize) -> ScalabilityPoint {
+    sony_run(phys(seed), n).0
+}
+
+/// [`sony_point`] on the bare substrate `p`; also returns the world
+/// after the run, for goldens over its counters and event log.
+pub fn sony_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     let addrs = Figure1Addrs::plan();
-    let mut p = phys(seed);
     let router_addrs = [addrs.r1, addrs.r2, addrs.r3, addrs.r4, addrs.r5];
     let mut routers = Vec::new();
     for (pos, first, local) in [
@@ -253,13 +270,14 @@ pub fn sony_point(seed: u64, n: usize) -> ScalabilityPoint {
     let moves = stats.counter("vip.mobile_moves");
     let max_cache =
         routers.iter().map(|&id| p.world.node::<VipRouterNode>(id).cache_len()).max().unwrap_or(0);
-    ScalabilityPoint {
+    let point = ScalabilityPoint {
         protocol: "Sony VIP".into(),
         mobiles: n,
         control_msgs_per_move: ctl as f64 / moves.max(1) as f64,
         max_node_state: max_cache.max(n),
         temp_addrs_used: moves as usize,
-    }
+    };
+    (point, p.world)
 }
 
 /// Runs the full series.
