@@ -19,20 +19,16 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use ip::ipv4::Ipv4Packet;
-use ip::udp::UdpDatagram;
 use ip::{proto, PacketError, Prefix};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{Counter, Ctx, Frame, IfaceId, LinkEvent, Node, TeleEventKind, TimerToken};
-use netstack::nodes::Endpoint;
-use netstack::route::NextHop;
-use netstack::{IpStack, StackEvent};
+use netsim::{Counter, Ctx, IfaceId, LinkEvent, TeleEventKind, TimerToken};
+use netstack::nodes::{handle_icmp_delivery, Endpoint, Protocol, StackNode};
+use netstack::IpStack;
 
-use crate::common::{Beacon, BEACON_PORT, CONTROL_PORT};
-
-const BEACON_TIMER: u64 = 1 << 57;
-
-/// Beacon interval for MSRs.
-pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
+use crate::common::{
+    beacon, control, decode_addrs, encode_msg, is_beacon_timer, Heard, MobileShell, SendPath,
+    CONTROL_PORT,
+};
 
 /// Visitor lease: the mobile host re-registers on every beacon; an MSR
 /// whose visitor stops refreshing (it left the cell) forgets it — the
@@ -79,28 +75,12 @@ pub enum ColumbiaMessage {
 impl ColumbiaMessage {
     /// Encodes to control bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(9);
-        match self {
-            ColumbiaMessage::MsrRegister { mobile } => {
-                buf.push(1);
-                buf.extend_from_slice(&mobile.octets());
-            }
-            ColumbiaMessage::MsrQuery { mobile } => {
-                buf.push(2);
-                buf.extend_from_slice(&mobile.octets());
-            }
-            ColumbiaMessage::MsrQueryReply { mobile, msr } => {
-                buf.push(3);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&msr.octets());
-            }
-            ColumbiaMessage::PopupRegister { mobile, temp } => {
-                buf.push(4);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&temp.octets());
-            }
+        match *self {
+            ColumbiaMessage::MsrRegister { mobile } => encode_msg(1, &[mobile]),
+            ColumbiaMessage::MsrQuery { mobile } => encode_msg(2, &[mobile]),
+            ColumbiaMessage::MsrQueryReply { mobile, msr } => encode_msg(3, &[mobile, msr]),
+            ColumbiaMessage::PopupRegister { mobile, temp } => encode_msg(4, &[mobile, temp]),
         }
-        buf
     }
 
     /// Decodes from control bytes.
@@ -110,24 +90,16 @@ impl ColumbiaMessage {
     /// Returns [`PacketError`] on truncation or unknown type.
     pub fn decode(buf: &[u8]) -> Result<ColumbiaMessage, PacketError> {
         let (&ty, rest) = buf.split_first().ok_or(PacketError::Truncated)?;
-        let addr = |b: &[u8]| Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        let need = |n: usize| if rest.len() < n { Err(PacketError::Truncated) } else { Ok(()) };
         Ok(match ty {
-            1 => {
-                need(4)?;
-                ColumbiaMessage::MsrRegister { mobile: addr(&rest[..4]) }
-            }
-            2 => {
-                need(4)?;
-                ColumbiaMessage::MsrQuery { mobile: addr(&rest[..4]) }
-            }
+            1 => ColumbiaMessage::MsrRegister { mobile: decode_addrs::<1>(rest)?[0] },
+            2 => ColumbiaMessage::MsrQuery { mobile: decode_addrs::<1>(rest)?[0] },
             3 => {
-                need(8)?;
-                ColumbiaMessage::MsrQueryReply { mobile: addr(&rest[..4]), msr: addr(&rest[4..8]) }
+                let [mobile, msr] = decode_addrs(rest)?;
+                ColumbiaMessage::MsrQueryReply { mobile, msr }
             }
             4 => {
-                need(8)?;
-                ColumbiaMessage::PopupRegister { mobile: addr(&rest[..4]), temp: addr(&rest[4..8]) }
+                let [mobile, temp] = decode_addrs(rest)?;
+                ColumbiaMessage::PopupRegister { mobile, temp }
             }
             _ => return Err(PacketError::BadField("columbia message type")),
         })
@@ -167,10 +139,11 @@ static TUNNELED: Counter = Counter::new("columbia.tunneled");
 static OVERHEAD_BYTES: Counter = Counter::new("columbia.overhead_bytes");
 
 /// A Mobile Support Router.
+pub type MsrNode = StackNode<Msr>;
+
+/// The protocol of an [`MsrNode`].
 #[derive(Debug)]
-pub struct MsrNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct Msr {
     /// The interface mobile hosts connect on.
     pub local_iface: IfaceId,
     /// Addresses of every *other* MSR in the campus (the multicast group).
@@ -185,11 +158,10 @@ pub struct MsrNode {
     pending: HashMap<Ipv4Addr, Vec<Ipv4Packet>>,
 }
 
-impl MsrNode {
-    /// Creates an MSR serving `local_iface`.
-    pub fn new(local_iface: IfaceId) -> MsrNode {
-        MsrNode {
-            stack: IpStack::new(true),
+impl Msr {
+    /// An MSR serving `local_iface`.
+    pub fn new(local_iface: IfaceId) -> Msr {
+        Msr {
             local_iface,
             peers: Vec::new(),
             home_mobiles: HashSet::new(),
@@ -201,10 +173,10 @@ impl MsrNode {
     }
 
     /// Registers `mobile` as homed here (captures its address).
-    pub fn add_home_mobile(&mut self, mobile: Ipv4Addr) {
+    pub fn add_home_mobile(&mut self, stack: &mut IpStack, mobile: Ipv4Addr) {
         self.home_mobiles.insert(mobile);
-        self.stack.add_capture(mobile);
-        self.stack.arp.add_proxy(self.local_iface, mobile);
+        stack.add_capture(mobile);
+        stack.arp.add_proxy(self.local_iface, mobile);
     }
 
     /// Whether `mobile` currently visits this MSR (lease unexpired).
@@ -217,35 +189,44 @@ impl MsrNode {
         self.msr_cache.len()
     }
 
-    fn self_addr(&self) -> Ipv4Addr {
-        self.stack
-            .iface_addr(self.local_iface)
-            .map(|ia| ia.addr)
-            .unwrap_or_else(|| self.stack.primary_addr())
+    fn self_addr(&self, stack: &IpStack) -> Ipv4Addr {
+        stack.iface_addr(self.local_iface).map(|ia| ia.addr).unwrap_or_else(|| stack.primary_addr())
     }
 
-    fn tunnel_to(&mut self, ctx: &mut Ctx<'_>, target: Ipv4Addr, inner: &Ipv4Packet) {
+    fn tunnel_to(
+        &mut self,
+        stack: &mut IpStack,
+        ctx: &mut Ctx<'_>,
+        target: Ipv4Addr,
+        inner: &Ipv4Packet,
+    ) {
         TUNNELED.incr(ctx.stats());
         OVERHEAD_BYTES.add(ctx.stats(), IPIP_OVERHEAD as u64);
         ctx.tele_event(TeleEventKind::Encap { by_sender: false });
-        let ident = self.stack.next_ident();
-        let mut outer = ipip_encapsulate(inner, self.self_addr(), target, ident);
+        let ident = stack.next_ident();
+        let mut outer = ipip_encapsulate(inner, self.self_addr(stack), target, ident);
         // The MSR is a router hop for the tunneled packet.
         outer.ttl = outer.ttl.saturating_sub(1);
-        self.stack.send(ctx, outer);
+        stack.send(ctx, outer);
     }
 
-    fn locate_and_tunnel(&mut self, ctx: &mut Ctx<'_>, mobile: Ipv4Addr, inner: Ipv4Packet) {
+    fn locate_and_tunnel(
+        &mut self,
+        stack: &mut IpStack,
+        ctx: &mut Ctx<'_>,
+        mobile: Ipv4Addr,
+        inner: Ipv4Packet,
+    ) {
         if self.has_visitor(mobile, ctx.now()) {
-            self.stack.send_direct(ctx, self.local_iface, inner);
+            stack.send_direct(ctx, self.local_iface, inner);
             return;
         }
         if let Some(&temp) = self.popup_bindings.get(&mobile) {
-            self.tunnel_to(ctx, temp, &inner);
+            self.tunnel_to(stack, ctx, temp, &inner);
             return;
         }
         if let Some(&msr) = self.msr_cache.get(&mobile) {
-            self.tunnel_to(ctx, msr, &inner);
+            self.tunnel_to(stack, ctx, msr, &inner);
             return;
         }
         // Cache miss: multicast a query to every peer MSR — the §7
@@ -254,46 +235,38 @@ impl MsrNode {
         ctx.stats().add("columbia.query_messages", self.peers.len() as u64);
         self.pending.entry(mobile).or_default().push(inner);
         let q = ColumbiaMessage::MsrQuery { mobile };
-        let peers = self.peers.clone();
-        for peer in peers {
-            self.stack.send_udp(ctx, peer, CONTROL_PORT, CONTROL_PORT, q.encode());
+        for &peer in &self.peers {
+            stack.send_udp(ctx, peer, CONTROL_PORT, CONTROL_PORT, q.encode());
         }
     }
 
-    fn beacon(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ia) = self.stack.iface_addr(self.local_iface) else { return };
-        if !ctx.iface_attached(self.local_iface) {
-            return;
-        }
-        let beacon = Beacon { agent: ia.addr, protocol: proto::IPIP };
-        let d = UdpDatagram::new(BEACON_PORT, BEACON_PORT, beacon.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(ia.addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-            .with_ident(ident)
-            .with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
-    }
-
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, src: Ipv4Addr, msg: ColumbiaMessage) {
+    fn on_control(
+        &mut self,
+        stack: &mut IpStack,
+        ctx: &mut Ctx<'_>,
+        src: Ipv4Addr,
+        msg: ColumbiaMessage,
+    ) {
         match msg {
             ColumbiaMessage::MsrRegister { mobile } => {
                 ctx.stats().incr("columbia.registrations");
                 self.visitors.insert(mobile, ctx.now());
                 self.msr_cache.remove(&mobile);
                 for queued in self.pending.remove(&mobile).unwrap_or_default() {
-                    self.stack.send_direct(ctx, self.local_iface, queued);
+                    stack.send_direct(ctx, self.local_iface, queued);
                 }
             }
             ColumbiaMessage::MsrQuery { mobile } => {
                 if self.has_visitor(mobile, ctx.now()) {
-                    let reply = ColumbiaMessage::MsrQueryReply { mobile, msr: self.self_addr() };
-                    self.stack.send_udp(ctx, src, CONTROL_PORT, CONTROL_PORT, reply.encode());
+                    let reply =
+                        ColumbiaMessage::MsrQueryReply { mobile, msr: self.self_addr(stack) };
+                    stack.send_udp(ctx, src, CONTROL_PORT, CONTROL_PORT, reply.encode());
                 }
             }
             ColumbiaMessage::MsrQueryReply { mobile, msr } => {
                 self.msr_cache.insert(mobile, msr);
                 for queued in self.pending.remove(&mobile).unwrap_or_default() {
-                    self.tunnel_to(ctx, msr, &queued);
+                    self.tunnel_to(stack, ctx, msr, &queued);
                 }
             }
             ColumbiaMessage::PopupRegister { mobile, temp } => {
@@ -305,136 +278,88 @@ impl MsrNode {
     }
 }
 
-impl Node for MsrNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+impl Protocol for Msr {
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        beacon(stack, ctx, self.local_iface, proto::IPIP);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => {
-                    // Captured home-mobile traffic.
-                    if self.stack.is_captured(pkt.dst) && !self.stack.is_local_addr(pkt.dst) {
-                        let mobile = pkt.dst;
-                        self.locate_and_tunnel(ctx, mobile, pkt);
-                        return;
-                    }
-                    match pkt.protocol {
-                        proto::IPIP => {
-                            let Ok(inner) = ipip_decapsulate(&pkt) else { return };
-                            ctx.tele_event(TeleEventKind::Decap);
-                            let mobile = inner.dst;
-                            if self.has_visitor(mobile, ctx.now()) {
-                                ctx.stats().incr("columbia.delivered");
-                                self.stack.send_direct(ctx, self.local_iface, inner);
-                            } else {
-                                // Stale cache at the tunneling MSR: locate
-                                // afresh from here.
-                                ctx.stats().incr("columbia.stale_tunnel");
-                                self.locate_and_tunnel(ctx, mobile, inner);
-                            }
-                        }
-                        proto::UDP => {
-                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-                            if d.dst_port == CONTROL_PORT {
-                                if let Ok(msg) = ColumbiaMessage::decode(&d.payload) {
-                                    self.on_control(ctx, pkt.src, msg);
-                                }
-                            }
-                        }
-                        proto::ICMP => {
-                            netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                        }
-                        _ => {}
-                    }
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        // Captured home-mobile traffic.
+        if stack.is_captured(pkt.dst) && !stack.is_local_addr(pkt.dst) {
+            self.locate_and_tunnel(stack, ctx, pkt.dst, pkt);
+            return;
+        }
+        match pkt.protocol {
+            proto::IPIP => {
+                let Ok(inner) = ipip_decapsulate(&pkt) else { return };
+                ctx.tele_event(TeleEventKind::Decap);
+                let mobile = inner.dst;
+                if self.has_visitor(mobile, ctx.now()) {
+                    ctx.stats().incr("columbia.delivered");
+                    stack.send_direct(ctx, self.local_iface, inner);
+                } else {
+                    // Stale cache at the tunneling MSR: locate afresh from
+                    // here.
+                    ctx.stats().incr("columbia.stale_tunnel");
+                    self.locate_and_tunnel(stack, ctx, mobile, inner);
                 }
-                StackEvent::ForwardCandidate { pkt, .. } => self.stack.forward(ctx, pkt),
+            }
+            proto::ICMP => {
+                handle_icmp_delivery(stack, ctx, &pkt);
+            }
+            _ => {
+                if let Some(Ok(msg)) = control(&pkt).map(|c| ColumbiaMessage::decode(&c)) {
+                    self.on_control(stack, ctx, pkt.src, msg);
+                }
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
-        }
-        if timer.0 & BEACON_TIMER != 0 {
-            self.beacon(ctx);
-            ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
-        }
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if is_beacon_timer(timer) {
+            beacon(stack, ctx, self.local_iface, proto::IPIP);
         }
     }
 }
 
 /// A Columbia mobile host.
+pub type ColumbiaMobileNode = StackNode<ColumbiaMobile>;
+
+/// The protocol of a [`ColumbiaMobileNode`]; its shell's home gateway is
+/// the home MSR (the anchor for popup mode) and its agent the MSR serving
+/// it inside the campus.
 #[derive(Debug)]
-pub struct ColumbiaMobileNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct ColumbiaMobile {
+    /// Home address, home MSR and serving MSR.
+    pub shell: MobileShell,
     /// The application layer.
     pub endpoint: Endpoint,
-    /// Home (campus) address.
-    pub home_addr: Ipv4Addr,
-    /// The home network prefix.
-    pub home_prefix: Prefix,
-    /// The home MSR (anchor for popup mode).
-    pub home_msr: Ipv4Addr,
-    /// Current serving MSR inside the campus, if any.
-    pub current_msr: Option<Ipv4Addr>,
     /// Temporary address while outside the campus, if any.
     pub temp_addr: Option<Ipv4Addr>,
-    iface: IfaceId,
 }
 
-impl ColumbiaMobileNode {
-    /// Creates the mobile host (starts at home; its home MSR is also its
-    /// first serving MSR).
-    pub fn new(home_addr: Ipv4Addr, home_prefix: Prefix, home_msr: Ipv4Addr) -> ColumbiaMobileNode {
-        ColumbiaMobileNode {
-            stack: IpStack::new(false),
+impl ColumbiaMobile {
+    /// A mobile host at home behind `home_msr`, which, like any MSR, it
+    /// registers with on its first beacon (the MSR always advertises
+    /// reachability for it, so it must know the host is present).
+    pub fn new(home_addr: Ipv4Addr, home_prefix: Prefix, home_msr: Ipv4Addr) -> ColumbiaMobile {
+        ColumbiaMobile {
+            shell: MobileShell::new(home_addr, home_prefix, home_msr),
             endpoint: Endpoint::new(),
-            home_addr,
-            home_prefix,
-            home_msr,
-            current_msr: None,
             temp_addr: None,
-            iface: IfaceId(0),
         }
     }
 
-    fn attach_via_msr(&mut self, ctx: &mut Ctx<'_>, msr: Ipv4Addr) {
-        if self.current_msr == Some(msr) {
-            // Lease refresh: re-register with the same MSR each beacon.
-            let reg = ColumbiaMessage::MsrRegister { mobile: self.home_addr };
-            let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reg.encode());
-            let ident = self.stack.next_ident();
-            let pkt =
-                Ipv4Packet::new(self.home_addr, msr, proto::UDP, d.encode()).with_ident(ident);
-            self.stack.send_direct(ctx, self.iface, pkt);
-            return;
+    fn attach_via_msr(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, msr: Ipv4Addr) {
+        // Re-registering with the same MSR each beacon refreshes the lease.
+        if self.shell.agent != Some(msr) {
+            self.temp_addr = None;
+            stack.remove_capture(self.shell.home_addr);
+            self.shell.rehome(stack, msr);
+            ctx.stats().incr("columbia.mobile_moves");
         }
-        self.temp_addr = None;
-        self.stack.remove_capture(self.home_addr);
-        self.stack.remove_iface_binding(self.iface);
-        self.stack.add_iface(self.iface, self.home_addr, Prefix::host(self.home_addr));
-        self.stack.arp.clear_iface(self.iface);
-        self.stack.routes.remove(Prefix::default_route());
-        self.stack
-            .routes
-            .add(Prefix::default_route(), NextHop::Gateway { iface: self.iface, via: msr });
-        self.current_msr = Some(msr);
-        ctx.stats().incr("columbia.mobile_moves");
-        let reg = ColumbiaMessage::MsrRegister { mobile: self.home_addr };
-        let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reg.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(self.home_addr, msr, proto::UDP, d.encode()).with_ident(ident);
-        self.stack.send_direct(ctx, self.iface, pkt);
+        let reg = ColumbiaMessage::MsrRegister { mobile: self.shell.home_addr };
+        self.shell.register(stack, ctx, msr, reg.encode());
     }
 
     /// Enters popup mode on a network outside the campus: binds `temp`,
@@ -442,98 +367,57 @@ impl ColumbiaMobileNode {
     /// home MSR.
     pub fn popup(
         &mut self,
+        stack: &mut IpStack,
         ctx: &mut Ctx<'_>,
         temp: Ipv4Addr,
         temp_prefix: Prefix,
         gateway: Ipv4Addr,
     ) {
-        self.current_msr = None;
+        self.shell.agent = None;
         self.temp_addr = Some(temp);
-        self.stack.remove_iface_binding(self.iface);
-        self.stack.add_iface(self.iface, temp, temp_prefix);
-        self.stack.add_capture(self.home_addr);
-        self.stack.arp.clear_iface(self.iface);
-        self.stack.routes.remove(Prefix::default_route());
-        self.stack
-            .routes
-            .add(Prefix::default_route(), NextHop::Gateway { iface: self.iface, via: gateway });
+        MobileShell::rebind(stack, temp, temp_prefix, gateway);
+        stack.add_capture(self.shell.home_addr);
         ctx.stats().incr("columbia.popups");
-        let reg = ColumbiaMessage::PopupRegister { mobile: self.home_addr, temp };
-        self.stack.send_udp(ctx, self.home_msr, CONTROL_PORT, CONTROL_PORT, reg.encode());
-    }
-
-    /// Pings `dst` (plain IP — Columbia senders never tunnel).
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), self.home_addr, dst);
-        self.stack.send(ctx, pkt);
-    }
-
-    /// Sends UDP from the home address.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let pkt = Endpoint::make_udp(self.home_addr, dst, src_port, dst_port, payload);
-        self.stack.send(ctx, pkt);
+        let reg = ColumbiaMessage::PopupRegister { mobile: self.shell.home_addr, temp };
+        stack.send_udp(ctx, self.shell.home_gateway, CONTROL_PORT, CONTROL_PORT, reg.encode());
     }
 }
 
-impl Node for ColumbiaMobileNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.add_iface(self.iface, self.home_addr, self.home_prefix);
-        self.stack.routes.add(
-            Prefix::default_route(),
-            NextHop::Gateway { iface: self.iface, via: self.home_msr },
-        );
-        // The first beacon from the home MSR triggers registration (even
-        // at home the MSR must know the host is present, since it always
-        // advertises reachability for it).
-        self.current_msr = None;
+impl SendPath for ColumbiaMobile {
+    /// Plain IP from the home address: Columbia senders never tunnel.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        stack.send(ctx, pkt);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            match pkt.protocol {
-                proto::IPIP => {
-                    // Popup mode: tunnel terminates at our temp address.
-                    if let Ok(inner) = ipip_decapsulate(&pkt) {
-                        self.endpoint.deliver(&mut self.stack, ctx, &inner);
-                    }
-                }
-                proto::UDP => {
-                    if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                        if d.dst_port == BEACON_PORT {
-                            if let Ok(b) = Beacon::decode(&d.payload) {
-                                if b.protocol == proto::IPIP {
-                                    self.attach_via_msr(ctx, b.agent);
-                                }
-                            }
-                            return;
-                        }
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                _ => {
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.shell.home_addr
+    }
+}
+
+impl Protocol for ColumbiaMobile {
+    fn start(&mut self, stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
+        self.shell.start(stack);
+    }
+
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::IPIP {
+            // Popup mode: tunnel terminates at our temp address.
+            if let Ok(inner) = ipip_decapsulate(&pkt) {
+                self.endpoint.deliver(stack, ctx, &inner);
+            }
+            return;
+        }
+        match MobileShell::hear(&pkt, proto::IPIP) {
+            Heard::Agent(msr) => self.attach_via_msr(stack, ctx, msr),
+            Heard::Noise => {}
+            Heard::Other => {
+                self.endpoint.deliver(stack, ctx, &pkt);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-            self.current_msr = None;
-        }
+    fn link(&mut self, _: &mut IpStack, _: &mut Ctx<'_>, _: IfaceId, event: LinkEvent) {
+        self.shell.link(event);
     }
 }
 

@@ -11,7 +11,7 @@
 //! The paper's two §7 criticisms are both modeled:
 //!
 //! * **Broken implementations** — hosts that fail to reverse/record the
-//!   route ([`LsrrHostNode::broken`]) send replies to the mobile host's
+//!   route ([`LsrrHost::broken`]) send replies to the mobile host's
 //!   home address, where they are lost.
 //! * **Slow path** — every router forwarding an optioned packet takes the
 //!   slow path; use `RouterNode::option_penalty` (already in `netstack`)
@@ -27,18 +27,13 @@ use ip::icmp::IcmpMessage;
 use ip::ipv4::{Ipv4Option, Ipv4Packet};
 use ip::udp::UdpDatagram;
 use ip::{proto, PacketError, Prefix};
-use netsim::time::SimDuration;
-use netsim::{Counter, Ctx, Frame, IfaceId, LinkEvent, Node, TimerToken};
-use netstack::nodes::Endpoint;
-use netstack::route::NextHop;
-use netstack::{IpStack, StackEvent};
+use netsim::{Counter, Ctx, IfaceId, LinkEvent, TimerToken};
+use netstack::nodes::{handle_icmp_delivery, Endpoint, Protocol, StackNode, UDP_ECHO_PORT};
+use netstack::IpStack;
 
-use crate::common::{Beacon, BEACON_PORT, CONTROL_PORT};
-
-const BEACON_TIMER: u64 = 1 << 57;
-
-/// Beacon interval for base stations.
-pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
+use crate::common::{
+    beacon, control, decode_addrs, encode_msg, is_beacon_timer, Heard, MobileShell, SendPath,
+};
 
 /// Marker protocol discriminator used in beacons.
 pub const LSRR_PROTO_TAG: u8 = 131;
@@ -59,10 +54,8 @@ pub enum LsrrMessage {
 impl LsrrMessage {
     /// Encodes to control bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let LsrrMessage::Register { mobile } = self;
-        let mut buf = vec![1];
-        buf.extend_from_slice(&mobile.octets());
-        buf
+        let LsrrMessage::Register { mobile } = *self;
+        encode_msg(1, &[mobile])
     }
 
     /// Decodes from control bytes.
@@ -75,7 +68,7 @@ impl LsrrMessage {
         if ty != 1 || rest.len() < 4 {
             return Err(PacketError::BadField("lsrr message"));
         }
-        Ok(LsrrMessage::Register { mobile: Ipv4Addr::new(rest[0], rest[1], rest[2], rest[3]) })
+        Ok(LsrrMessage::Register { mobile: decode_addrs::<1>(rest)?[0] })
     }
 }
 
@@ -107,110 +100,68 @@ pub fn lsrr_recorded(pkt: &Ipv4Packet) -> Option<Vec<Ipv4Addr>> {
 }
 
 /// A base station: a router that relays LSRR traffic for its visitors.
+pub type BaseStationNode = StackNode<BaseStation>;
+
+/// The protocol of a [`BaseStationNode`].
 #[derive(Debug)]
-pub struct BaseStationNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct BaseStation {
     /// The interface visitors attach to.
     pub local_iface: IfaceId,
     visitors: HashSet<Ipv4Addr>,
 }
 
-impl BaseStationNode {
-    /// Creates a base station serving `local_iface`.
-    pub fn new(local_iface: IfaceId) -> BaseStationNode {
-        BaseStationNode { stack: IpStack::new(true), local_iface, visitors: HashSet::new() }
+impl BaseStation {
+    /// A base station serving `local_iface`.
+    pub fn new(local_iface: IfaceId) -> BaseStation {
+        BaseStation { local_iface, visitors: HashSet::new() }
     }
 
     /// Whether `mobile` is registered here.
     pub fn has_visitor(&self, mobile: Ipv4Addr) -> bool {
         self.visitors.contains(&mobile)
     }
-
-    fn beacon(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ia) = self.stack.iface_addr(self.local_iface) else { return };
-        if !ctx.iface_attached(self.local_iface) {
-            return;
-        }
-        let beacon = Beacon { agent: ia.addr, protocol: LSRR_PROTO_TAG };
-        let d = UdpDatagram::new(BEACON_PORT, BEACON_PORT, beacon.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(ia.addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-            .with_ident(ident)
-            .with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
-    }
 }
 
-impl Node for BaseStationNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+impl Protocol for BaseStation {
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        beacon(stack, ctx, self.local_iface, LSRR_PROTO_TAG);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { mut pkt, .. } => {
-                    // An LSRR packet addressed to us: advance the source
-                    // route and forward (possibly to a local visitor).
-                    if pkt.has_options() {
-                        let self_addr = self
-                            .stack
-                            .iface_addr(self.local_iface)
-                            .map(|ia| ia.addr)
-                            .unwrap_or_else(|| self.stack.primary_addr());
-                        if lsrr_advance(&mut pkt, self_addr) {
-                            ctx.stats().incr("lsrr.bs_relayed");
-                            if self.visitors.contains(&pkt.dst) {
-                                self.stack.send_direct(ctx, self.local_iface, pkt);
-                            } else if self.stack.routes.lookup(pkt.dst).is_some() {
-                                self.stack.forward(ctx, pkt);
-                            } else {
-                                // Moved away and no route: the §7 gap.
-                                ctx.stats().incr("lsrr.bs_dead_ends");
-                                self.stack.send_host_unreachable(ctx, &pkt);
-                            }
-                            return;
-                        }
-                    }
-                    match pkt.protocol {
-                        proto::UDP => {
-                            if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                                if d.dst_port == CONTROL_PORT {
-                                    if let Ok(LsrrMessage::Register { mobile }) =
-                                        LsrrMessage::decode(&d.payload)
-                                    {
-                                        ctx.stats().incr("lsrr.registrations");
-                                        self.visitors.insert(mobile);
-                                    }
-                                }
-                            }
-                        }
-                        proto::ICMP => {
-                            netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                        }
-                        _ => {}
-                    }
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        // An LSRR packet addressed to us: advance the source route and
+        // forward (possibly to a local visitor).
+        if pkt.has_options() {
+            let self_addr = stack
+                .iface_addr(self.local_iface)
+                .map(|ia| ia.addr)
+                .unwrap_or_else(|| stack.primary_addr());
+            if lsrr_advance(&mut pkt, self_addr) {
+                ctx.stats().incr("lsrr.bs_relayed");
+                if self.visitors.contains(&pkt.dst) {
+                    stack.send_direct(ctx, self.local_iface, pkt);
+                } else if stack.routes.lookup(pkt.dst).is_some() {
+                    stack.forward(ctx, pkt);
+                } else {
+                    // Moved away and no route: the §7 gap.
+                    ctx.stats().incr("lsrr.bs_dead_ends");
+                    stack.send_host_unreachable(ctx, &pkt);
                 }
-                StackEvent::ForwardCandidate { pkt, .. } => self.stack.forward(ctx, pkt),
+                return;
             }
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
-        }
-        if timer.0 & BEACON_TIMER != 0 {
-            self.beacon(ctx);
-            ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+        if pkt.protocol == proto::ICMP {
+            handle_icmp_delivery(stack, ctx, &pkt);
+        } else if let Some(Ok(LsrrMessage::Register { mobile })) =
+            control(&pkt).map(|c| LsrrMessage::decode(&c))
+        {
+            ctx.stats().incr("lsrr.registrations");
+            self.visitors.insert(mobile);
         }
     }
 
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if is_beacon_timer(timer) {
+            beacon(stack, ctx, self.local_iface, LSRR_PROTO_TAG);
         }
     }
 }
@@ -222,10 +173,11 @@ static SENT_VIA_BS: Counter = Counter::new("lsrr.mobile_sent_via_bs");
 
 /// A correspondent host; `broken` models the deployed implementations
 /// that fail to reverse recorded routes (§7).
+pub type LsrrHostNode = StackNode<LsrrHost>;
+
+/// The protocol of an [`LsrrHostNode`].
 #[derive(Debug)]
-pub struct LsrrHostNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct LsrrHost {
     /// The application layer.
     pub endpoint: Endpoint,
     /// Whether this host's LSRR implementation is broken.
@@ -233,58 +185,15 @@ pub struct LsrrHostNode {
     reverse_routes: HashMap<Ipv4Addr, Vec<Ipv4Addr>>,
 }
 
-impl LsrrHostNode {
-    /// Creates a correspondent host.
-    pub fn new(broken: bool) -> LsrrHostNode {
-        LsrrHostNode {
-            stack: IpStack::new(false),
-            endpoint: Endpoint::new(),
-            broken,
-            reverse_routes: HashMap::new(),
-        }
+impl LsrrHost {
+    /// A correspondent host.
+    pub fn new(broken: bool) -> LsrrHost {
+        LsrrHost { endpoint: Endpoint::new(), broken, reverse_routes: HashMap::new() }
     }
 
     /// The saved reverse route toward `peer`, if any.
     pub fn reverse_route(&self, peer: Ipv4Addr) -> Option<&[Ipv4Addr]> {
         self.reverse_routes.get(&peer).map(Vec::as_slice)
-    }
-
-    /// Sends `pkt`, source-routing via the saved reverse route when one
-    /// exists (a correct implementation's behaviour).
-    pub fn send_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
-        if !self.broken {
-            if let Some(route) = self.reverse_routes.get(&pkt.dst) {
-                if let Some(&first) = route.first() {
-                    SOURCE_ROUTED.incr(ctx.stats());
-                    OVERHEAD_BYTES.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
-                    let final_dst = pkt.dst;
-                    pkt.dst = first;
-                    pkt.options.push(Ipv4Option::lsrr(vec![final_dst]));
-                }
-            }
-        }
-        self.stack.send(ctx, pkt);
-    }
-
-    /// Convenience ping.
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), src, dst);
-        self.send_data(ctx, pkt);
-    }
-
-    /// Convenience UDP send.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let pkt = Endpoint::make_udp(src, dst, src_port, dst_port, payload);
-        self.send_data(ctx, pkt);
     }
 
     fn learn_route(&mut self, pkt: &Ipv4Packet) {
@@ -297,8 +206,27 @@ impl LsrrHostNode {
             }
         }
     }
+}
 
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+impl SendPath for LsrrHost {
+    /// Source-routes via the saved reverse route when one exists (a
+    /// correct implementation's behaviour).
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        if !self.broken {
+            if let Some(&first) = self.reverse_routes.get(&pkt.dst).and_then(|r| r.first()) {
+                SOURCE_ROUTED.incr(ctx.stats());
+                OVERHEAD_BYTES.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
+                let final_dst = pkt.dst;
+                pkt.dst = first;
+                pkt.options.push(Ipv4Option::lsrr(vec![final_dst]));
+            }
+        }
+        stack.send(ctx, pkt);
+    }
+}
+
+impl Protocol for LsrrHost {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
         self.learn_route(&pkt);
         // Echo replies must honour the reverse route, so intercept echo
         // requests rather than letting the plain autoreply answer.
@@ -307,25 +235,19 @@ impl LsrrHostNode {
                 IcmpMessage::decode(&pkt.payload)
             {
                 let reply = IcmpMessage::EchoReply { ident, seq, payload };
-                let src = self.stack.pick_src(pkt.src).expect("host has an address");
+                let src = stack.pick_src(pkt.src).expect("host has an address");
                 let rp = Ipv4Packet::new(src, pkt.src, proto::ICMP, reply.encode());
-                self.send_data(ctx, rp);
+                self.send_data(stack, ctx, rp);
                 return;
             }
         }
         if pkt.protocol == proto::UDP {
             if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                if d.dst_port == netstack::nodes::UDP_ECHO_PORT {
+                if d.dst_port == UDP_ECHO_PORT {
                     // Echo the payload back along the reverse route.
-                    let src = self.stack.pick_src(pkt.src).expect("host has an address");
-                    let rp = Endpoint::make_udp(
-                        src,
-                        pkt.src,
-                        netstack::nodes::UDP_ECHO_PORT,
-                        d.src_port,
-                        d.payload.clone(),
-                    );
-                    self.send_data(ctx, rp);
+                    let src = stack.pick_src(pkt.src).expect("host has an address");
+                    let rp = Endpoint::make_udp(src, pkt.src, UDP_ECHO_PORT, d.src_port, d.payload);
+                    self.send_data(stack, ctx, rp);
                 }
             }
             // Still log it (disable the endpoint's own echo to avoid
@@ -333,149 +255,84 @@ impl LsrrHostNode {
         }
         let was_echo = self.endpoint.udp_echo;
         self.endpoint.udp_echo = false;
-        self.endpoint.deliver(&mut self.stack, ctx, &pkt);
+        self.endpoint.deliver(stack, ctx, &pkt);
         self.endpoint.udp_echo = was_echo;
-    }
-}
-
-impl Node for LsrrHostNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
-            self.deliver(ctx, pkt);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
     }
 }
 
 /// The mobile host: keeps its home address, routes everything through its
 /// base station with an LSRR option.
+pub type LsrrMobileNode = StackNode<LsrrMobile>;
+
+/// The protocol of an [`LsrrMobileNode`]; its shell's agent is the
+/// current base station.
 #[derive(Debug)]
-pub struct LsrrMobileNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct LsrrMobile {
+    /// Home address, gateway and current base station.
+    pub shell: MobileShell,
     /// The application layer.
     pub endpoint: Endpoint,
-    /// Home address.
-    pub home_addr: Ipv4Addr,
-    /// Home network prefix.
-    pub home_prefix: Prefix,
-    /// Default gateway at home.
-    pub home_gateway: Ipv4Addr,
-    /// The current base station, if visiting.
-    pub base_station: Option<Ipv4Addr>,
-    iface: IfaceId,
 }
 
-impl LsrrMobileNode {
-    /// Creates the mobile host (starts at home).
-    pub fn new(home_addr: Ipv4Addr, home_prefix: Prefix, home_gateway: Ipv4Addr) -> LsrrMobileNode {
-        LsrrMobileNode {
-            stack: IpStack::new(false),
+impl LsrrMobile {
+    /// A mobile host at home.
+    pub fn new(home_addr: Ipv4Addr, home_prefix: Prefix, home_gateway: Ipv4Addr) -> LsrrMobile {
+        LsrrMobile {
+            shell: MobileShell::new(home_addr, home_prefix, home_gateway),
             endpoint: Endpoint::new(),
-            home_addr,
-            home_prefix,
-            home_gateway,
-            base_station: None,
-            iface: IfaceId(0),
         }
     }
 
-    fn attach_via(&mut self, ctx: &mut Ctx<'_>, bs: Ipv4Addr) {
-        if self.base_station == Some(bs) {
+    fn attach_via(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, bs: Ipv4Addr) {
+        if self.shell.agent == Some(bs) {
             return;
         }
         ctx.stats().incr("lsrr.mobile_moves");
-        self.stack.remove_iface_binding(self.iface);
-        self.stack.add_iface(self.iface, self.home_addr, Prefix::host(self.home_addr));
-        self.stack.arp.clear_iface(self.iface);
-        self.stack.routes.remove(Prefix::default_route());
-        self.stack
-            .routes
-            .add(Prefix::default_route(), NextHop::Gateway { iface: self.iface, via: bs });
-        self.base_station = Some(bs);
-        let reg = LsrrMessage::Register { mobile: self.home_addr };
-        let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reg.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(self.home_addr, bs, proto::UDP, d.encode()).with_ident(ident);
-        self.stack.send_direct(ctx, self.iface, pkt);
+        self.shell.rehome(stack, bs);
+        let reg = LsrrMessage::Register { mobile: self.shell.home_addr };
+        self.shell.register(stack, ctx, bs, reg.encode());
     }
+}
 
+impl SendPath for LsrrMobile {
     /// Sends `pkt` through the base station with the LSRR option (§7:
     /// "All packets sent by a mobile host are sent through the mobile
     /// host's base station and include an LSRR option").
-    pub fn send_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
-        if let Some(bs) = self.base_station {
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        if let Some(bs) = self.shell.agent {
             SENT_VIA_BS.incr(ctx.stats());
             OVERHEAD_BYTES.add(ctx.stats(), LSRR_OPTION_BYTES as u64);
             let final_dst = pkt.dst;
             pkt.dst = bs;
             pkt.options.push(Ipv4Option::lsrr(vec![final_dst]));
-            self.stack.send_direct(ctx, self.iface, pkt);
+            stack.send_direct(ctx, IfaceId(0), pkt);
         } else {
-            self.stack.send(ctx, pkt);
+            stack.send(ctx, pkt);
         }
     }
 
-    /// Convenience ping.
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), self.home_addr, dst);
-        self.send_data(ctx, pkt);
-    }
-
-    /// Convenience UDP send.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let pkt = Endpoint::make_udp(self.home_addr, dst, src_port, dst_port, payload);
-        self.send_data(ctx, pkt);
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.shell.home_addr
     }
 }
 
-impl Node for LsrrMobileNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.add_iface(self.iface, self.home_addr, self.home_prefix);
-        self.stack.routes.add(
-            Prefix::default_route(),
-            NextHop::Gateway { iface: self.iface, via: self.home_gateway },
-        );
+impl Protocol for LsrrMobile {
+    fn start(&mut self, stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
+        self.shell.start(stack);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            if pkt.protocol == proto::UDP {
-                if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                    if d.dst_port == BEACON_PORT {
-                        if let Ok(b) = Beacon::decode(&d.payload) {
-                            if b.protocol == LSRR_PROTO_TAG {
-                                self.attach_via(ctx, b.agent);
-                            }
-                        }
-                        return;
-                    }
-                }
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        match MobileShell::hear(&pkt, LSRR_PROTO_TAG) {
+            Heard::Agent(bs) => self.attach_via(stack, ctx, bs),
+            Heard::Noise => {}
+            Heard::Other => {
+                self.endpoint.deliver(stack, ctx, &pkt);
             }
-            self.endpoint.deliver(&mut self.stack, ctx, &pkt);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-            self.base_station = None;
-        }
+    fn link(&mut self, _: &mut IpStack, _: &mut Ctx<'_>, _: IfaceId, event: LinkEvent) {
+        self.shell.link(event);
     }
 }
 
@@ -516,12 +373,12 @@ mod tests {
 
     #[test]
     fn broken_host_never_learns_routes() {
-        let mut h = LsrrHostNode::new(true);
+        let mut h = LsrrHost::new(true);
         let pkt = Ipv4Packet::new(a(1), a(2), proto::UDP, vec![])
             .with_option(Ipv4Option::Lsrr { pointer: 8, route: vec![a(100)] });
         h.learn_route(&pkt);
         assert!(h.reverse_route(a(1)).is_none());
-        let mut ok = LsrrHostNode::new(false);
+        let mut ok = LsrrHost::new(false);
         ok.learn_route(&pkt);
         assert_eq!(ok.reverse_route(a(1)).unwrap(), &[a(100)]);
     }

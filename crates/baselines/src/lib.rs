@@ -14,7 +14,15 @@
 //! | [`matsushita`] | Matsushita PFS / IPTP | 40 bytes | no route optimization; temp addresses |
 //! | [`ibm_lsrr`] | IBM loose source routing | 8 (+8 from the mobile) bytes | router slow path, broken LSRR implementations |
 //!
+//! Every node is a `netstack` [`StackNode`](netstack::StackNode): the
+//! stack node owns the frame, timer, link and reboot dispatch, and each
+//! protocol here supplies only its §7 delta as
+//! [`Protocol`](netstack::Protocol) hooks. Beacons, the mobile-host shell
+//! and the send path are shared in [`common`].
+//!
 //! Modeling substitutions are listed in the workspace DESIGN.md.
+
+#![deny(missing_docs)]
 
 pub mod columbia;
 pub mod common;

@@ -19,20 +19,15 @@ use std::net::Ipv4Addr;
 
 use ip::icmp::IcmpMessage;
 use ip::ipv4::Ipv4Packet;
-use ip::udp::UdpDatagram;
 use ip::{proto, PacketError, Prefix};
-use netsim::time::SimDuration;
-use netsim::{Counter, Ctx, Frame, IfaceId, LinkEvent, Node, TimerToken};
-use netstack::nodes::Endpoint;
-use netstack::route::NextHop;
-use netstack::{IpStack, StackEvent};
+use netsim::{Counter, Ctx, IfaceId, LinkEvent, TimerToken};
+use netstack::nodes::{handle_icmp_delivery, Endpoint, Protocol, StackNode};
+use netstack::IpStack;
 
-use crate::common::{Beacon, TempAddrPool, BEACON_PORT, CONTROL_PORT};
-
-const BEACON_TIMER: u64 = 1 << 57;
-
-/// Beacon interval for address-assignment agents.
-pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
+use crate::common::{
+    beacon, control, decode_addrs, encode_msg, is_beacon_timer, link_broadcast, Heard, MobileShell,
+    SendPath, TempAddrPool, CONTROL_PORT,
+};
 
 /// IPTP header length; with the new outer IP header the per-packet
 /// overhead is §7's 40 bytes.
@@ -78,30 +73,16 @@ pub enum IptpMessage {
 impl IptpMessage {
     /// Encodes to control bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(10);
-        match self {
-            IptpMessage::TempRequest { mobile } => {
-                buf.push(1);
-                buf.extend_from_slice(&mobile.octets());
-            }
+        match *self {
+            IptpMessage::TempRequest { mobile } => encode_msg(1, &[mobile]),
             IptpMessage::TempAssign { mobile, temp, prefix_len } => {
-                buf.push(2);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&temp.octets());
-                buf.push(*prefix_len);
+                let mut buf = encode_msg(2, &[mobile, temp]);
+                buf.push(prefix_len);
+                buf
             }
-            IptpMessage::PfsRegister { mobile, temp } => {
-                buf.push(3);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&temp.octets());
-            }
-            IptpMessage::TempNotify { mobile, temp } => {
-                buf.push(4);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&temp.octets());
-            }
+            IptpMessage::PfsRegister { mobile, temp } => encode_msg(3, &[mobile, temp]),
+            IptpMessage::TempNotify { mobile, temp } => encode_msg(4, &[mobile, temp]),
         }
-        buf
     }
 
     /// Decodes from control bytes.
@@ -111,28 +92,20 @@ impl IptpMessage {
     /// Returns [`PacketError`] on truncation or unknown type.
     pub fn decode(buf: &[u8]) -> Result<IptpMessage, PacketError> {
         let (&ty, rest) = buf.split_first().ok_or(PacketError::Truncated)?;
-        let addr = |b: &[u8]| Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        let need = |n: usize| if rest.len() < n { Err(PacketError::Truncated) } else { Ok(()) };
         Ok(match ty {
-            1 => {
-                need(4)?;
-                IptpMessage::TempRequest { mobile: addr(&rest[..4]) }
-            }
+            1 => IptpMessage::TempRequest { mobile: decode_addrs::<1>(rest)?[0] },
             2 => {
-                need(9)?;
-                IptpMessage::TempAssign {
-                    mobile: addr(&rest[..4]),
-                    temp: addr(&rest[4..8]),
-                    prefix_len: rest[8],
-                }
+                let [mobile, temp] = decode_addrs(rest)?;
+                let prefix_len = *rest.get(8).ok_or(PacketError::Truncated)?;
+                IptpMessage::TempAssign { mobile, temp, prefix_len }
             }
             3 => {
-                need(8)?;
-                IptpMessage::PfsRegister { mobile: addr(&rest[..4]), temp: addr(&rest[4..8]) }
+                let [mobile, temp] = decode_addrs(rest)?;
+                IptpMessage::PfsRegister { mobile, temp }
             }
             4 => {
-                need(8)?;
-                IptpMessage::TempNotify { mobile: addr(&rest[..4]), temp: addr(&rest[4..8]) }
+                let [mobile, temp] = decode_addrs(rest)?;
+                IptpMessage::TempNotify { mobile, temp }
             }
             _ => return Err(PacketError::BadField("iptp message type")),
         })
@@ -177,10 +150,11 @@ static OVERHEAD_BYTES: Counter = Counter::new("iptp.overhead_bytes");
 
 /// The Packet Forwarding Server: a home-network router that intercepts
 /// and tunnels its mobile hosts' packets.
+pub type PfsNode = StackNode<Pfs>;
+
+/// The protocol of a [`PfsNode`].
 #[derive(Debug)]
-pub struct PfsNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct Pfs {
     /// The home-network interface.
     pub home_iface: IfaceId,
     /// Whether the PFS notifies senders of temporary addresses, enabling
@@ -190,11 +164,10 @@ pub struct PfsNode {
     notified: HashSet<(Ipv4Addr, Ipv4Addr)>,
 }
 
-impl PfsNode {
-    /// Creates a PFS on `home_iface`.
-    pub fn new(home_iface: IfaceId) -> PfsNode {
-        PfsNode {
-            stack: IpStack::new(true),
+impl Pfs {
+    /// A PFS on `home_iface`.
+    pub fn new(home_iface: IfaceId) -> Pfs {
+        Pfs {
             home_iface,
             autonomous_notifications: true,
             bindings: HashMap::new(),
@@ -207,448 +180,295 @@ impl PfsNode {
         self.bindings.get(&mobile).copied()
     }
 
-    fn self_addr(&self) -> Ipv4Addr {
-        self.stack
+    /// Forwarding mode: tunnels `pkt` for `mobile` to its temporary
+    /// address, and tells the sender that address once.
+    fn tunnel(
+        &mut self,
+        stack: &mut IpStack,
+        ctx: &mut Ctx<'_>,
+        mobile: Ipv4Addr,
+        pkt: Ipv4Packet,
+    ) {
+        let Some(&temp) = self.bindings.get(&mobile) else {
+            ctx.stats().incr("iptp.no_binding");
+            return;
+        };
+        FORWARDED.incr(ctx.stats());
+        OVERHEAD_BYTES.add(ctx.stats(), IPTP_OVERHEAD as u64);
+        let sender = pkt.src;
+        let ident = stack.next_ident();
+        let self_addr = stack
             .iface_addr(self.home_iface)
             .map(|ia| ia.addr)
-            .unwrap_or_else(|| self.stack.primary_addr())
+            .unwrap_or_else(|| stack.primary_addr());
+        let mut outer = iptp_encapsulate(&pkt, self_addr, temp, ident);
+        // The PFS is a router hop for the tunneled packet.
+        outer.ttl = outer.ttl.saturating_sub(1);
+        stack.send(ctx, outer);
+        if self.autonomous_notifications && self.notified.insert((sender, mobile)) {
+            let n = IptpMessage::TempNotify { mobile, temp };
+            stack.send_udp(ctx, sender, CONTROL_PORT, CONTROL_PORT, n.encode());
+        }
     }
 }
 
-impl Node for PfsNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => {
-                    if self.stack.is_captured(pkt.dst) && !self.stack.is_local_addr(pkt.dst) {
-                        // Forwarding mode: tunnel to the temporary address.
-                        let mobile = pkt.dst;
-                        let Some(&temp) = self.bindings.get(&mobile) else {
-                            ctx.stats().incr("iptp.no_binding");
-                            return;
-                        };
-                        FORWARDED.incr(ctx.stats());
-                        OVERHEAD_BYTES.add(ctx.stats(), IPTP_OVERHEAD as u64);
-                        let sender = pkt.src;
-                        let ident = self.stack.next_ident();
-                        let mut outer = iptp_encapsulate(&pkt, self.self_addr(), temp, ident);
-                        // The PFS is a router hop for the tunneled packet.
-                        outer.ttl = outer.ttl.saturating_sub(1);
-                        self.stack.send(ctx, outer);
-                        if self.autonomous_notifications && self.notified.insert((sender, mobile)) {
-                            let n = IptpMessage::TempNotify { mobile, temp };
-                            self.stack.send_udp(
-                                ctx,
-                                sender,
-                                CONTROL_PORT,
-                                CONTROL_PORT,
-                                n.encode(),
-                            );
-                        }
-                        return;
-                    }
-                    match pkt.protocol {
-                        proto::UDP => {
-                            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-                            if d.dst_port != CONTROL_PORT {
-                                return;
-                            }
-                            if let Ok(IptpMessage::PfsRegister { mobile, temp }) =
-                                IptpMessage::decode(&d.payload)
-                            {
-                                ctx.stats().incr("iptp.registrations");
-                                if temp.is_unspecified() {
-                                    self.bindings.remove(&mobile);
-                                    self.stack.remove_capture(mobile);
-                                    self.stack.arp.remove_proxy(self.home_iface, mobile);
-                                } else {
-                                    self.bindings.insert(mobile, temp);
-                                    self.stack.add_capture(mobile);
-                                    self.stack.arp.add_proxy(self.home_iface, mobile);
-                                    self.stack.send_gratuitous_arp(ctx, self.home_iface, mobile);
-                                    // Movement invalidates who-was-notified.
-                                    self.notified.retain(|(_, m)| *m != mobile);
-                                }
-                            }
-                        }
-                        proto::ICMP => {
-                            netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                        }
-                        _ => {}
-                    }
-                }
-                StackEvent::ForwardCandidate { pkt, .. } => self.stack.forward(ctx, pkt),
-            }
+impl Protocol for Pfs {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if stack.is_captured(pkt.dst) && !stack.is_local_addr(pkt.dst) {
+            self.tunnel(stack, ctx, pkt.dst, pkt);
+            return;
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
+        if pkt.protocol == proto::ICMP {
+            handle_icmp_delivery(stack, ctx, &pkt);
+            return;
+        }
+        let Some(Ok(IptpMessage::PfsRegister { mobile, temp })) =
+            control(&pkt).map(|c| IptpMessage::decode(&c))
+        else {
+            return;
+        };
+        ctx.stats().incr("iptp.registrations");
+        if temp.is_unspecified() {
+            self.bindings.remove(&mobile);
+            stack.remove_capture(mobile);
+            stack.arp.remove_proxy(self.home_iface, mobile);
+        } else {
+            self.bindings.insert(mobile, temp);
+            stack.add_capture(mobile);
+            stack.arp.add_proxy(self.home_iface, mobile);
+            stack.send_gratuitous_arp(ctx, self.home_iface, mobile);
+            // Movement invalidates who-was-notified.
+            self.notified.retain(|(_, m)| *m != mobile);
+        }
     }
 }
 
 /// An address-assignment agent on a visited network (router + pool).
+pub type IptpAgentNode = StackNode<IptpAgent>;
+
+/// The protocol of an [`IptpAgentNode`].
 #[derive(Debug)]
-pub struct IptpAgentNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct IptpAgent {
     /// The local interface visitors attach to.
     pub local_iface: IfaceId,
     /// The temporary address pool.
     pub pool: TempAddrPool,
 }
 
-impl IptpAgentNode {
-    /// Creates an agent with `pool` on `local_iface`.
-    pub fn new(local_iface: IfaceId, pool: TempAddrPool) -> IptpAgentNode {
-        IptpAgentNode { stack: IpStack::new(true), local_iface, pool }
-    }
-
-    fn beacon(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ia) = self.stack.iface_addr(self.local_iface) else { return };
-        if !ctx.iface_attached(self.local_iface) {
-            return;
-        }
-        let beacon = Beacon { agent: ia.addr, protocol: proto::IPTP };
-        let d = UdpDatagram::new(BEACON_PORT, BEACON_PORT, beacon.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(ia.addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-            .with_ident(ident)
-            .with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
+impl IptpAgent {
+    /// An agent with `pool` on `local_iface`.
+    pub fn new(local_iface: IfaceId, pool: TempAddrPool) -> IptpAgent {
+        IptpAgent { local_iface, pool }
     }
 }
 
-impl Node for IptpAgentNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+impl Protocol for IptpAgent {
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        beacon(stack, ctx, self.local_iface, proto::IPTP);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => {
-                    if pkt.protocol != proto::UDP {
-                        if pkt.protocol == proto::ICMP {
-                            netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                        }
-                        return;
-                    }
-                    let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-                    if d.dst_port != CONTROL_PORT {
-                        return;
-                    }
-                    if let Ok(IptpMessage::TempRequest { mobile }) = IptpMessage::decode(&d.payload)
-                    {
-                        let temp = self.pool.allocate().unwrap_or(Ipv4Addr::UNSPECIFIED);
-                        if temp.is_unspecified() {
-                            ctx.stats().incr("iptp.pool_exhausted");
-                        }
-                        let reply = IptpMessage::TempAssign {
-                            mobile,
-                            temp,
-                            prefix_len: self.pool.prefix().len(),
-                        };
-                        let dg = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reply.encode());
-                        let self_addr = self
-                            .stack
-                            .iface_addr(self.local_iface)
-                            .map(|ia| ia.addr)
-                            .unwrap_or(Ipv4Addr::UNSPECIFIED);
-                        let ident = self.stack.next_ident();
-                        let out = Ipv4Packet::new(
-                            self_addr,
-                            Ipv4Addr::BROADCAST,
-                            proto::UDP,
-                            dg.encode(),
-                        )
-                        .with_ident(ident)
-                        .with_ttl(1);
-                        self.stack.send_link_broadcast(ctx, self.local_iface, out);
-                    }
-                }
-                StackEvent::ForwardCandidate { pkt, .. } => self.stack.forward(ctx, pkt),
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::ICMP {
+            handle_icmp_delivery(stack, ctx, &pkt);
+        } else if let Some(Ok(IptpMessage::TempRequest { mobile })) =
+            control(&pkt).map(|c| IptpMessage::decode(&c))
+        {
+            let temp = self.pool.allocate().unwrap_or(Ipv4Addr::UNSPECIFIED);
+            if temp.is_unspecified() {
+                ctx.stats().incr("iptp.pool_exhausted");
             }
+            let reply =
+                IptpMessage::TempAssign { mobile, temp, prefix_len: self.pool.prefix().len() };
+            // The requester has no usable address yet: answer with a link
+            // broadcast it will hear.
+            let self_addr = stack
+                .iface_addr(self.local_iface)
+                .map(|ia| ia.addr)
+                .unwrap_or(Ipv4Addr::UNSPECIFIED);
+            link_broadcast(stack, ctx, self.local_iface, self_addr, CONTROL_PORT, reply.encode());
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
-        }
-        if timer.0 & BEACON_TIMER != 0 {
-            self.beacon(ctx);
-            ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
-        }
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if is_beacon_timer(timer) {
+            beacon(stack, ctx, self.local_iface, proto::IPTP);
         }
     }
 }
 
 /// A Matsushita mobile host.
+pub type MatsushitaMobileNode = StackNode<MatsushitaMobile>;
+
+/// The protocol of a [`MatsushitaMobileNode`]; its shell's agent is the
+/// address agent it asked for a temporary address.
 #[derive(Debug)]
-pub struct MatsushitaMobileNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct MatsushitaMobile {
+    /// Home address, gateway and current address agent.
+    pub shell: MobileShell,
     /// The application layer.
     pub endpoint: Endpoint,
-    /// Home address.
-    pub home_addr: Ipv4Addr,
-    /// Home network prefix.
-    pub home_prefix: Prefix,
-    /// Default gateway at home.
-    pub home_gateway: Ipv4Addr,
     /// The PFS on the home network.
     pub pfs: Ipv4Addr,
     /// Current temporary address, if visiting.
     pub temp: Option<Ipv4Addr>,
-    iface: IfaceId,
     awaiting_temp: bool,
-    current_agent: Option<Ipv4Addr>,
 }
 
-impl MatsushitaMobileNode {
-    /// Creates the mobile host (starts at home).
+impl MatsushitaMobile {
+    /// A mobile host at home.
     pub fn new(
         home_addr: Ipv4Addr,
         home_prefix: Prefix,
         home_gateway: Ipv4Addr,
         pfs: Ipv4Addr,
-    ) -> MatsushitaMobileNode {
-        MatsushitaMobileNode {
-            stack: IpStack::new(false),
+    ) -> MatsushitaMobile {
+        MatsushitaMobile {
+            shell: MobileShell::new(home_addr, home_prefix, home_gateway),
             endpoint: Endpoint::new(),
-            home_addr,
-            home_prefix,
-            home_gateway,
             pfs,
             temp: None,
-            iface: IfaceId(0),
             awaiting_temp: false,
-            current_agent: None,
         }
     }
 
-    fn adopt_temp(&mut self, ctx: &mut Ctx<'_>, temp: Ipv4Addr, prefix_len: u8, gateway: Ipv4Addr) {
+    fn adopt_temp(
+        &mut self,
+        stack: &mut IpStack,
+        ctx: &mut Ctx<'_>,
+        temp: Ipv4Addr,
+        prefix_len: u8,
+        gateway: Ipv4Addr,
+    ) {
         ctx.stats().incr("iptp.mobile_moves");
         self.awaiting_temp = false;
         self.temp = Some(temp);
-        self.stack.remove_iface_binding(self.iface);
-        self.stack.add_iface(self.iface, temp, Prefix::new(temp, prefix_len));
-        self.stack.add_capture(self.home_addr);
-        self.stack.arp.clear_iface(self.iface);
-        self.stack.routes.remove(Prefix::default_route());
-        self.stack
-            .routes
-            .add(Prefix::default_route(), NextHop::Gateway { iface: self.iface, via: gateway });
-        let reg = IptpMessage::PfsRegister { mobile: self.home_addr, temp };
-        self.stack.send_udp(ctx, self.pfs, CONTROL_PORT, CONTROL_PORT, reg.encode());
-    }
-
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        match pkt.protocol {
-            proto::IPTP => {
-                if let Ok(inner) = iptp_decapsulate(&pkt) {
-                    ctx.stats().incr("iptp.mobile_decapsulated");
-                    self.endpoint.deliver(&mut self.stack, ctx, &inner);
-                }
-            }
-            proto::UDP => {
-                if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                    if d.dst_port == BEACON_PORT {
-                        if let Ok(b) = Beacon::decode(&d.payload) {
-                            if b.protocol == proto::IPTP && self.current_agent != Some(b.agent) {
-                                self.awaiting_temp = true;
-                                self.current_agent = Some(b.agent);
-                                let req = IptpMessage::TempRequest { mobile: self.home_addr };
-                                let dg = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, req.encode());
-                                let out = Ipv4Packet::new(
-                                    self.home_addr,
-                                    Ipv4Addr::BROADCAST,
-                                    proto::UDP,
-                                    dg.encode(),
-                                )
-                                .with_ttl(1);
-                                self.stack.send_link_broadcast(ctx, self.iface, out);
-                            }
-                        }
-                        return;
-                    }
-                    if d.dst_port == CONTROL_PORT {
-                        if let Ok(IptpMessage::TempAssign { mobile, temp, prefix_len }) =
-                            IptpMessage::decode(&d.payload)
-                        {
-                            if mobile == self.home_addr && self.awaiting_temp {
-                                if temp.is_unspecified() {
-                                    ctx.stats().incr("iptp.temp_denied");
-                                } else {
-                                    let gw = self.current_agent.unwrap_or(self.home_gateway);
-                                    self.adopt_temp(ctx, temp, prefix_len, gw);
-                                }
-                            }
-                        }
-                        return;
-                    }
-                }
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-            _ => {
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-        }
+        MobileShell::rebind(stack, temp, Prefix::new(temp, prefix_len), gateway);
+        stack.add_capture(self.shell.home_addr);
+        let reg = IptpMessage::PfsRegister { mobile: self.shell.home_addr, temp };
+        stack.send_udp(ctx, self.pfs, CONTROL_PORT, CONTROL_PORT, reg.encode());
     }
 }
 
-impl Node for MatsushitaMobileNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.add_iface(self.iface, self.home_addr, self.home_prefix);
-        self.stack.routes.add(
-            Prefix::default_route(),
-            NextHop::Gateway { iface: self.iface, via: self.home_gateway },
-        );
+impl SendPath for MatsushitaMobile {
+    /// Plain IP from the home address: the PFS tunnels only toward the
+    /// host.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        stack.send(ctx, pkt);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
-            self.deliver(ctx, pkt);
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.shell.home_addr
+    }
+}
+
+impl Protocol for MatsushitaMobile {
+    fn start(&mut self, stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
+        self.shell.start(stack);
+    }
+
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::IPTP {
+            if let Ok(inner) = iptp_decapsulate(&pkt) {
+                ctx.stats().incr("iptp.mobile_decapsulated");
+                self.endpoint.deliver(stack, ctx, &inner);
+            }
+            return;
+        }
+        match MobileShell::hear(&pkt, proto::IPTP) {
+            Heard::Agent(agent) => {
+                if self.shell.agent != Some(agent) {
+                    self.awaiting_temp = true;
+                    let req = IptpMessage::TempRequest { mobile: self.shell.home_addr };
+                    self.shell.ask(stack, ctx, agent, req.encode());
+                }
+            }
+            Heard::Noise => {}
+            Heard::Other => match control(&pkt).map(|c| IptpMessage::decode(&c)) {
+                Some(Ok(IptpMessage::TempAssign { mobile, temp, prefix_len }))
+                    if mobile == self.shell.home_addr && self.awaiting_temp =>
+                {
+                    if temp.is_unspecified() {
+                        ctx.stats().incr("iptp.temp_denied");
+                    } else {
+                        let gw = self.shell.agent.unwrap_or(self.shell.home_gateway);
+                        self.adopt_temp(stack, ctx, temp, prefix_len, gw);
+                    }
+                }
+                Some(_) => {}
+                None => {
+                    self.endpoint.deliver(stack, ctx, &pkt);
+                }
+            },
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-            self.current_agent = None;
-        }
+    fn link(&mut self, _: &mut IpStack, _: &mut Ctx<'_>, _: IfaceId, event: LinkEvent) {
+        self.shell.link(event);
     }
 }
 
 /// A correspondent host capable of autonomous mode.
-#[derive(Debug)]
-pub struct MatsushitaHostNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub type MatsushitaHostNode = StackNode<MatsushitaHost>;
+
+/// The protocol of a [`MatsushitaHostNode`].
+#[derive(Debug, Default)]
+pub struct MatsushitaHost {
     /// The application layer.
     pub endpoint: Endpoint,
     /// Autonomous-mode cache: mobile home address → temporary address.
     bindings: HashMap<Ipv4Addr, Ipv4Addr>,
 }
 
-impl MatsushitaHostNode {
-    /// Creates the correspondent host.
-    pub fn new() -> MatsushitaHostNode {
-        MatsushitaHostNode {
-            stack: IpStack::new(false),
-            endpoint: Endpoint::new(),
-            bindings: HashMap::new(),
+impl MatsushitaHost {
+    /// The mobile host an ICMP error in `pkt` about a tunneled packet
+    /// names, if `pkt` is one: its temporary address went stale.
+    fn stale_mobile(pkt: &Ipv4Packet) -> Option<Ipv4Addr> {
+        if pkt.protocol != proto::ICMP {
+            return None;
         }
+        let msg = IcmpMessage::decode(&pkt.payload).ok().filter(IcmpMessage::is_error)?;
+        let original = msg.original()?;
+        if original.len() < 20 + 8 || original[9] != proto::IPTP {
+            return None;
+        }
+        let hl = usize::from(original[0] & 0xf) * 4;
+        let b = original.get(hl..hl + 4)?;
+        Some(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
     }
+}
 
-    /// The cached temporary address for `mobile` (tests/metrics).
-    pub fn cached_temp(&self, mobile: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.bindings.get(&mobile).copied()
-    }
-
-    /// Sends `pkt`; tunnels directly (autonomous mode) when a temporary
-    /// address is cached.
-    pub fn send_data(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+impl SendPath for MatsushitaHost {
+    /// Tunnels directly (autonomous mode) when a temporary address is
+    /// cached.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
         if let Some(&temp) = self.bindings.get(&pkt.dst) {
             ctx.stats().incr("iptp.autonomous_sent");
             ctx.stats().add("iptp.overhead_bytes", IPTP_OVERHEAD as u64);
-            let src = pkt.src;
-            let ident = self.stack.next_ident();
-            let outer = iptp_encapsulate(&pkt, src, temp, ident);
-            self.stack.send(ctx, outer);
+            let ident = stack.next_ident();
+            let outer = iptp_encapsulate(&pkt, pkt.src, temp, ident);
+            stack.send(ctx, outer);
         } else {
-            self.stack.send(ctx, pkt);
+            stack.send(ctx, pkt);
         }
     }
-
-    /// Convenience ping.
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), src, dst);
-        self.send_data(ctx, pkt);
-    }
-
-    /// Convenience UDP send.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let pkt = Endpoint::make_udp(src, dst, src_port, dst_port, payload);
-        self.send_data(ctx, pkt);
-    }
 }
 
-impl Default for MatsushitaHostNode {
-    fn default() -> MatsushitaHostNode {
-        MatsushitaHostNode::new()
-    }
-}
-
-impl Node for MatsushitaHostNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            match pkt.protocol {
-                proto::UDP => {
-                    if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                        if d.dst_port == CONTROL_PORT {
-                            if let Ok(IptpMessage::TempNotify { mobile, temp }) =
-                                IptpMessage::decode(&d.payload)
-                            {
-                                ctx.stats().incr("iptp.autonomous_enabled");
-                                self.bindings.insert(mobile, temp);
-                            }
-                            return;
-                        }
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                proto::ICMP => {
-                    // Unreachable about a tunneled packet: the temporary
-                    // address went stale — fall back to forwarding mode.
-                    if let Ok(msg) = IcmpMessage::decode(&pkt.payload) {
-                        if msg.is_error() {
-                            if let Some(original) = msg.original() {
-                                if original.len() >= 20 + 8 && original[9] == proto::IPTP {
-                                    let hl = usize::from(original[0] & 0xf) * 4;
-                                    if original.len() >= hl + 4 {
-                                        let b = &original[hl..hl + 4];
-                                        let mobile = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-                                        ctx.stats().incr("iptp.fallback_to_forwarding");
-                                        self.bindings.remove(&mobile);
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                _ => {
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
+impl Protocol for MatsushitaHost {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if let Some(payload) = control(&pkt) {
+            if let Ok(IptpMessage::TempNotify { mobile, temp }) = IptpMessage::decode(&payload) {
+                ctx.stats().incr("iptp.autonomous_enabled");
+                self.bindings.insert(mobile, temp);
             }
+            return;
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
+        // An error about a tunneled packet: fall back to forwarding mode.
+        if let Some(mobile) = MatsushitaHost::stale_mobile(&pkt) {
+            ctx.stats().incr("iptp.fallback_to_forwarding");
+            self.bindings.remove(&mobile);
+            return;
+        }
+        self.endpoint.deliver(stack, ctx, &pkt);
     }
 }
 

@@ -13,7 +13,7 @@
 //! router fills in the real physical address. After a move a **flooding
 //! protocol** removes cached mappings — "but some may remain due to the
 //! way in which the flooding is propagated" (modeled by
-//! [`VipRouterNode::flood_apply_prob`]); a stale mapping misdelivers the
+//! [`VipRouter::flood_apply_prob`]); a stale mapping misdelivers the
 //! packet, the wrong receiver returns an error, and the sender
 //! retransmits.
 
@@ -22,20 +22,15 @@ use std::net::Ipv4Addr;
 
 use ip::icmp::IcmpMessage;
 use ip::ipv4::Ipv4Packet;
-use ip::udp::UdpDatagram;
 use ip::{proto, PacketError, Prefix};
-use netsim::time::SimDuration;
-use netsim::{Counter, Ctx, Frame, IfaceId, LinkEvent, Node, TeleEventKind, TimerToken};
-use netstack::nodes::Endpoint;
-use netstack::route::NextHop;
-use netstack::{IpStack, StackEvent};
+use netsim::{Counter, Ctx, IfaceId, LinkEvent, TeleEventKind, TimerToken};
+use netstack::nodes::{handle_icmp_delivery, Endpoint, Protocol, StackNode};
+use netstack::IpStack;
 
-use crate::common::{Beacon, TempAddrPool, BEACON_PORT, CONTROL_PORT};
-
-const BEACON_TIMER: u64 = 1 << 57;
-
-/// Beacon interval for VIP routers.
-pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
+use crate::common::{
+    beacon, control, decode_addrs, encode_msg, is_beacon_timer, link_broadcast, Heard, MobileShell,
+    SendPath, TempAddrPool, CONTROL_PORT,
+};
 
 /// The VIP shim size (§7's 28 bytes).
 pub const VIP_SHIM_LEN: usize = 28;
@@ -81,34 +76,21 @@ pub enum VipMessage {
 impl VipMessage {
     /// Encodes to control bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(12);
-        match self {
-            VipMessage::TempRequest { vip } => {
-                buf.push(1);
-                buf.extend_from_slice(&vip.octets());
-            }
+        match *self {
+            VipMessage::TempRequest { vip } => encode_msg(1, &[vip]),
             VipMessage::TempAssign { vip, temp, prefix_len } => {
-                buf.push(2);
-                buf.extend_from_slice(&vip.octets());
-                buf.extend_from_slice(&temp.octets());
-                buf.push(*prefix_len);
+                let mut buf = encode_msg(2, &[vip, temp]);
+                buf.push(prefix_len);
+                buf
             }
-            VipMessage::HomeRegister { vip, phys } => {
-                buf.push(3);
-                buf.extend_from_slice(&vip.octets());
-                buf.extend_from_slice(&phys.octets());
-            }
+            VipMessage::HomeRegister { vip, phys } => encode_msg(3, &[vip, phys]),
             VipMessage::Invalidate { vip, seq } => {
-                buf.push(4);
-                buf.extend_from_slice(&vip.octets());
+                let mut buf = encode_msg(4, &[vip]);
                 buf.extend_from_slice(&seq.to_be_bytes());
+                buf
             }
-            VipMessage::Misdelivery { vip } => {
-                buf.push(5);
-                buf.extend_from_slice(&vip.octets());
-            }
+            VipMessage::Misdelivery { vip } => encode_msg(5, &[vip]),
         }
-        buf
     }
 
     /// Decodes from control bytes.
@@ -118,36 +100,23 @@ impl VipMessage {
     /// Returns [`PacketError`] on truncation or unknown type.
     pub fn decode(buf: &[u8]) -> Result<VipMessage, PacketError> {
         let (&ty, rest) = buf.split_first().ok_or(PacketError::Truncated)?;
-        let addr = |b: &[u8]| Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        let need = |n: usize| if rest.len() < n { Err(PacketError::Truncated) } else { Ok(()) };
         Ok(match ty {
-            1 => {
-                need(4)?;
-                VipMessage::TempRequest { vip: addr(&rest[..4]) }
-            }
+            1 => VipMessage::TempRequest { vip: decode_addrs::<1>(rest)?[0] },
             2 => {
-                need(9)?;
-                VipMessage::TempAssign {
-                    vip: addr(&rest[..4]),
-                    temp: addr(&rest[4..8]),
-                    prefix_len: rest[8],
-                }
+                let [vip, temp] = decode_addrs(rest)?;
+                let prefix_len = *rest.get(8).ok_or(PacketError::Truncated)?;
+                VipMessage::TempAssign { vip, temp, prefix_len }
             }
             3 => {
-                need(8)?;
-                VipMessage::HomeRegister { vip: addr(&rest[..4]), phys: addr(&rest[4..8]) }
+                let [vip, phys] = decode_addrs(rest)?;
+                VipMessage::HomeRegister { vip, phys }
             }
             4 => {
-                need(6)?;
-                VipMessage::Invalidate {
-                    vip: addr(&rest[..4]),
-                    seq: u16::from_be_bytes([rest[4], rest[5]]),
-                }
+                let [vip] = decode_addrs(rest)?;
+                let seq = rest.get(4..6).ok_or(PacketError::Truncated)?;
+                VipMessage::Invalidate { vip, seq: u16::from_be_bytes([seq[0], seq[1]]) }
             }
-            5 => {
-                need(4)?;
-                VipMessage::Misdelivery { vip: addr(&rest[..4]) }
-            }
+            5 => VipMessage::Misdelivery { vip: decode_addrs::<1>(rest)?[0] },
             _ => return Err(PacketError::BadField("vip message type")),
         })
     }
@@ -215,10 +184,11 @@ pub fn vip_decapsulate(pkt: &mut Ipv4Packet) -> Result<VipShim, PacketError> {
 /// participates in invalidation flooding, assigns temporary addresses on
 /// its local network, and (for its own prefix) holds the authoritative
 /// home mapping.
+pub type VipRouterNode = StackNode<VipRouter>;
+
+/// The protocol of a [`VipRouterNode`].
 #[derive(Debug)]
-pub struct VipRouterNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct VipRouter {
     /// The interface hosts connect on.
     pub local_iface: IfaceId,
     /// Probability that a flood message is applied/propagated here —
@@ -234,11 +204,10 @@ pub struct VipRouterNode {
     seen_floods: HashSet<(Ipv4Addr, u16)>,
 }
 
-impl VipRouterNode {
-    /// Creates a VIP router serving `local_iface`.
-    pub fn new(local_iface: IfaceId) -> VipRouterNode {
-        VipRouterNode {
-            stack: IpStack::new(true),
+impl VipRouter {
+    /// A VIP router serving `local_iface`.
+    pub fn new(local_iface: IfaceId) -> VipRouter {
+        VipRouter {
             local_iface,
             flood_apply_prob: 1.0,
             flood_peers: Vec::new(),
@@ -254,26 +223,7 @@ impl VipRouterNode {
         self.cache.len()
     }
 
-    /// The cached physical address for `vip` (tests/metrics).
-    pub fn cached_phys(&self, vip: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.cache.get(&vip).copied()
-    }
-
-    fn beacon(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ia) = self.stack.iface_addr(self.local_iface) else { return };
-        if !ctx.iface_attached(self.local_iface) {
-            return;
-        }
-        let beacon = Beacon { agent: ia.addr, protocol: proto::VIP };
-        let d = UdpDatagram::new(BEACON_PORT, BEACON_PORT, beacon.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(ia.addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-            .with_ident(ident)
-            .with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
-    }
-
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, src: Ipv4Addr, msg: VipMessage) {
+    fn on_control(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, msg: VipMessage) {
         match msg {
             VipMessage::TempRequest { vip } => {
                 let temp = self
@@ -286,38 +236,31 @@ impl VipRouterNode {
                 }
                 let prefix_len = self.pool.as_ref().map(|p| p.prefix().len()).unwrap_or(24);
                 let reply = VipMessage::TempAssign { vip, temp, prefix_len };
-                let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reply.encode());
-                let ident = self.stack.next_ident();
                 // The requester has no usable address yet: answer with a
                 // link broadcast it will hear.
-                let self_addr = self
-                    .stack
+                let self_addr = stack
                     .iface_addr(self.local_iface)
                     .map(|ia| ia.addr)
                     .unwrap_or(Ipv4Addr::UNSPECIFIED);
-                let pkt = Ipv4Packet::new(self_addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-                    .with_ident(ident)
-                    .with_ttl(1);
-                self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
+                link_broadcast(
+                    stack,
+                    ctx,
+                    self.local_iface,
+                    self_addr,
+                    CONTROL_PORT,
+                    reply.encode(),
+                );
             }
             VipMessage::HomeRegister { vip, phys } => {
                 ctx.stats().incr("vip.home_registrations");
                 self.home_bindings.insert(vip, phys);
             }
-            VipMessage::Invalidate { vip, seq } => {
-                self.handle_flood(ctx, vip, seq, Some(src));
-            }
+            VipMessage::Invalidate { vip, seq } => self.handle_flood(stack, ctx, vip, seq),
             VipMessage::Misdelivery { .. } | VipMessage::TempAssign { .. } => {}
         }
     }
 
-    fn handle_flood(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vip: Ipv4Addr,
-        seq: u16,
-        _from: Option<Ipv4Addr>,
-    ) {
+    fn handle_flood(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, vip: Ipv4Addr, seq: u16) {
         if !self.seen_floods.insert((vip, seq)) {
             return;
         }
@@ -330,112 +273,79 @@ impl VipRouterNode {
             ctx.stats().incr("vip.flood_missed");
         }
         let msg = VipMessage::Invalidate { vip, seq };
-        let peers = self.flood_peers.clone();
-        for peer in peers {
-            self.stack.send_udp(ctx, peer, CONTROL_PORT, CONTROL_PORT, msg.encode());
+        for &peer in &self.flood_peers {
+            stack.send_udp(ctx, peer, CONTROL_PORT, CONTROL_PORT, msg.encode());
         }
-    }
-
-    /// Starts an invalidation flood from this router (the home router does
-    /// this when its mobile registers a new physical address).
-    pub fn start_flood(&mut self, ctx: &mut Ctx<'_>, vip: Ipv4Addr, seq: u16) {
-        self.handle_flood(ctx, vip, seq, None);
     }
 }
 
-impl Node for VipRouterNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+impl Protocol for VipRouter {
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        beacon(stack, ctx, self.local_iface, proto::VIP);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => match pkt.protocol {
-                    proto::UDP => {
-                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-                        if d.dst_port == CONTROL_PORT {
-                            if let Ok(msg) = VipMessage::decode(&d.payload) {
-                                let from = pkt.src;
-                                self.on_control(ctx, from, msg);
-                            }
-                        }
-                    }
-                    proto::ICMP => {
-                        netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                    }
-                    _ => {}
-                },
-                StackEvent::ForwardCandidate { mut pkt, .. } => {
-                    if pkt.protocol == proto::ICMP {
-                        // §7: "The error message will also cause the cache
-                        // entries at the routers through which it passes
-                        // to be removed."
-                        if let Ok(msg) = IcmpMessage::decode(&pkt.payload) {
-                            if msg.is_error() {
-                                if let Some(original) = msg.original() {
-                                    if original.len() >= 24 && original[9] == proto::VIP {
-                                        let hl = usize::from(original[0] & 0xf) * 4;
-                                        if original.len() >= hl + 4 {
-                                            let b = &original[hl..hl + 4];
-                                            let vip = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-                                            if self.cache.remove(&vip).is_some() {
-                                                ctx.stats().incr("vip.router_cache_purges");
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if pkt.protocol == proto::VIP {
-                        if let Ok(shim) = vip_shim(&pkt) {
-                            // Observational caching (§7: routers "cache the
-                            // location of mobile hosts by remembering the
-                            // source IP and VIP addresses").
-                            if shim.vip_src != pkt.src {
-                                self.cache.insert(shim.vip_src, pkt.src);
-                            }
-                            // Unresolved packets (phys == vip): the home
-                            // router (authoritative) or any cache fills in
-                            // the real physical address and re-routes.
-                            if pkt.dst == shim.vip_dst {
-                                let known = self
-                                    .home_bindings
-                                    .get(&shim.vip_dst)
-                                    .or_else(|| self.cache.get(&shim.vip_dst))
-                                    .copied();
-                                if let Some(phys) = known {
-                                    if phys != pkt.dst && !phys.is_unspecified() {
-                                        ctx.stats().incr("vip.rewritten");
-                                        pkt.dst = phys;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.stack.forward(ctx, pkt);
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::ICMP {
+            handle_icmp_delivery(stack, ctx, &pkt);
+        } else if let Some(Ok(msg)) = control(&pkt).map(|c| VipMessage::decode(&c)) {
+            self.on_control(stack, ctx, msg);
+        }
+    }
+
+    fn forward(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        // §7: "The error message will also cause the cache entries at the
+        // routers through which it passes to be removed."
+        if let Some((vip, _)) = errored_vip(&pkt) {
+            if self.cache.remove(&vip).is_some() {
+                ctx.stats().incr("vip.router_cache_purges");
+            }
+        }
+        if let Ok(shim) = vip_shim(&pkt) {
+            // Observational caching (§7: routers "cache the location of
+            // mobile hosts by remembering the source IP and VIP
+            // addresses").
+            if shim.vip_src != pkt.src {
+                self.cache.insert(shim.vip_src, pkt.src);
+            }
+            // Unresolved packets (phys == vip): the home router
+            // (authoritative) or any cache fills in the real physical
+            // address and re-routes.
+            if pkt.dst == shim.vip_dst {
+                let known = self
+                    .home_bindings
+                    .get(&shim.vip_dst)
+                    .or_else(|| self.cache.get(&shim.vip_dst))
+                    .copied();
+                if let Some(phys) = known.filter(|p| *p != pkt.dst && !p.is_unspecified()) {
+                    ctx.stats().incr("vip.rewritten");
+                    pkt.dst = phys;
                 }
             }
         }
+        stack.forward(ctx, pkt);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
-        }
-        if timer.0 & BEACON_TIMER != 0 {
-            self.beacon(ctx);
-            ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if is_beacon_timer(timer) {
+            beacon(stack, ctx, self.local_iface, proto::VIP);
         }
     }
+}
 
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-        }
+/// The ICMP error in `pkt` and the destination VIP of the VIP packet it
+/// quotes, if `pkt` is such an error.
+fn errored_vip(pkt: &Ipv4Packet) -> Option<(Ipv4Addr, IcmpMessage)> {
+    if pkt.protocol != proto::ICMP {
+        return None;
     }
+    let msg = IcmpMessage::decode(&pkt.payload).ok().filter(IcmpMessage::is_error)?;
+    let original = msg.original()?;
+    if original.len() < 24 || original[9] != proto::VIP {
+        return None;
+    }
+    let hl = usize::from(original[0] & 0xf) * 4;
+    let b = original.get(hl..hl + 4)?;
+    Some((Ipv4Addr::new(b[0], b[1], b[2], b[3]), msg))
 }
 
 // Per-data-packet counters.
@@ -453,9 +363,7 @@ impl VipEndpoint {
     fn new(vip: Ipv4Addr) -> VipEndpoint {
         VipEndpoint { vip, cache: HashMap::new() }
     }
-}
 
-impl VipEndpoint {
     fn send(
         &mut self,
         stack: &mut IpStack,
@@ -471,338 +379,220 @@ impl VipEndpoint {
         stack.send(ctx, pkt);
     }
 
-    /// Returns the restored plain packet, or `None` (misdelivery handled).
+    /// Handles a VIP packet for `endpoint`: reports a misdelivery, or
+    /// unwraps it and answers an echo request itself (replies must also
+    /// travel as VIP packets, from `phys_src`, or from the stack's
+    /// primary address when `None`).
     fn receive(
         &mut self,
         stack: &mut IpStack,
         ctx: &mut Ctx<'_>,
+        endpoint: &mut Endpoint,
+        phys_src: Option<Ipv4Addr>,
         mut pkt: Ipv4Packet,
-    ) -> Option<Ipv4Packet> {
-        let shim = vip_shim(&pkt).ok()?;
+    ) {
+        let Ok(shim) = vip_shim(&pkt) else { return };
         if shim.vip_dst != self.vip {
             // Misdelivered (stale mapping somewhere): tell the sender.
             ctx.stats().incr("vip.misdelivered");
             let phys = self.cache.get(&shim.vip_src).copied().unwrap_or(shim.vip_src);
             let msg = VipMessage::Misdelivery { vip: shim.vip_dst };
             stack.send_udp(ctx, phys, CONTROL_PORT, CONTROL_PORT, msg.encode());
-            return None;
+            return;
         }
         // Learn the peer's physical address from the outer source.
         if pkt.src != shim.vip_src {
             self.cache.insert(shim.vip_src, pkt.src);
         }
-        vip_decapsulate(&mut pkt).ok()?;
+        if vip_decapsulate(&mut pkt).is_err() {
+            return;
+        }
         ctx.tele_event(TeleEventKind::Decap);
-        Some(pkt)
+        if let Ok(IcmpMessage::EchoRequest { ident, seq, payload }) =
+            IcmpMessage::decode(&pkt.payload)
+        {
+            let reply = IcmpMessage::EchoReply { ident, seq, payload };
+            let rp = Ipv4Packet::new(self.vip, pkt.src, proto::ICMP, reply.encode());
+            let phys_src = phys_src.unwrap_or_else(|| stack.primary_addr());
+            self.send(stack, ctx, phys_src, rp);
+            return;
+        }
+        endpoint.deliver(stack, ctx, &pkt);
     }
 
-    fn handle_error_or_notice(&mut self, ctx: &mut Ctx<'_>, vip: Ipv4Addr) {
+    fn purge(&mut self, ctx: &mut Ctx<'_>, vip: Ipv4Addr) {
         ctx.stats().incr("vip.cache_purges");
         self.cache.remove(&vip);
     }
 }
 
 /// A stationary VIP host.
+pub type VipHostNode = StackNode<VipHost>;
+
+/// The protocol of a [`VipHostNode`].
 #[derive(Debug)]
-pub struct VipHostNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct VipHost {
     /// The application layer.
     pub endpoint: Endpoint,
     vip: VipEndpoint,
 }
 
-impl VipHostNode {
-    /// Creates a stationary host whose VIP equals its physical address.
-    pub fn new(vip: Ipv4Addr) -> VipHostNode {
-        VipHostNode {
-            stack: IpStack::new(false),
-            endpoint: Endpoint::new(),
-            vip: VipEndpoint::new(vip),
-        }
-    }
-
-    /// The cached physical address for a peer VIP.
-    pub fn cached_phys(&self, vip: Ipv4Addr) -> Option<Ipv4Addr> {
-        self.vip.cache.get(&vip).copied()
-    }
-
-    /// Pings `dst` (a VIP address).
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), self.vip.vip, dst);
-        let phys_src = self.stack.primary_addr();
-        self.vip.send(&mut self.stack, ctx, phys_src, pkt);
-    }
-
-    /// Sends UDP to a VIP address.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let pkt = Endpoint::make_udp(self.vip.vip, dst, src_port, dst_port, payload);
-        let phys_src = self.stack.primary_addr();
-        self.vip.send(&mut self.stack, ctx, phys_src, pkt);
-    }
-
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        match pkt.protocol {
-            proto::VIP => {
-                if let Some(plain) = self.vip.receive(&mut self.stack, ctx, pkt) {
-                    // Replies must also travel as VIP packets; intercept
-                    // echo ourselves instead of using the plain autoreply.
-                    if let Ok(IcmpMessage::EchoRequest { ident, seq, payload }) =
-                        IcmpMessage::decode(&plain.payload)
-                    {
-                        let reply = IcmpMessage::EchoReply { ident, seq, payload };
-                        let rp =
-                            Ipv4Packet::new(self.vip.vip, plain.src, proto::ICMP, reply.encode());
-                        let phys_src = self.stack.primary_addr();
-                        self.vip.send(&mut self.stack, ctx, phys_src, rp);
-                        return;
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &plain);
-                }
-            }
-            proto::UDP => {
-                if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                    if d.dst_port == CONTROL_PORT {
-                        if let Ok(VipMessage::Misdelivery { vip }) = VipMessage::decode(&d.payload)
-                        {
-                            self.vip.handle_error_or_notice(ctx, vip);
-                        }
-                        return;
-                    }
-                }
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-            proto::ICMP => {
-                // An unreachable about a VIP packet we sent: purge the
-                // stale mapping; the next send falls back via home.
-                if let Ok(msg) = IcmpMessage::decode(&pkt.payload) {
-                    if msg.is_error() {
-                        if let Some(original) = msg.original() {
-                            if original.len() >= 20 + 4 && original[9] == proto::VIP {
-                                let hl = usize::from(original[0] & 0xf) * 4;
-                                if original.len() >= hl + 4 {
-                                    let b = &original[hl..hl + 4];
-                                    let vip = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-                                    self.vip.handle_error_or_notice(ctx, vip);
-                                    self.endpoint.log.icmp_errors.push(msg);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-            _ => {
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-        }
+impl VipHost {
+    /// A stationary host whose VIP equals its physical address.
+    pub fn new(vip: Ipv4Addr) -> VipHost {
+        VipHost { endpoint: Endpoint::new(), vip: VipEndpoint::new(vip) }
     }
 }
 
-impl Node for VipHostNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
-            self.deliver(ctx, pkt);
-        }
+impl SendPath for VipHost {
+    /// VIP-wrapped, from the physical address.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        let phys_src = stack.primary_addr();
+        self.vip.send(stack, ctx, phys_src, pkt);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.vip.vip
+    }
+}
+
+impl Protocol for VipHost {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::VIP {
+            self.vip.receive(stack, ctx, &mut self.endpoint, None, pkt);
+            return;
+        }
+        match control(&pkt).map(|c| VipMessage::decode(&c)) {
+            Some(Ok(VipMessage::Misdelivery { vip })) => self.vip.purge(ctx, vip),
+            Some(_) => {}
+            // An unreachable about a VIP packet we sent: purge the stale
+            // mapping; the next send falls back via home.
+            None => match errored_vip(&pkt) {
+                Some((vip, msg)) => {
+                    self.vip.purge(ctx, vip);
+                    self.endpoint.log.icmp_errors.push(msg);
+                }
+                None => {
+                    self.endpoint.deliver(stack, ctx, &pkt);
+                }
+            },
+        }
     }
 }
 
 /// A mobile VIP host: physical address changes on every move.
+pub type VipMobileNode = StackNode<VipMobile>;
+
+/// The protocol of a [`VipMobileNode`]; its shell's home address is the
+/// VIP and its agent the router it asked for a temporary address.
 #[derive(Debug)]
-pub struct VipMobileNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct VipMobile {
+    /// The VIP, home gateway and current router.
+    pub shell: MobileShell,
     /// The application layer.
     pub endpoint: Endpoint,
-    /// The home network prefix.
-    pub home_prefix: Prefix,
     /// The home router (authoritative mapping holder + flood origin).
     pub home_router: Ipv4Addr,
-    /// Default gateway at home.
-    pub home_gateway: Ipv4Addr,
     /// The current physical (temporary) address.
     pub phys: Ipv4Addr,
     vip: VipEndpoint,
     move_seq: u16,
-    iface: IfaceId,
     awaiting_temp: bool,
-    current_agent: Option<Ipv4Addr>,
 }
 
-impl VipMobileNode {
-    /// Creates a mobile host (starts at home; physical = VIP).
+impl VipMobile {
+    /// A mobile host at home (physical = VIP).
     pub fn new(
         vip: Ipv4Addr,
         home_prefix: Prefix,
         home_router: Ipv4Addr,
         home_gateway: Ipv4Addr,
-    ) -> VipMobileNode {
-        VipMobileNode {
-            stack: IpStack::new(false),
+    ) -> VipMobile {
+        VipMobile {
+            shell: MobileShell::new(vip, home_prefix, home_gateway),
             endpoint: Endpoint::new(),
-            home_prefix,
             home_router,
-            home_gateway,
             phys: vip,
             vip: VipEndpoint::new(vip),
             move_seq: 0,
-            iface: IfaceId(0),
             awaiting_temp: false,
-            current_agent: None,
         }
     }
 
-    /// The host's permanent VIP address.
-    pub fn vip(&self) -> Ipv4Addr {
-        self.vip.vip
-    }
-
-    /// Pings `dst` (a VIP address).
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), self.vip.vip, dst);
-        let phys = self.phys;
-        self.vip.send(&mut self.stack, ctx, phys, pkt);
-    }
-
-    /// Sends UDP to a VIP address.
-    pub fn send_udp(
+    fn adopt_temp(
         &mut self,
+        stack: &mut IpStack,
         ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
+        temp: Ipv4Addr,
+        prefix_len: u8,
+        gateway: Ipv4Addr,
     ) {
-        let pkt = Endpoint::make_udp(self.vip.vip, dst, src_port, dst_port, payload);
-        let phys = self.phys;
-        self.vip.send(&mut self.stack, ctx, phys, pkt);
-    }
-
-    fn request_temp(&mut self, ctx: &mut Ctx<'_>, agent: Ipv4Addr) {
-        self.awaiting_temp = true;
-        self.current_agent = Some(agent);
-        let msg = VipMessage::TempRequest { vip: self.vip.vip };
-        let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, msg.encode());
-        let pkt =
-            Ipv4Packet::new(self.vip.vip, Ipv4Addr::BROADCAST, proto::UDP, d.encode()).with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.iface, pkt);
-    }
-
-    fn adopt_temp(&mut self, ctx: &mut Ctx<'_>, temp: Ipv4Addr, prefix_len: u8, gateway: Ipv4Addr) {
         ctx.stats().incr("vip.mobile_moves");
         self.awaiting_temp = false;
         self.phys = temp;
-        self.stack.remove_iface_binding(self.iface);
-        self.stack.add_iface(self.iface, temp, Prefix::new(temp, prefix_len));
-        self.stack.arp.clear_iface(self.iface);
-        self.stack.routes.remove(Prefix::default_route());
-        self.stack
-            .routes
-            .add(Prefix::default_route(), NextHop::Gateway { iface: self.iface, via: gateway });
+        MobileShell::rebind(stack, temp, Prefix::new(temp, prefix_len), gateway);
         // Register home and start the invalidation flood there.
         self.move_seq = self.move_seq.wrapping_add(1);
         let reg = VipMessage::HomeRegister { vip: self.vip.vip, phys: temp };
-        self.stack.send_udp(ctx, self.home_router, CONTROL_PORT, CONTROL_PORT, reg.encode());
+        stack.send_udp(ctx, self.home_router, CONTROL_PORT, CONTROL_PORT, reg.encode());
         let inv = VipMessage::Invalidate { vip: self.vip.vip, seq: self.move_seq };
-        self.stack.send_udp(ctx, self.home_router, CONTROL_PORT, CONTROL_PORT, inv.encode());
-    }
-
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        match pkt.protocol {
-            proto::VIP => {
-                if let Some(plain) = self.vip.receive(&mut self.stack, ctx, pkt) {
-                    if let Ok(IcmpMessage::EchoRequest { ident, seq, payload }) =
-                        IcmpMessage::decode(&plain.payload)
-                    {
-                        let reply = IcmpMessage::EchoReply { ident, seq, payload };
-                        let rp =
-                            Ipv4Packet::new(self.vip.vip, plain.src, proto::ICMP, reply.encode());
-                        let phys = self.phys;
-                        self.vip.send(&mut self.stack, ctx, phys, rp);
-                        return;
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &plain);
-                }
-            }
-            proto::UDP => {
-                if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                    if d.dst_port == BEACON_PORT {
-                        if let Ok(b) = Beacon::decode(&d.payload) {
-                            if b.protocol == proto::VIP
-                                && self.current_agent != Some(b.agent)
-                                && b.agent != self.home_gateway
-                            {
-                                self.request_temp(ctx, b.agent);
-                            }
-                        }
-                        return;
-                    }
-                    if d.dst_port == CONTROL_PORT {
-                        match VipMessage::decode(&d.payload) {
-                            Ok(VipMessage::TempAssign { vip, temp, prefix_len })
-                                if vip == self.vip.vip && self.awaiting_temp =>
-                            {
-                                if temp.is_unspecified() {
-                                    ctx.stats().incr("vip.temp_denied");
-                                } else {
-                                    let gw = self.current_agent.unwrap_or(self.home_gateway);
-                                    self.adopt_temp(ctx, temp, prefix_len, gw);
-                                }
-                            }
-                            Ok(VipMessage::Misdelivery { vip }) => {
-                                self.vip.handle_error_or_notice(ctx, vip);
-                            }
-                            _ => {}
-                        }
-                        return;
-                    }
-                }
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-            _ => {
-                self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-            }
-        }
+        stack.send_udp(ctx, self.home_router, CONTROL_PORT, CONTROL_PORT, inv.encode());
     }
 }
 
-impl Node for VipMobileNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.add_iface(self.iface, self.vip.vip, self.home_prefix);
-        self.stack.routes.add(
-            Prefix::default_route(),
-            NextHop::Gateway { iface: self.iface, via: self.home_gateway },
-        );
-        self.current_agent = Some(self.home_gateway);
+impl SendPath for VipMobile {
+    /// VIP-wrapped, from the current physical address.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        self.vip.send(stack, ctx, self.phys, pkt);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(StackEvent::Deliver { pkt, .. }) = self.stack.handle_frame(ctx, iface, frame) {
-            self.deliver(ctx, pkt);
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.vip.vip
+    }
+}
+
+impl Protocol for VipMobile {
+    fn start(&mut self, stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
+        self.shell.start(stack);
+        self.shell.agent = Some(self.shell.home_gateway);
+    }
+
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::VIP {
+            self.vip.receive(stack, ctx, &mut self.endpoint, Some(self.phys), pkt);
+            return;
+        }
+        match MobileShell::hear(&pkt, proto::VIP) {
+            Heard::Agent(router) => {
+                if self.shell.agent != Some(router) && router != self.shell.home_gateway {
+                    self.awaiting_temp = true;
+                    let msg = VipMessage::TempRequest { vip: self.vip.vip };
+                    self.shell.ask(stack, ctx, router, msg.encode());
+                }
+            }
+            Heard::Noise => {}
+            Heard::Other => match control(&pkt).map(|c| VipMessage::decode(&c)) {
+                Some(Ok(VipMessage::TempAssign { vip, temp, prefix_len }))
+                    if vip == self.vip.vip && self.awaiting_temp =>
+                {
+                    if temp.is_unspecified() {
+                        ctx.stats().incr("vip.temp_denied");
+                    } else {
+                        let gw = self.shell.agent.unwrap_or(self.shell.home_gateway);
+                        self.adopt_temp(stack, ctx, temp, prefix_len, gw);
+                    }
+                }
+                Some(Ok(VipMessage::Misdelivery { vip })) => self.vip.purge(ctx, vip),
+                Some(_) => {}
+                None => {
+                    self.endpoint.deliver(stack, ctx, &pkt);
+                }
+            },
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-            self.current_agent = None;
-        }
+    fn link(&mut self, _: &mut IpStack, _: &mut Ctx<'_>, _: IfaceId, event: LinkEvent) {
+        self.shell.link(event);
     }
 }
 

@@ -22,21 +22,18 @@ use std::net::Ipv4Addr;
 
 use ip::icmp::IcmpMessage;
 use ip::ipv4::Ipv4Packet;
-use ip::udp::UdpDatagram;
 use ip::{proto, PacketError, Prefix};
 use netsim::time::{SimDuration, SimTime};
-use netsim::{Counter, Ctx, Frame, IfaceId, LinkEvent, Node, TimerToken};
-use netstack::nodes::Endpoint;
-use netstack::route::NextHop;
-use netstack::{IpStack, StackEvent};
+use netsim::{Counter, Ctx, IfaceId, LinkEvent, TimerToken};
+use netstack::nodes::{handle_icmp_delivery, Endpoint, Protocol, StackNode};
+use netstack::IpStack;
 
-use crate::common::{Beacon, BEACON_PORT, CONTROL_PORT, PROTO_SPFWD};
+use crate::common::{
+    beacon, control, decode_addrs, encode_msg, is_beacon_timer, Heard, MobileShell, SendPath,
+    CONTROL_PORT, PROTO_SPFWD,
+};
 
-const BEACON_TIMER: u64 = 1 << 57;
 const QUERY_TIMER: u64 = 1 << 56;
-
-/// Beacon interval for forwarders.
-pub const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// Visitor lease: refreshed by each beacon-triggered re-registration.
 pub const VISITOR_LEASE: SimDuration = SimDuration::from_secs(3);
@@ -74,28 +71,12 @@ pub enum SpMessage {
 impl SpMessage {
     /// Encodes to control bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(9);
-        match self {
-            SpMessage::Register { mobile, forwarder } => {
-                buf.push(1);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&forwarder.octets());
-            }
-            SpMessage::Query { mobile } => {
-                buf.push(2);
-                buf.extend_from_slice(&mobile.octets());
-            }
-            SpMessage::Response { mobile, forwarder } => {
-                buf.push(3);
-                buf.extend_from_slice(&mobile.octets());
-                buf.extend_from_slice(&forwarder.octets());
-            }
-            SpMessage::FwdRegister { mobile } => {
-                buf.push(4);
-                buf.extend_from_slice(&mobile.octets());
-            }
+        match *self {
+            SpMessage::Register { mobile, forwarder } => encode_msg(1, &[mobile, forwarder]),
+            SpMessage::Query { mobile } => encode_msg(2, &[mobile]),
+            SpMessage::Response { mobile, forwarder } => encode_msg(3, &[mobile, forwarder]),
+            SpMessage::FwdRegister { mobile } => encode_msg(4, &[mobile]),
         }
-        buf
     }
 
     /// Decodes from control bytes.
@@ -105,25 +86,17 @@ impl SpMessage {
     /// Returns [`PacketError`] on truncation or unknown type.
     pub fn decode(buf: &[u8]) -> Result<SpMessage, PacketError> {
         let (&ty, rest) = buf.split_first().ok_or(PacketError::Truncated)?;
-        let addr = |b: &[u8]| Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-        let need = |n: usize| if rest.len() < n { Err(PacketError::Truncated) } else { Ok(()) };
         Ok(match ty {
             1 => {
-                need(8)?;
-                SpMessage::Register { mobile: addr(&rest[..4]), forwarder: addr(&rest[4..8]) }
+                let [mobile, forwarder] = decode_addrs(rest)?;
+                SpMessage::Register { mobile, forwarder }
             }
-            2 => {
-                need(4)?;
-                SpMessage::Query { mobile: addr(&rest[..4]) }
-            }
+            2 => SpMessage::Query { mobile: decode_addrs::<1>(rest)?[0] },
             3 => {
-                need(8)?;
-                SpMessage::Response { mobile: addr(&rest[..4]), forwarder: addr(&rest[4..8]) }
+                let [mobile, forwarder] = decode_addrs(rest)?;
+                SpMessage::Response { mobile, forwarder }
             }
-            4 => {
-                need(4)?;
-                SpMessage::FwdRegister { mobile: addr(&rest[..4]) }
-            }
+            4 => SpMessage::FwdRegister { mobile: decode_addrs::<1>(rest)?[0] },
             _ => return Err(PacketError::BadField("sp message type")),
         })
     }
@@ -161,278 +134,187 @@ pub fn decapsulate(pkt: &mut Ipv4Packet) -> Result<Ipv4Addr, PacketError> {
 }
 
 /// The global directory service.
-#[derive(Debug)]
-pub struct SpDirectoryNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub type SpDirectoryNode = StackNode<SpDirectory>;
+
+/// The protocol of an [`SpDirectoryNode`]: mobile host → forwarder.
+#[derive(Debug, Default)]
+pub struct SpDirectory {
     db: HashMap<Ipv4Addr, Ipv4Addr>,
 }
 
-impl SpDirectoryNode {
-    /// Creates an empty directory.
-    pub fn new() -> SpDirectoryNode {
-        SpDirectoryNode { stack: IpStack::new(false), db: HashMap::new() }
-    }
-
+impl SpDirectory {
     /// Directory size (the global state §7 objects to; metric for E07).
     pub fn db_size(&self) -> usize {
         self.db.len()
     }
 }
 
-impl Default for SpDirectoryNode {
-    fn default() -> SpDirectoryNode {
-        SpDirectoryNode::new()
-    }
-}
-
-impl Node for SpDirectoryNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            if pkt.protocol != proto::UDP {
-                return;
-            }
-            let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-            if d.dst_port != CONTROL_PORT {
-                return;
-            }
-            match SpMessage::decode(&d.payload) {
-                Ok(SpMessage::Register { mobile, forwarder }) => {
-                    ctx.stats().incr("sp.db_registrations");
-                    if forwarder.is_unspecified() {
-                        self.db.remove(&mobile);
-                    } else {
-                        self.db.insert(mobile, forwarder);
-                    }
+impl Protocol for SpDirectory {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        let Some(Ok(msg)) = control(&pkt).map(|c| SpMessage::decode(&c)) else { return };
+        match msg {
+            SpMessage::Register { mobile, forwarder } => {
+                ctx.stats().incr("sp.db_registrations");
+                if forwarder.is_unspecified() {
+                    self.db.remove(&mobile);
+                } else {
+                    self.db.insert(mobile, forwarder);
                 }
-                Ok(SpMessage::Query { mobile }) => {
-                    ctx.stats().incr("sp.db_queries");
-                    let forwarder = self.db.get(&mobile).copied().unwrap_or(Ipv4Addr::UNSPECIFIED);
-                    let resp = SpMessage::Response { mobile, forwarder };
-                    self.stack.send_udp(ctx, pkt.src, CONTROL_PORT, CONTROL_PORT, resp.encode());
-                }
-                _ => {}
             }
+            SpMessage::Query { mobile } => {
+                ctx.stats().incr("sp.db_queries");
+                let forwarder = self.db.get(&mobile).copied().unwrap_or(Ipv4Addr::UNSPECIFIED);
+                let resp = SpMessage::Response { mobile, forwarder };
+                stack.send_udp(ctx, pkt.src, CONTROL_PORT, CONTROL_PORT, resp.encode());
+            }
+            _ => {}
         }
     }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
 }
 
-/// A router that is also a Sunshine–Postel forwarder on `local_iface`.
+/// A router that is also a Sunshine–Postel forwarder.
+pub type SpForwarderNode = StackNode<SpForwarder>;
+
+/// The protocol of an [`SpForwarderNode`].
 #[derive(Debug)]
-pub struct SpForwarderNode {
-    /// The IP engine (forwarding enabled).
-    pub stack: IpStack,
+pub struct SpForwarder {
     /// The interface visitors connect on.
     pub local_iface: IfaceId,
     visitors: HashMap<Ipv4Addr, SimTime>,
 }
 
-impl SpForwarderNode {
-    /// Creates a forwarder serving `local_iface`.
-    pub fn new(local_iface: IfaceId) -> SpForwarderNode {
-        SpForwarderNode { stack: IpStack::new(true), local_iface, visitors: HashMap::new() }
+impl SpForwarder {
+    /// A forwarder serving `local_iface`.
+    pub fn new(local_iface: IfaceId) -> SpForwarder {
+        SpForwarder { local_iface, visitors: HashMap::new() }
     }
 
     /// Whether `mobile`'s lease is current.
     pub fn has_visitor(&self, mobile: Ipv4Addr, now: SimTime) -> bool {
         self.visitors.get(&mobile).is_some_and(|&t| now.since(t) < VISITOR_LEASE)
     }
-
-    fn beacon(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ia) = self.stack.iface_addr(self.local_iface) else { return };
-        if !ctx.iface_attached(self.local_iface) {
-            return;
-        }
-        let beacon = Beacon { agent: ia.addr, protocol: PROTO_SPFWD };
-        let d = UdpDatagram::new(BEACON_PORT, BEACON_PORT, beacon.encode());
-        let ident = self.stack.next_ident();
-        let pkt = Ipv4Packet::new(ia.addr, Ipv4Addr::BROADCAST, proto::UDP, d.encode())
-            .with_ident(ident)
-            .with_ttl(1);
-        self.stack.send_link_broadcast(ctx, self.local_iface, pkt);
-    }
 }
 
-impl Node for SpForwarderNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
+impl Protocol for SpForwarder {
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        beacon(stack, ctx, self.local_iface, PROTO_SPFWD);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => match pkt.protocol {
-                    PROTO_SPFWD => {
-                        let mut pkt = pkt;
-                        let Ok(mobile) = decapsulate(&mut pkt) else { return };
-                        if self.has_visitor(mobile, ctx.now()) {
-                            ctx.stats().incr("sp.delivered");
-                            self.stack.send_direct(ctx, self.local_iface, pkt);
-                        } else {
-                            // The documented behaviour: old forwarder
-                            // answers "host unreachable"; the sender must
-                            // re-query the directory.
-                            ctx.stats().incr("sp.unreachable_returned");
-                            // Reconstruct the shimmed packet for the error.
-                            let mut orig = pkt;
-                            let self_addr = self
-                                .stack
-                                .iface_addr(self.local_iface)
-                                .map(|ia| ia.addr)
-                                .unwrap_or(Ipv4Addr::UNSPECIFIED);
-                            encapsulate(&mut orig, self_addr);
-                            self.stack.send_host_unreachable(ctx, &orig);
-                        }
-                    }
-                    proto::UDP => {
-                        let Ok(d) = UdpDatagram::decode(&pkt.payload) else { return };
-                        if d.dst_port == CONTROL_PORT {
-                            if let Ok(SpMessage::FwdRegister { mobile }) =
-                                SpMessage::decode(&d.payload)
-                            {
-                                ctx.stats().incr("sp.fwd_registrations");
-                                self.visitors.insert(mobile, ctx.now());
-                            }
-                        }
-                    }
-                    proto::ICMP => {
-                        netstack::nodes::handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                    }
-                    _ => {}
-                },
-                StackEvent::ForwardCandidate { pkt, .. } => self.stack.forward(ctx, pkt),
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        match pkt.protocol {
+            PROTO_SPFWD => {
+                let Ok(mobile) = decapsulate(&mut pkt) else { return };
+                if self.has_visitor(mobile, ctx.now()) {
+                    ctx.stats().incr("sp.delivered");
+                    stack.send_direct(ctx, self.local_iface, pkt);
+                } else {
+                    // The documented behaviour: old forwarder answers "host
+                    // unreachable"; the sender must re-query the directory.
+                    ctx.stats().incr("sp.unreachable_returned");
+                    // Reconstruct the shimmed packet for the error.
+                    let self_addr = stack
+                        .iface_addr(self.local_iface)
+                        .map(|ia| ia.addr)
+                        .unwrap_or(Ipv4Addr::UNSPECIFIED);
+                    encapsulate(&mut pkt, self_addr);
+                    stack.send_host_unreachable(ctx, &pkt);
+                }
+            }
+            proto::ICMP => {
+                handle_icmp_delivery(stack, ctx, &pkt);
+            }
+            _ => {
+                if let Some(Ok(SpMessage::FwdRegister { mobile })) =
+                    control(&pkt).map(|c| SpMessage::decode(&c))
+                {
+                    ctx.stats().incr("sp.fwd_registrations");
+                    self.visitors.insert(mobile, ctx.now());
+                }
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
-        }
-        if timer.0 & BEACON_TIMER != 0 {
-            self.beacon(ctx);
-            ctx.set_timer(BEACON_INTERVAL, TimerToken(BEACON_TIMER));
-        }
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if is_beacon_timer(timer) {
+            beacon(stack, ctx, self.local_iface, PROTO_SPFWD);
         }
     }
 }
 
 /// A mobile host under the Sunshine–Postel protocol: keeps its home
 /// address, registers its current forwarder with the global directory.
+pub type SpMobileNode = StackNode<SpMobile>;
+
+/// The protocol of an [`SpMobileNode`]; its shell's agent is the current
+/// forwarder.
 #[derive(Debug)]
-pub struct SpMobileNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct SpMobile {
+    /// Home address, gateway and current forwarder.
+    pub shell: MobileShell,
     /// The application layer.
     pub endpoint: Endpoint,
-    /// Home address (never changes).
-    pub home_addr: Ipv4Addr,
-    /// Home prefix.
-    pub home_prefix: Prefix,
-    /// Default gateway at home.
-    pub home_gateway: Ipv4Addr,
     /// The global directory's address.
     pub directory: Ipv4Addr,
-    /// Current forwarder, if visiting.
-    pub forwarder: Option<Ipv4Addr>,
-    iface: IfaceId,
 }
 
-impl SpMobileNode {
-    /// Creates the mobile host (starts at home).
+impl SpMobile {
+    /// A mobile host at home.
     pub fn new(
         home_addr: Ipv4Addr,
         home_prefix: Prefix,
         home_gateway: Ipv4Addr,
         directory: Ipv4Addr,
-    ) -> SpMobileNode {
-        SpMobileNode {
-            stack: IpStack::new(false),
+    ) -> SpMobile {
+        SpMobile {
+            shell: MobileShell::new(home_addr, home_prefix, home_gateway),
             endpoint: Endpoint::new(),
-            home_addr,
-            home_prefix,
-            home_gateway,
             directory,
-            forwarder: None,
-            iface: IfaceId(0),
         }
     }
 
-    fn attach_via(&mut self, ctx: &mut Ctx<'_>, forwarder: Ipv4Addr) {
-        let is_new = self.forwarder != Some(forwarder);
-        if is_new {
-            self.stack.remove_iface_binding(self.iface);
-            self.stack.add_iface(self.iface, self.home_addr, Prefix::host(self.home_addr));
-            self.stack.arp.clear_iface(self.iface);
-            self.stack.routes.remove(Prefix::default_route());
-            self.stack.routes.add(
-                Prefix::default_route(),
-                NextHop::Gateway { iface: self.iface, via: forwarder },
-            );
-            self.forwarder = Some(forwarder);
+    fn attach_via(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, forwarder: Ipv4Addr) {
+        if self.shell.agent != Some(forwarder) {
+            self.shell.rehome(stack, forwarder);
             // Register with the global directory (the §7 bottleneck).
             ctx.stats().incr("sp.mobile_registrations");
-            let reg = SpMessage::Register { mobile: self.home_addr, forwarder };
-            self.stack.send_udp(ctx, self.directory, CONTROL_PORT, CONTROL_PORT, reg.encode());
+            let reg = SpMessage::Register { mobile: self.shell.home_addr, forwarder };
+            stack.send_udp(ctx, self.directory, CONTROL_PORT, CONTROL_PORT, reg.encode());
         }
         // (Re-)register the local lease every beacon.
-        let reg = SpMessage::FwdRegister { mobile: self.home_addr };
-        let d = UdpDatagram::new(CONTROL_PORT, CONTROL_PORT, reg.encode());
-        let ident = self.stack.next_ident();
-        let pkt =
-            Ipv4Packet::new(self.home_addr, forwarder, proto::UDP, d.encode()).with_ident(ident);
-        self.stack.send_direct(ctx, self.iface, pkt);
+        let reg = SpMessage::FwdRegister { mobile: self.shell.home_addr };
+        self.shell.register(stack, ctx, forwarder, reg.encode());
     }
 }
 
-impl Node for SpMobileNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.add_iface(self.iface, self.home_addr, self.home_prefix);
-        self.stack.routes.add(
-            Prefix::default_route(),
-            NextHop::Gateway { iface: self.iface, via: self.home_gateway },
-        );
+impl SendPath for SpMobile {
+    /// Plain IP from the home address: only traffic *to* the host is
+    /// redirected.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        stack.send(ctx, pkt);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            if pkt.protocol == proto::UDP {
-                if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                    if d.dst_port == BEACON_PORT {
-                        if let Ok(b) = Beacon::decode(&d.payload) {
-                            if b.protocol == PROTO_SPFWD {
-                                self.attach_via(ctx, b.agent);
-                            }
-                        }
-                        return;
-                    }
-                }
+    fn source(&self, _: &IpStack, _: Ipv4Addr) -> Ipv4Addr {
+        self.shell.home_addr
+    }
+}
+
+impl Protocol for SpMobile {
+    fn start(&mut self, stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
+        self.shell.start(stack);
+    }
+
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        match MobileShell::hear(&pkt, PROTO_SPFWD) {
+            Heard::Agent(forwarder) => self.attach_via(stack, ctx, forwarder),
+            Heard::Noise => {}
+            Heard::Other => {
+                self.endpoint.deliver(stack, ctx, &pkt);
             }
-            self.endpoint.deliver(&mut self.stack, ctx, &pkt);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-            self.forwarder = None;
-        }
+    fn link(&mut self, _: &mut IpStack, _: &mut Ctx<'_>, _: IfaceId, event: LinkEvent) {
+        self.shell.link(event);
     }
 }
 
@@ -442,10 +324,11 @@ static OVERHEAD_BYTES: Counter = Counter::new("sp.overhead_bytes");
 
 /// A correspondent host under the Sunshine–Postel protocol: queries the
 /// directory before sending, re-queries on host-unreachable.
+pub type SpHostNode = StackNode<SpHost>;
+
+/// The protocol of an [`SpHostNode`].
 #[derive(Debug)]
-pub struct SpHostNode {
-    /// The IP engine.
-    pub stack: IpStack,
+pub struct SpHost {
     /// The application layer.
     pub endpoint: Endpoint,
     /// The global directory's address.
@@ -459,11 +342,10 @@ pub struct SpHostNode {
 /// retransmission after a re-query.
 pub const RETRANSMIT_BUFFER: usize = 4;
 
-impl SpHostNode {
-    /// Creates a correspondent host using `directory`.
-    pub fn new(directory: Ipv4Addr) -> SpHostNode {
-        SpHostNode {
-            stack: IpStack::new(false),
+impl SpHost {
+    /// A correspondent host using `directory`.
+    pub fn new(directory: Ipv4Addr) -> SpHost {
+        SpHost {
             endpoint: Endpoint::new(),
             directory,
             bindings: HashMap::new(),
@@ -472,48 +354,10 @@ impl SpHostNode {
         }
     }
 
-    /// Sends `pkt` under the protocol: query-first, then via forwarder.
-    pub fn send_data(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        let dst = pkt.dst;
-        match self.bindings.get(&dst) {
-            Some(fwd) if fwd.is_unspecified() => {
-                self.remember(dst, &pkt);
-                self.stack.send(ctx, pkt);
-            }
-            Some(&fwd) => {
-                self.remember(dst, &pkt);
-                let mut pkt = pkt;
-                VIA_FORWARDER.incr(ctx.stats());
-                OVERHEAD_BYTES.add(ctx.stats(), SP_SHIM_LEN as u64);
-                encapsulate(&mut pkt, fwd);
-                self.stack.send(ctx, pkt);
-            }
-            None => {
-                self.pending.entry(dst).or_default().push(pkt);
-                self.query(ctx, dst);
-            }
-        }
-    }
-
     /// Convenience ping under the protocol.
-    pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), src, dst);
-        self.send_data(ctx, pkt);
-    }
-
-    /// Convenience UDP send under the protocol.
-    pub fn send_udp(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Vec<u8>,
-    ) {
-        let src = self.stack.pick_src(dst).expect("host has an address");
-        let pkt = Endpoint::make_udp(src, dst, src_port, dst_port, payload);
-        self.send_data(ctx, pkt);
+    pub fn ping(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, dst: Ipv4Addr) {
+        let (_seq, pkt) = self.endpoint.make_ping(ctx.now(), self.source(stack, dst), dst);
+        self.send_data(stack, ctx, pkt);
     }
 
     fn remember(&mut self, dst: Ipv4Addr, pkt: &Ipv4Packet) {
@@ -524,76 +368,88 @@ impl SpHostNode {
         buf.push(pkt.clone());
     }
 
-    fn query(&mut self, ctx: &mut Ctx<'_>, mobile: Ipv4Addr) {
+    fn query(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mobile: Ipv4Addr) {
         ctx.stats().incr("sp.host_queries");
         let q = SpMessage::Query { mobile };
-        self.stack.send_udp(ctx, self.directory, CONTROL_PORT, CONTROL_PORT, q.encode());
+        stack.send_udp(ctx, self.directory, CONTROL_PORT, CONTROL_PORT, q.encode());
         ctx.set_timer(SimDuration::from_secs(2), TimerToken(QUERY_TIMER));
+    }
+
+    /// The mobile host an ICMP error in `pkt` about a shimmed packet
+    /// names, if `pkt` is one.
+    fn unreachable_mobile(pkt: &Ipv4Packet) -> Option<Ipv4Addr> {
+        if pkt.protocol != proto::ICMP {
+            return None;
+        }
+        let msg = IcmpMessage::decode(&pkt.payload).ok()?;
+        let original = msg.original()?;
+        if original.len() < 20 + SP_SHIM_LEN || original[9] != PROTO_SPFWD {
+            return None;
+        }
+        let hl = usize::from(original[0] & 0xf) * 4;
+        let b = original.get(hl + 4..hl + 8)?;
+        Some(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
     }
 }
 
-impl Node for SpHostNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            let StackEvent::Deliver { pkt, .. } = ev else { return };
-            match pkt.protocol {
-                proto::UDP => {
-                    if let Ok(d) = UdpDatagram::decode(&pkt.payload) {
-                        if d.dst_port == CONTROL_PORT {
-                            if let Ok(SpMessage::Response { mobile, forwarder }) =
-                                SpMessage::decode(&d.payload)
-                            {
-                                self.bindings.insert(mobile, forwarder);
-                                for queued in self.pending.remove(&mobile).unwrap_or_default() {
-                                    self.send_data(ctx, queued);
-                                }
-                            }
-                            return;
-                        }
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                proto::ICMP => {
-                    // Host unreachable about a shimmed packet: purge the
-                    // binding, re-query, retransmit the recent window.
-                    if let Ok(msg) = IcmpMessage::decode(&pkt.payload) {
-                        if let Some(original) = msg.original() {
-                            if original.len() >= 20 + SP_SHIM_LEN && original[9] == PROTO_SPFWD {
-                                let hl = usize::from(original[0] & 0xf) * 4;
-                                if original.len() >= hl + 8 {
-                                    let b = &original[hl + 4..hl + 8];
-                                    let mobile = Ipv4Addr::new(b[0], b[1], b[2], b[3]);
-                                    ctx.stats().incr("sp.requery_after_unreachable");
-                                    self.bindings.remove(&mobile);
-                                    let buffered =
-                                        self.recent.get(&mobile).cloned().unwrap_or_default();
-                                    for p in buffered {
-                                        self.pending.entry(mobile).or_default().push(p);
-                                    }
-                                    self.query(ctx, mobile);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                _ => {
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
+impl SendPath for SpHost {
+    /// Query-first, then via the forwarder.
+    fn send_data(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, mut pkt: Ipv4Packet) {
+        let dst = pkt.dst;
+        match self.bindings.get(&dst) {
+            Some(fwd) if fwd.is_unspecified() => {
+                self.remember(dst, &pkt);
+                stack.send(ctx, pkt);
+            }
+            Some(&fwd) => {
+                self.remember(dst, &pkt);
+                VIA_FORWARDER.incr(ctx.stats());
+                OVERHEAD_BYTES.add(ctx.stats(), SP_SHIM_LEN as u64);
+                encapsulate(&mut pkt, fwd);
+                stack.send(ctx, pkt);
+            }
+            None => {
+                self.pending.entry(dst).or_default().push(pkt);
+                self.query(stack, ctx, dst);
             }
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
+impl Protocol for SpHost {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if let Some(msg) = control(&pkt) {
+            if let Ok(SpMessage::Response { mobile, forwarder }) = SpMessage::decode(&msg) {
+                self.bindings.insert(mobile, forwarder);
+                for queued in self.pending.remove(&mobile).unwrap_or_default() {
+                    self.send_data(stack, ctx, queued);
+                }
+            }
             return;
         }
+        // Host unreachable about a shimmed packet: purge the binding,
+        // re-query, retransmit the recent window.
+        if let Some(mobile) = SpHost::unreachable_mobile(&pkt) {
+            ctx.stats().incr("sp.requery_after_unreachable");
+            self.bindings.remove(&mobile);
+            let buffered = self.recent.get(&mobile).cloned().unwrap_or_default();
+            for p in buffered {
+                self.pending.entry(mobile).or_default().push(p);
+            }
+            self.query(stack, ctx, mobile);
+            return;
+        }
+        self.endpoint.deliver(stack, ctx, &pkt);
+    }
+
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
         if timer.0 & QUERY_TIMER != 0 {
-            // Re-issue any queries whose answers never came.
-            let waiting: Vec<Ipv4Addr> = self.pending.keys().copied().collect();
+            // Re-issue any queries whose answers never came, in address
+            // order: the map's own order differs per instance.
+            let mut waiting: Vec<Ipv4Addr> = self.pending.keys().copied().collect();
+            waiting.sort_unstable();
             for mobile in waiting {
-                self.query(ctx, mobile);
+                self.query(stack, ctx, mobile);
             }
         }
     }
@@ -642,9 +498,51 @@ mod tests {
         assert!(decapsulate(&mut pkt).is_err());
     }
 
+    /// Every frame a harnessed node sends, in order.
+    #[derive(Default)]
+    struct Tape(Vec<Vec<u8>>);
+
+    impl netsim::NodeIo for Tape {
+        fn transmit(&mut self, _: netsim::NodeId, _: IfaceId, frame: netsim::Frame) {
+            self.0.push(frame.payload.to_vec());
+        }
+    }
+
+    /// A correspondent that asked the directory about eight mobile hosts
+    /// and heard nothing back: the frames its query timers send.
+    fn requeries() -> Vec<Vec<u8>> {
+        let dir = a(9);
+        let node = StackNode::host(SpHost::new(dir));
+        let mut h = netsim::NodeHarness::new(netsim::NodeId(0), node, 7);
+        h.add_iface(netsim::MacAddr([2, 0, 0, 0, 0, 1]), true);
+        let mut tape = Tape::default();
+        let t0 = SimTime::from_secs(0);
+        h.with_node::<SpHostNode, _>(t0, &mut tape, |n, ctx| {
+            n.stack.add_iface(IfaceId(0), a(2), "10.0.0.0/24".parse().unwrap());
+            n.stack.arp.insert(IfaceId(0), dir, netsim::MacAddr([2, 0, 0, 0, 0, 9]));
+            for m in 1..=8 {
+                let pkt = Ipv4Packet::new(a(2), Ipv4Addr::new(10, 1, 0, m), proto::UDP, vec![m]);
+                n.proto.send_data(&mut n.stack, ctx, pkt);
+            }
+        });
+        tape.0.clear();
+        h.tick(SimTime::from_secs(2), &mut tape);
+        tape.0
+    }
+
+    #[test]
+    fn requeries_leave_in_address_order() {
+        // Two identical hosts in one process hold their pending mobiles
+        // in maps with different hash keys; what they send must not
+        // depend on that.
+        let first = requeries();
+        assert_eq!(first.len(), 64, "eight timers, each re-asking for eight mobiles");
+        assert_eq!(first, requeries());
+    }
+
     #[test]
     fn visitor_lease_expires() {
-        let mut f = SpForwarderNode::new(IfaceId(0));
+        let mut f = SpForwarder::new(IfaceId(0));
         f.visitors.insert(a(7), SimTime::from_secs(0));
         assert!(f.has_visitor(a(7), SimTime::from_secs(1)));
         assert!(!f.has_visitor(a(7), SimTime::from_secs(10)));

@@ -16,9 +16,7 @@ use std::net::Ipv4Addr;
 use mhrp::{MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
 use netsim::IfaceId;
-use scenarios::topology::{
-    backbone_addr, configure_host_s_stack, configure_router_stack, net, Figure1Addrs,
-};
+use scenarios::topology::{configure_host_s_stack, configure_router_stack, Figure1Addrs};
 use workload::{MoveOp, MovePlan};
 
 /// UDP destination port probe traffic is addressed to.
@@ -220,22 +218,6 @@ pub enum BuiltNode {
     Host(MhrpHostNode),
     /// A mobile host.
     Mobile(MobileHostNode),
-}
-
-/// Re-exported for callers wanting the canonical address plan.
-pub fn plan_addrs() -> Figure1Addrs {
-    Figure1Addrs::plan()
-}
-
-/// `10.n.0.0/24` (network 0 is the backbone) — re-exported from
-/// [`scenarios::topology`] for convenience.
-pub fn net_prefix(n: u8) -> ip::Prefix {
-    net(n)
-}
-
-/// Router `r`'s backbone address, re-exported likewise.
-pub fn router_backbone_addr(r: u8) -> Ipv4Addr {
-    backbone_addr(r)
 }
 
 #[cfg(test)]

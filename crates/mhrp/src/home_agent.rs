@@ -410,6 +410,54 @@ mod tests {
         stack
     }
 
+    /// The frames `f` sends from a harnessed node whose one interface is
+    /// attached, in order.
+    fn tape(f: impl FnOnce(&mut Ctx<'_>)) -> Vec<Vec<u8>> {
+        struct Probe;
+        impl netsim::Node for Probe {
+            fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: &netsim::Frame) {}
+        }
+        struct Tape(Vec<Vec<u8>>);
+        impl netsim::NodeIo for Tape {
+            fn transmit(&mut self, _: netsim::NodeId, _: IfaceId, frame: netsim::Frame) {
+                self.0.push(frame.payload.to_vec());
+            }
+        }
+        let mut h = netsim::NodeHarness::new(netsim::NodeId(0), Probe, 0);
+        h.add_iface(netsim::MacAddr([2, 0, 0, 0, 0, 1]), true);
+        let mut tape = Tape(Vec::new());
+        h.with_node::<Probe, _>(netsim::SimTime::from_secs(0), &mut tape, |_, ctx| f(ctx));
+        tape.0
+    }
+
+    #[test]
+    fn reboot_and_promotion_replay_bindings_in_address_order() {
+        // Each agent's table hashes with its own keys, so two identical
+        // agents in one process walk it in different orders; what they
+        // send must not show that.
+        let bind = |ha: &mut HomeAgentCore| (10..26).for_each(|m| ha.bindings.insert(a(m), a(100)));
+        let reboot = || {
+            let mut stack = home_stack();
+            let mut ha = HomeAgentCore::new(IfaceId(0), &disk(true));
+            bind(&mut ha);
+            tape(|ctx| ha.reboot(&mut stack, ctx))
+        };
+        let rebooted = reboot();
+        assert_eq!(rebooted.len(), 32, "two gratuitous ARPs per binding");
+        assert_eq!(rebooted, reboot());
+        let promote = || {
+            let mut stack = home_stack();
+            stack.arp.insert(IfaceId(0), a(3), netsim::MacAddr([2, 0, 0, 0, 0, 3]));
+            let mut ha = HomeAgentCore::new_replica(IfaceId(0), &disk(false));
+            ha.replicas = vec![a(3)];
+            bind(&mut ha);
+            tape(|ctx| ha.activate(&mut stack, ctx))
+        };
+        let promoted = promote();
+        assert_eq!(promoted.len(), 48, "two gratuitous ARPs and one sync per binding");
+        assert_eq!(promoted, promote());
+    }
+
     #[test]
     fn disk_survives_reboot_when_enabled() {
         let mut stack = home_stack();

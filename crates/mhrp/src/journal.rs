@@ -32,15 +32,19 @@ impl<V: Copy> Journaled<V> {
         self.live.len()
     }
 
-    /// Every binding, in table order.
+    /// Every binding, in address order: the order a real agent reads
+    /// its disk file in, and one that does not differ per instance as
+    /// the map's own order does.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Addr, V)> + '_ {
-        self.live.iter().map(|(&mobile, &value)| (mobile, value))
+        self.mobiles().into_iter().map(|mobile| (mobile, self.live[&mobile]))
     }
 
-    /// Every bound mobile, in table order, collected so the caller can
+    /// Every bound mobile, in address order, collected so the caller can
     /// change the table while it walks them.
     pub fn mobiles(&self) -> Vec<Ipv4Addr> {
-        self.live.keys().copied().collect()
+        let mut mobiles: Vec<Ipv4Addr> = self.live.keys().copied().collect();
+        mobiles.sort_unstable();
+        mobiles
     }
 
     /// Binds `mobile` to `value`, on disk too.

@@ -35,6 +35,12 @@ pub const WATCH_TIMER_BIT: u64 = 1 << 59;
 /// Timer bit: delayed solicitation after (re)attachment.
 pub const SOLICIT_TIMER_BIT: u64 = 1 << 58;
 
+/// All bits below [`SOLICIT_TIMER_BIT`] carry the watchdog epoch. An
+/// 8-bit field aliased after 256 restarts, when a watchdog chain armed
+/// before a long-ago crash matched the live epoch again and ran beside
+/// the fresh one.
+const WATCH_EPOCH_MASK: u64 = SOLICIT_TIMER_BIT - 1;
+
 const REG_KIND_OLD_REG: u64 = 0;
 const REG_KIND_FA: u64 = 1;
 const REG_KIND_HA: u64 = 2;
@@ -160,8 +166,8 @@ pub struct MobileHostCore {
     pending_old_fa: Option<Pending>,
     pending_old_reg: Option<Pending>,
     /// Bumped on every (re)start so periodic timers armed before a crash
-    /// are recognisably stale after the reboot (the low byte of the
-    /// watchdog token carries it).
+    /// are recognisably stale after the reboot (the watchdog token's bits
+    /// below [`SOLICIT_TIMER_BIT`] carry it).
     ///
     /// Migration note: `netsim::Ctx::cancel_timer` now offers O(1)
     /// queue-level cancellation, so a restart could cancel the previous
@@ -242,10 +248,10 @@ impl MobileHostCore {
         ctx.set_timer(self.config.advertisement_interval / 10, TimerToken(SOLICIT_TIMER_BIT));
     }
 
-    /// The current watchdog token; the low byte carries the epoch so a
-    /// pre-crash watchdog chain dies instead of doubling up post-reboot.
+    /// The current watchdog token; it carries the epoch so a pre-crash
+    /// watchdog chain dies instead of doubling up post-reboot.
     fn watch_token(&self) -> TimerToken {
-        TimerToken(WATCH_TIMER_BIT | (self.epoch & 0xff))
+        TimerToken(WATCH_TIMER_BIT | (self.epoch & WATCH_EPOCH_MASK))
     }
 
     /// Retransmission delay before attempt `retries + 1`: exponential
@@ -638,7 +644,7 @@ impl MobileHostCore {
             return true;
         }
         if token.0 & WATCH_TIMER_BIT != 0 {
-            if token.0 & 0xff != self.epoch & 0xff {
+            if token.0 & WATCH_EPOCH_MASK != self.epoch & WATCH_EPOCH_MASK {
                 // A watchdog from before the last crash/restart; let the
                 // stale chain die (the fresh epoch has its own).
                 return true;
@@ -820,6 +826,43 @@ mod tests {
                 assert_eq!(a & b, 0, "timer namespaces overlap");
             }
         }
+    }
+
+    #[test]
+    fn watchdog_epoch_does_not_alias_after_256_restarts() {
+        // A watchdog armed in epoch 1, surviving while the host restarts
+        // 256 times, lands in epoch 257. With the old 8-bit field
+        // (257 & 0xff == 1) the stale token passed for live, found no
+        // advertisement and declared the agent lost; the widened field
+        // keeps it stale.
+        let mut core = MobileHostCore::new(
+            IfaceId(0),
+            Ipv4Addr::new(10, 1, 0, 7),
+            "10.1.0.0/24".parse().unwrap(),
+            Ipv4Addr::new(10, 1, 0, 1),
+            Ipv4Addr::new(10, 1, 0, 1),
+            MhrpConfig::default(),
+        );
+        struct Probe;
+        impl netsim::Node for Probe {
+            fn on_frame(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: &netsim::Frame) {}
+        }
+        let mut w = netsim::World::new(0);
+        let n = w.add_node(Probe);
+        let seg = w.add_segment(netsim::SegmentParams::default());
+        w.add_iface(n, Some(seg));
+        let mut stack = IpStack::new(false);
+        w.with_node::<Probe, _>(n, |_, ctx| {
+            core.start(&mut stack, ctx);
+            core.epoch = 257;
+            core.last_advert = None;
+            let stale = TimerToken(WATCH_TIMER_BIT | 1);
+            assert!(core.on_timer(&mut stack, ctx, stale), "token carries the watchdog bit");
+            assert_eq!(core.state, Attachment::Home, "a stale watchdog moved the host");
+            assert!(core.on_timer(&mut stack, ctx, core.watch_token()));
+            assert_eq!(core.state, Attachment::Searching, "the live watchdog still runs");
+        });
+        assert_eq!(w.stats().counter("mhrp.mh_agent_lost"), 1);
     }
 
     #[test]

@@ -279,10 +279,6 @@ impl EventQueue {
         self.wheel.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
     /// Bytes of heap the queue holds, used or not.
     pub fn heap_bytes(&self) -> usize {
         self.wheel.heap_bytes()
@@ -334,7 +330,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
         assert_eq!(q.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

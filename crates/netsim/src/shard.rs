@@ -44,7 +44,6 @@ use crate::faults::{Op, Scheduled};
 use crate::id::{IfaceId, MacAddr, NodeId, PortalId, SegmentId};
 use crate::node::Ctx;
 use crate::segment::SegmentParams;
-use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::world::{EgressFrame, NodeScript, World};
 use crate::Node;
@@ -461,16 +460,6 @@ impl ShardedWorld {
     pub fn schedule_script(&mut self, at: SimTime, node: NodeId, script: NodeScript) {
         let (shard, local) = self.node_loc[node.0];
         self.cells[shard as usize].0.schedule_script(at, local, script);
-    }
-
-    /// A merged copy of every shard's statistics (counters summed,
-    /// series and histograms concatenated per name).
-    pub fn merged_stats(&self) -> Stats {
-        let mut out = Stats::new();
-        for cell in &self.cells {
-            out.merge(cell.0.stats());
-        }
-        out
     }
 
     /// The canonical cross-shard telemetry stream: every shard's typed

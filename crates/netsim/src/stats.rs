@@ -363,11 +363,6 @@ impl Stats {
         self.series_names.get(name).map(|id| self.series[id as usize].as_slice()).unwrap_or(&[])
     }
 
-    /// Reads series `id`.
-    pub fn series_by_id(&self, id: SeriesId) -> &[(SimTime, f64)] {
-        &self.series[id.0 as usize]
-    }
-
     /// Interns histogram `name` with the given fixed bucket `bounds`,
     /// returning its dense id. Idempotent; the bounds of the first
     /// registration win.

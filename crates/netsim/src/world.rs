@@ -681,12 +681,6 @@ impl World {
         self.events_processed
     }
 
-    /// Whether the event queue has drained (nothing more will ever happen
-    /// unless a node or script schedules it).
-    pub fn is_idle(&self) -> bool {
-        self.pipe.queue.is_empty()
-    }
-
     /// Number of nodes in the world.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

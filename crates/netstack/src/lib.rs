@@ -9,9 +9,10 @@
 //!   generation, ARP-driven transmission, and hook points
 //!   ([`stack::StackEvent`]) that let the MHRP and baseline agents
 //!   interpose on the forwarding path;
-//! * [`nodes`] — ready-made [`nodes::RouterNode`] and [`nodes::HostNode`]
-//!   for the unmodified routers and hosts the paper requires to keep
-//!   working untouched.
+//! * [`nodes`] — the generic [`nodes::StackNode`] over a small
+//!   [`nodes::Protocol`] hooks trait, and on it the ready-made
+//!   [`nodes::RouterNode`] and [`nodes::HostNode`] for the unmodified
+//!   routers and hosts the paper requires to keep working untouched.
 //!
 //! # Example: two hosts through a router
 //!
@@ -55,12 +56,14 @@
 //! assert_eq!(w.node::<HostNode>(a).log().echo_replies.len(), 1);
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod arp;
 pub mod nodes;
 pub mod route;
 pub mod stack;
 
 pub use arp::ArpModule;
-pub use nodes::{EndpointLog, HostNode, RouterNode};
+pub use nodes::{EndpointLog, HostNode, Protocol, RouterNode, StackNode};
 pub use route::{NextHop, RoutingTable};
 pub use stack::{IfaceAddr, IpStack, StackEvent, STACK_TIMER_BIT};

@@ -1,4 +1,9 @@
-//! Reusable plain (non-MHRP) node types: IP routers and end hosts.
+//! The stack node, and the plain (non-MHRP) node types built on it: IP
+//! routers and end hosts.
+//!
+//! A [`StackNode`] is an [`IpStack`] plus a [`Protocol`]: the node owns
+//! the frame, timer, link and reboot dispatch, and the protocol fills in
+//! what its kind of node does. The five §7 baselines run on it too.
 //!
 //! MHRP's deployment story requires that *unmodified* hosts and backbone
 //! routers keep working (paper §1). These types are those unmodified
@@ -12,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
 
 use ip::icmp::IcmpMessage;
 use ip::ipv4::Ipv4Packet;
@@ -52,12 +58,125 @@ pub fn handle_icmp_delivery(
 /// option penalty.
 static SLOW_PATH_FORWARDED: Counter = Counter::new("router.slow_path_forwarded");
 
+/// What one kind of [`StackNode`] does with the packets, timers and link
+/// changes its [`IpStack`] hands it. Every hook gets the node's stack.
+pub trait Protocol: Send + 'static {
+    /// The world started.
+    fn start(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        let _ = (stack, ctx);
+    }
+
+    /// A packet addressed to this node: one of its addresses, a
+    /// broadcast or a captured address.
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet);
+
+    /// A packet in transit through this node (TTL not yet decremented).
+    /// By default it is routed on.
+    fn forward(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        stack.forward(ctx, pkt);
+    }
+
+    /// A timer that is not the stack's own.
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        let _ = (stack, ctx, timer);
+    }
+
+    /// An interface was attached or detached. On a detach the node has
+    /// already flushed that interface's ARP table.
+    fn link(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
+        let _ = (stack, ctx, iface, event);
+    }
+
+    /// The node rebooted. It has already flushed every ARP table.
+    fn reboot(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>) {
+        let _ = (stack, ctx);
+    }
+}
+
+/// A node built from an [`IpStack`] and a [`Protocol`]. It owns the
+/// dispatch every such node shares: a received frame goes through
+/// [`IpStack::handle_frame`] to [`Protocol::deliver`] or
+/// [`Protocol::forward`]; the stack sees its own timers before the
+/// protocol does; a detached interface's ARP table is flushed; a reboot
+/// flushes every ARP table before [`Protocol::reboot`] runs.
+///
+/// It dereferences to its protocol, so the protocol's fields and
+/// methods read as the node's.
+#[derive(Debug)]
+pub struct StackNode<P> {
+    /// The node's IP engine.
+    pub stack: IpStack,
+    /// The protocol running on it.
+    pub proto: P,
+}
+
+impl<P: Protocol> StackNode<P> {
+    /// A node that forwards transit packets, running `proto`.
+    pub fn router(proto: P) -> StackNode<P> {
+        StackNode { stack: IpStack::new(true), proto }
+    }
+
+    /// A node that does not forward (an end host), running `proto`.
+    pub fn host(proto: P) -> StackNode<P> {
+        StackNode { stack: IpStack::new(false), proto }
+    }
+}
+
+impl<P> Deref for StackNode<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        &self.proto
+    }
+}
+
+impl<P> DerefMut for StackNode<P> {
+    fn deref_mut(&mut self) -> &mut P {
+        &mut self.proto
+    }
+}
+
+impl<P: Protocol> Node for StackNode<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.proto.start(&mut self.stack, ctx);
+    }
+
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
+        match self.stack.handle_frame(ctx, iface, frame) {
+            Some(StackEvent::Deliver { pkt, .. }) => self.proto.deliver(&mut self.stack, ctx, pkt),
+            Some(StackEvent::ForwardCandidate { pkt, .. }) => {
+                self.proto.forward(&mut self.stack, ctx, pkt);
+            }
+            None => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
+        if !self.stack.on_timer(ctx, timer) {
+            self.proto.timer(&mut self.stack, ctx, timer);
+        }
+    }
+
+    fn on_link(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
+        if event == LinkEvent::Detached {
+            self.stack.arp.clear_iface(iface);
+        }
+        self.proto.link(&mut self.stack, ctx, iface, event);
+    }
+
+    fn on_reboot(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.arp.clear_all();
+        self.proto.reboot(&mut self.stack, ctx);
+    }
+}
+
 /// A plain IP router: forwards transit packets, answers pings, generates
 /// ICMP errors. Knows nothing about mobility.
-#[derive(Debug)]
-pub struct RouterNode {
-    /// The router's IP engine.
-    pub stack: IpStack,
+pub type RouterNode = StackNode<Router>;
+
+/// The protocol of a [`RouterNode`].
+#[derive(Debug, Default)]
+pub struct Router {
     /// Extra processing delay applied to packets carrying IP options (the
     /// "slow path" of paper §7; zero disables the model).
     pub option_penalty: SimDuration,
@@ -68,23 +187,7 @@ pub struct RouterNode {
 impl RouterNode {
     /// Creates a router with forwarding enabled and no slow-path penalty.
     pub fn new() -> RouterNode {
-        RouterNode {
-            stack: IpStack::new(true),
-            option_penalty: SimDuration::ZERO,
-            delayed: HashMap::new(),
-            delay_seq: 0,
-        }
-    }
-
-    fn forward_or_delay(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        if self.option_penalty > SimDuration::ZERO && pkt.has_options() {
-            let seq = self.delay_seq;
-            self.delay_seq += 1;
-            self.delayed.insert(seq, pkt);
-            ctx.set_timer(self.option_penalty, TimerToken(ROUTER_DELAY_BIT | seq));
-        } else {
-            self.stack.forward(ctx, pkt);
-        }
+        StackNode::router(Router::default())
     }
 }
 
@@ -94,40 +197,34 @@ impl Default for RouterNode {
     }
 }
 
-impl Node for RouterNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => {
-                    if pkt.protocol == proto::ICMP {
-                        handle_icmp_delivery(&mut self.stack, ctx, &pkt);
-                    }
-                }
-                StackEvent::ForwardCandidate { pkt, .. } => self.forward_or_delay(ctx, pkt),
-            }
+impl Protocol for Router {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if pkt.protocol == proto::ICMP {
+            handle_icmp_delivery(stack, ctx, &pkt);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        if self.stack.on_timer(ctx, timer) {
-            return;
+    fn forward(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        if self.option_penalty > SimDuration::ZERO && pkt.has_options() {
+            let seq = self.delay_seq;
+            self.delay_seq += 1;
+            self.delayed.insert(seq, pkt);
+            ctx.set_timer(self.option_penalty, TimerToken(ROUTER_DELAY_BIT | seq));
+        } else {
+            stack.forward(ctx, pkt);
         }
+    }
+
+    fn timer(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, timer: TimerToken) {
         if timer.0 & ROUTER_DELAY_BIT != 0 {
             if let Some(pkt) = self.delayed.remove(&(timer.0 & !ROUTER_DELAY_BIT)) {
                 SLOW_PATH_FORWARDED.incr(ctx.stats());
-                self.stack.forward(ctx, pkt);
+                stack.forward(ctx, pkt);
             }
         }
     }
 
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-        }
-    }
-
-    fn on_reboot(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.arp.clear_all();
+    fn reboot(&mut self, _stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
         self.delayed.clear();
     }
 }
@@ -308,10 +405,11 @@ impl Default for Endpoint {
 }
 
 /// A plain IP end host: an [`Endpoint`] on an [`IpStack`].
-#[derive(Debug)]
-pub struct HostNode {
-    /// The host's IP engine.
-    pub stack: IpStack,
+pub type HostNode = StackNode<Host>;
+
+/// The protocol of a [`HostNode`].
+#[derive(Debug, Default)]
+pub struct Host {
     /// The application layer and its observation log.
     pub endpoint: Endpoint,
 }
@@ -319,7 +417,7 @@ pub struct HostNode {
 impl HostNode {
     /// Creates a host (forwarding disabled).
     pub fn new() -> HostNode {
-        HostNode { stack: IpStack::new(false), endpoint: Endpoint::new() }
+        StackNode::host(Host::default())
     }
 
     /// The host's observation log.
@@ -330,7 +428,7 @@ impl HostNode {
     /// Sends an echo request to `dst`; returns the sequence number.
     pub fn ping(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr) -> u16 {
         let src = self.stack.pick_src(dst).expect("host has an address");
-        let (seq, pkt) = self.endpoint.make_ping(ctx.now(), src, dst);
+        let (seq, pkt) = self.proto.endpoint.make_ping(ctx.now(), src, dst);
         self.stack.send(ctx, pkt);
         seq
     }
@@ -354,30 +452,12 @@ impl Default for HostNode {
     }
 }
 
-impl Node for HostNode {
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: &Frame) {
-        if let Some(ev) = self.stack.handle_frame(ctx, iface, frame) {
-            match ev {
-                StackEvent::Deliver { pkt, .. } => {
-                    self.endpoint.deliver(&mut self.stack, ctx, &pkt);
-                }
-                StackEvent::ForwardCandidate { .. } => unreachable!("host stack never forwards"),
-            }
-        }
+impl Protocol for Host {
+    fn deliver(&mut self, stack: &mut IpStack, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
+        self.endpoint.deliver(stack, ctx, &pkt);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerToken) {
-        self.stack.on_timer(ctx, timer);
-    }
-
-    fn on_link(&mut self, _ctx: &mut Ctx<'_>, iface: IfaceId, event: LinkEvent) {
-        if event == LinkEvent::Detached {
-            self.stack.arp.clear_iface(iface);
-        }
-    }
-
-    fn on_reboot(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stack.arp.clear_all();
+    fn reboot(&mut self, _stack: &mut IpStack, _ctx: &mut Ctx<'_>) {
         self.endpoint.clear_outstanding();
     }
 }

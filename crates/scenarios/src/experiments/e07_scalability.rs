@@ -16,13 +16,16 @@
 
 use std::net::Ipv4Addr;
 
-use baselines::columbia::{ColumbiaMobileNode, MsrNode};
+use baselines::columbia::{ColumbiaMobile, Msr, MsrNode};
 use baselines::common::TempAddrPool;
-use baselines::sony_vip::{VipMobileNode, VipRouterNode};
-use baselines::sunshine_postel::{SpDirectoryNode, SpForwarderNode, SpHostNode, SpMobileNode};
+use baselines::sony_vip::{VipMobile, VipRouter, VipRouterNode};
+use baselines::sunshine_postel::{
+    SpDirectory, SpDirectoryNode, SpForwarder, SpForwarderNode, SpHost, SpHostNode, SpMobile,
+};
 use mhrp::{MhrpConfig, MhrpRouterNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
 use netsim::{IfaceId, NodeId, SegmentId, World};
+use netstack::nodes::StackNode;
 
 use crate::metrics::ScalabilityPoint;
 use crate::shootout::{add_plain_router, phys, Phys};
@@ -110,25 +113,30 @@ pub fn sp_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     for pos in 1..=3 {
         add_plain_router(&mut p, pos);
     }
-    let fwd = p.world.add_node(SpForwarderNode::new(IfaceId(1)));
+    let fwd = p.world.add_node(StackNode::router(SpForwarder::new(IfaceId(1))));
     p.world.add_iface(fwd, Some(p.net_c));
     p.world.add_iface(fwd, Some(p.net_d));
     p.world.with_node::<SpForwarderNode, _>(fwd, |r, _| configure_router_stack(&mut r.stack, 4));
     let dir_addr = backbone_addr(9);
-    let dir = p.world.add_node(SpDirectoryNode::new());
+    let dir = p.world.add_node(StackNode::host(SpDirectory::default()));
     p.world.add_iface(dir, Some(p.backbone));
     p.world.with_node::<SpDirectoryNode, _>(dir, |d, _| {
         d.stack.add_iface(IfaceId(0), dir_addr, net(0));
     });
     // One correspondent that talks to every mobile (forcing queries).
-    let s = p.world.add_node(SpHostNode::new(dir_addr));
+    let s = p.world.add_node(StackNode::host(SpHost::new(dir_addr)));
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<SpHostNode, _>(s, |h, _| {
         crate::topology::configure_host_s_stack(&mut h.stack)
     });
     let mut mobiles = Vec::new();
     for i in 0..n {
-        let m = p.world.add_node(SpMobileNode::new(mobile_addr(i), net(2), addrs.r2, dir_addr));
+        let m = p.world.add_node(StackNode::host(SpMobile::new(
+            mobile_addr(i),
+            net(2),
+            addrs.r2,
+            dir_addr,
+        )));
         p.world.add_iface(m, Some(p.net_b));
         mobiles.push(m);
     }
@@ -138,7 +146,7 @@ pub fn sp_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     // S pings every mobile once (each requires a directory query).
     for i in 0..n {
         let dst = mobile_addr(i);
-        p.world.with_node::<SpHostNode, _>(s, |h, ctx| h.ping(ctx, dst));
+        p.world.with_node::<SpHostNode, _>(s, |h, ctx| h.proto.ping(&mut h.stack, ctx, dst));
         p.world.run_for(SimDuration::from_millis(100));
     }
     p.world.run_for(SimDuration::from_secs(3));
@@ -173,7 +181,7 @@ pub fn columbia_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     for (pos, first, seg) in
         [(2u8, p.backbone, p.net_b), (4, p.net_c, p.net_d), (5, p.net_c, p.net_e)]
     {
-        let id = p.world.add_node(MsrNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(Msr::new(IfaceId(1))));
         p.world.add_iface(id, Some(first));
         p.world.add_iface(id, Some(seg));
         p.world.with_node::<MsrNode, _>(id, |r, _| {
@@ -185,8 +193,14 @@ pub fn columbia_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     }
     let mut mobiles = Vec::new();
     for i in 0..n {
-        p.world.with_node::<MsrNode, _>(msrs[0], |r, _| r.add_home_mobile(mobile_addr(i)));
-        let m = p.world.add_node(ColumbiaMobileNode::new(mobile_addr(i), net(2), addrs.r2));
+        p.world.with_node::<MsrNode, _>(msrs[0], |r, _| {
+            r.proto.add_home_mobile(&mut r.stack, mobile_addr(i))
+        });
+        let m = p.world.add_node(StackNode::host(ColumbiaMobile::new(
+            mobile_addr(i),
+            net(2),
+            addrs.r2,
+        )));
         p.world.add_iface(m, Some(p.net_b));
         mobiles.push(m);
     }
@@ -241,7 +255,7 @@ pub fn sony_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
         (4, p.net_c, p.net_d),
         (5, p.net_c, p.net_e),
     ] {
-        let id = p.world.add_node(VipRouterNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(VipRouter::new(IfaceId(1))));
         p.world.add_iface(id, Some(first));
         p.world.add_iface(id, Some(local));
         p.world.with_node::<VipRouterNode, _>(id, |r, _| {
@@ -256,7 +270,12 @@ pub fn sony_run(mut p: Phys, n: usize) -> (ScalabilityPoint, World) {
     }
     let mut mobiles = Vec::new();
     for i in 0..n {
-        let m = p.world.add_node(VipMobileNode::new(mobile_addr(i), net(2), addrs.r2, addrs.r2));
+        let m = p.world.add_node(StackNode::host(VipMobile::new(
+            mobile_addr(i),
+            net(2),
+            addrs.r2,
+            addrs.r2,
+        )));
         p.world.add_iface(m, Some(p.net_b));
         mobiles.push(m);
     }

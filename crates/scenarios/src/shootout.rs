@@ -14,16 +14,26 @@
 
 use std::net::Ipv4Addr;
 
-use baselines::columbia::{ColumbiaMobileNode, MsrNode};
-use baselines::common::TempAddrPool;
-use baselines::ibm_lsrr::{BaseStationNode, LsrrHostNode, LsrrMobileNode};
-use baselines::matsushita::{IptpAgentNode, MatsushitaHostNode, MatsushitaMobileNode, PfsNode};
-use baselines::sony_vip::{VipHostNode, VipMobileNode, VipRouterNode};
-use baselines::sunshine_postel::{SpDirectoryNode, SpForwarderNode, SpHostNode, SpMobileNode};
+use baselines::columbia::{ColumbiaMobile, ColumbiaMobileNode, Msr, MsrNode};
+use baselines::common::{SendPath, TempAddrPool};
+use baselines::ibm_lsrr::{
+    BaseStation, BaseStationNode, LsrrHost, LsrrHostNode, LsrrMobile, LsrrMobileNode,
+};
+use baselines::matsushita::{
+    IptpAgent, IptpAgentNode, MatsushitaHost, MatsushitaHostNode, MatsushitaMobile,
+    MatsushitaMobileNode, Pfs, PfsNode,
+};
+use baselines::sony_vip::{
+    VipHost, VipHostNode, VipMobile, VipMobileNode, VipRouter, VipRouterNode,
+};
+use baselines::sunshine_postel::{
+    SpDirectory, SpDirectoryNode, SpForwarder, SpForwarderNode, SpHost, SpHostNode, SpMobile,
+    SpMobileNode,
+};
 use mhrp::{MhrpHostNode, MobileHostNode};
 use netsim::time::{SimDuration, SimTime};
 use netsim::{IfaceId, NodeId, SegmentId, SegmentParams, World};
-use netstack::nodes::RouterNode;
+use netstack::nodes::{Protocol, RouterNode, StackNode};
 use workload::{Flow, FlowCfg, Pattern};
 
 use crate::metrics::ComparisonRow;
@@ -168,6 +178,16 @@ pub fn add_plain_router(p: &mut Phys, position: u8) -> NodeId {
     id
 }
 
+/// Sends UDP from baseline host `id` to `port` along its protocol's send
+/// path.
+fn send_path<P: Protocol + SendPath>(id: NodeId, port: u16) -> SendFn {
+    Box::new(move |w, dst, payload| {
+        w.with_node::<StackNode<P>, _>(id, |h, ctx| {
+            h.proto.send_udp(&mut h.stack, ctx, dst, port, port, payload);
+        });
+    })
+}
+
 fn udp_filter(log: &netstack::EndpointLog) -> Vec<RxRecord> {
     log.udp_rx
         .iter()
@@ -225,7 +245,7 @@ pub fn sunshine_postel_driver(seed: u64) -> Driver {
     }
     // Forwarders at positions 4 and 5.
     for (pos, seg) in [(4u8, p.net_d), (5u8, p.net_e)] {
-        let id = p.world.add_node(SpForwarderNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(SpForwarder::new(IfaceId(1))));
         p.world.add_iface(id, Some(p.net_c));
         p.world.add_iface(id, Some(seg));
         p.world
@@ -233,7 +253,7 @@ pub fn sunshine_postel_driver(seed: u64) -> Driver {
     }
     // The global directory, on the backbone.
     let dir_addr = backbone_addr(9);
-    let dir = p.world.add_node(SpDirectoryNode::new());
+    let dir = p.world.add_node(StackNode::host(SpDirectory::default()));
     p.world.add_iface(dir, Some(p.backbone));
     p.world.with_node::<SpDirectoryNode, _>(dir, |d, _| {
         d.stack.add_iface(IfaceId(0), dir_addr, net(0));
@@ -243,10 +263,10 @@ pub fn sunshine_postel_driver(seed: u64) -> Driver {
         );
     });
     // S and M.
-    let s = p.world.add_node(SpHostNode::new(dir_addr));
+    let s = p.world.add_node(StackNode::host(SpHost::new(dir_addr)));
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<SpHostNode, _>(s, |h, _| configure_host_s_stack(&mut h.stack));
-    let m = p.world.add_node(SpMobileNode::new(addrs.m, net(2), addrs.r2, dir_addr));
+    let m = p.world.add_node(StackNode::host(SpMobile::new(addrs.m, net(2), addrs.r2, dir_addr)));
     p.world.add_iface(m, Some(p.net_b));
     p.world.start();
     Driver {
@@ -259,18 +279,8 @@ pub fn sunshine_postel_driver(seed: u64) -> Driver {
         m_node: m,
         world: p.world,
         overhead_counter: "sp.overhead_bytes",
-        send_s_to_m: Box::new(move |w, dst, payload| {
-            w.with_node::<SpHostNode, _>(s, |h, ctx| {
-                h.send_udp(ctx, dst, DATA_PORT, DATA_PORT, payload)
-            });
-        }),
-        send_m_to_s: Box::new(move |w, dst, payload| {
-            w.with_node::<SpMobileNode, _>(m, |h, ctx| {
-                let src = h.home_addr;
-                let pkt = netstack::nodes::Endpoint::make_udp(src, dst, 5002, 5002, payload);
-                h.stack.send(ctx, pkt);
-            });
-        }),
+        send_s_to_m: send_path::<SpHost>(s, DATA_PORT),
+        send_m_to_s: send_path::<SpMobile>(m, 5002),
         mobile_rx: Box::new(move |w| udp_filter(&w.node::<SpMobileNode>(m).endpoint.log)),
         // Directory registrations + query/response pairs + local forwarder
         // (re-)registrations, which this protocol refreshes every beacon.
@@ -293,7 +303,7 @@ pub fn columbia_driver(seed: u64) -> Driver {
     let msr_addrs = [addrs.r2, addrs.r4, addrs.r5];
     let mut msrs = Vec::new();
     for (pos, seg) in [(2u8, p.net_b), (4, p.net_d), (5, p.net_e)] {
-        let id = p.world.add_node(MsrNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(Msr::new(IfaceId(1))));
         let first = if pos == 2 { p.backbone } else { p.net_c };
         p.world.add_iface(id, Some(first));
         p.world.add_iface(id, Some(seg));
@@ -305,12 +315,13 @@ pub fn columbia_driver(seed: u64) -> Driver {
         msrs.push(id);
     }
     let home_msr = msrs[0];
-    p.world.with_node::<MsrNode, _>(home_msr, |r, _| r.add_home_mobile(addrs.m));
+    p.world
+        .with_node::<MsrNode, _>(home_msr, |r, _| r.proto.add_home_mobile(&mut r.stack, addrs.m));
     // S is a *plain* host: Columbia demands nothing from correspondents.
     let s = p.world.add_node(netstack::HostNode::new());
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<netstack::HostNode, _>(s, |h, _| configure_host_s_stack(&mut h.stack));
-    let m = p.world.add_node(ColumbiaMobileNode::new(addrs.m, net(2), addrs.r2));
+    let m = p.world.add_node(StackNode::host(ColumbiaMobile::new(addrs.m, net(2), addrs.r2)));
     p.world.add_iface(m, Some(p.net_b));
     p.world.start();
     Driver {
@@ -328,11 +339,7 @@ pub fn columbia_driver(seed: u64) -> Driver {
                 h.send_udp(ctx, dst, DATA_PORT, DATA_PORT, payload)
             });
         }),
-        send_m_to_s: Box::new(move |w, dst, payload| {
-            w.with_node::<ColumbiaMobileNode, _>(m, |h, ctx| {
-                h.send_udp(ctx, dst, 5002, 5002, payload)
-            });
-        }),
+        send_m_to_s: send_path::<ColumbiaMobile>(m, 5002),
         mobile_rx: Box::new(move |w| udp_filter(&w.node::<ColumbiaMobileNode>(m).endpoint.log)),
         // Registrations + the multicast query fan-out + replies + popups.
         control_messages: Box::new(|w| {
@@ -353,7 +360,7 @@ pub fn sony_vip_driver(seed: u64) -> Driver {
     let router_addrs = [addrs.r1, addrs.r2, addrs.r3, addrs.r4, addrs.r5];
     let mut ids = Vec::new();
     for (pos, local) in [(1u8, p.net_a), (2, p.net_b), (3, p.net_c), (4, p.net_d), (5, p.net_e)] {
-        let id = p.world.add_node(VipRouterNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(VipRouter::new(IfaceId(1))));
         let first = if pos <= 3 { p.backbone } else { p.net_c };
         p.world.add_iface(id, Some(first));
         p.world.add_iface(id, Some(local));
@@ -367,10 +374,10 @@ pub fn sony_vip_driver(seed: u64) -> Driver {
         });
         ids.push(id);
     }
-    let s = p.world.add_node(VipHostNode::new(addrs.s));
+    let s = p.world.add_node(StackNode::host(VipHost::new(addrs.s)));
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<VipHostNode, _>(s, |h, _| configure_host_s_stack(&mut h.stack));
-    let m = p.world.add_node(VipMobileNode::new(addrs.m, net(2), addrs.r2, addrs.r2));
+    let m = p.world.add_node(StackNode::host(VipMobile::new(addrs.m, net(2), addrs.r2, addrs.r2)));
     p.world.add_iface(m, Some(p.net_b));
     p.world.start();
     Driver {
@@ -383,14 +390,8 @@ pub fn sony_vip_driver(seed: u64) -> Driver {
         m_node: m,
         world: p.world,
         overhead_counter: "vip.overhead_bytes",
-        send_s_to_m: Box::new(move |w, dst, payload| {
-            w.with_node::<VipHostNode, _>(s, |h, ctx| {
-                h.send_udp(ctx, dst, DATA_PORT, DATA_PORT, payload)
-            });
-        }),
-        send_m_to_s: Box::new(move |w, dst, payload| {
-            w.with_node::<VipMobileNode, _>(m, |h, ctx| h.send_udp(ctx, dst, 5002, 5002, payload));
-        }),
+        send_s_to_m: send_path::<VipHost>(s, DATA_PORT),
+        send_m_to_s: send_path::<VipMobile>(m, 5002),
         mobile_rx: Box::new(move |w| udp_filter(&w.node::<VipMobileNode>(m).endpoint.log)),
         // Temp handshakes (2/move) + home registrations + the flood +
         // misdelivery notices.
@@ -411,22 +412,27 @@ pub fn matsushita_driver(seed: u64) -> Driver {
     add_plain_router(&mut p, 1);
     add_plain_router(&mut p, 3);
     // The PFS at position 2.
-    let pfs = p.world.add_node(PfsNode::new(IfaceId(1)));
+    let pfs = p.world.add_node(StackNode::router(Pfs::new(IfaceId(1))));
     p.world.add_iface(pfs, Some(p.backbone));
     p.world.add_iface(pfs, Some(p.net_b));
     p.world.with_node::<PfsNode, _>(pfs, |r, _| configure_router_stack(&mut r.stack, 2));
     // Address agents at positions 4 and 5.
     for (pos, seg) in [(4u8, p.net_d), (5, p.net_e)] {
         let pool = TempAddrPool::new(net(pos), 100, 32);
-        let id = p.world.add_node(IptpAgentNode::new(IfaceId(1), pool));
+        let id = p.world.add_node(StackNode::router(IptpAgent::new(IfaceId(1), pool)));
         p.world.add_iface(id, Some(p.net_c));
         p.world.add_iface(id, Some(seg));
         p.world.with_node::<IptpAgentNode, _>(id, |r, _| configure_router_stack(&mut r.stack, pos));
     }
-    let s = p.world.add_node(MatsushitaHostNode::new());
+    let s = p.world.add_node(StackNode::host(MatsushitaHost::default()));
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<MatsushitaHostNode, _>(s, |h, _| configure_host_s_stack(&mut h.stack));
-    let m = p.world.add_node(MatsushitaMobileNode::new(addrs.m, net(2), addrs.r2, addrs.r2));
+    let m = p.world.add_node(StackNode::host(MatsushitaMobile::new(
+        addrs.m,
+        net(2),
+        addrs.r2,
+        addrs.r2,
+    )));
     p.world.add_iface(m, Some(p.net_b));
     p.world.start();
     Driver {
@@ -439,18 +445,8 @@ pub fn matsushita_driver(seed: u64) -> Driver {
         m_node: m,
         world: p.world,
         overhead_counter: "iptp.overhead_bytes",
-        send_s_to_m: Box::new(move |w, dst, payload| {
-            w.with_node::<MatsushitaHostNode, _>(s, |h, ctx| {
-                h.send_udp(ctx, dst, DATA_PORT, DATA_PORT, payload)
-            });
-        }),
-        send_m_to_s: Box::new(move |w, dst, payload| {
-            w.with_node::<MatsushitaMobileNode, _>(m, |h, ctx| {
-                let src = h.home_addr;
-                let pkt = netstack::nodes::Endpoint::make_udp(src, dst, 5002, 5002, payload);
-                h.stack.send(ctx, pkt);
-            });
-        }),
+        send_s_to_m: send_path::<MatsushitaHost>(s, DATA_PORT),
+        send_m_to_s: send_path::<MatsushitaMobile>(m, 5002),
         mobile_rx: Box::new(move |w| udp_filter(&w.node::<MatsushitaMobileNode>(m).endpoint.log)),
         control_messages: Box::new(|w| {
             let s = w.stats();
@@ -472,16 +468,16 @@ pub fn ibm_lsrr_driver(seed: u64, broken_s: bool, slow_path_penalty: SimDuration
         p.world.with_node::<RouterNode, _>(id, |r, _| r.option_penalty = slow_path_penalty);
     }
     for (pos, seg) in [(4u8, p.net_d), (5, p.net_e)] {
-        let id = p.world.add_node(BaseStationNode::new(IfaceId(1)));
+        let id = p.world.add_node(StackNode::router(BaseStation::new(IfaceId(1))));
         p.world.add_iface(id, Some(p.net_c));
         p.world.add_iface(id, Some(seg));
         p.world
             .with_node::<BaseStationNode, _>(id, |r, _| configure_router_stack(&mut r.stack, pos));
     }
-    let s = p.world.add_node(LsrrHostNode::new(broken_s));
+    let s = p.world.add_node(StackNode::host(LsrrHost::new(broken_s)));
     p.world.add_iface(s, Some(p.net_a));
     p.world.with_node::<LsrrHostNode, _>(s, |h, _| configure_host_s_stack(&mut h.stack));
-    let m = p.world.add_node(LsrrMobileNode::new(addrs.m, net(2), addrs.r2));
+    let m = p.world.add_node(StackNode::host(LsrrMobile::new(addrs.m, net(2), addrs.r2)));
     p.world.add_iface(m, Some(p.net_b));
     p.world.start();
     Driver {
@@ -494,14 +490,8 @@ pub fn ibm_lsrr_driver(seed: u64, broken_s: bool, slow_path_penalty: SimDuration
         m_node: m,
         world: p.world,
         overhead_counter: "lsrr.overhead_bytes",
-        send_s_to_m: Box::new(move |w, dst, payload| {
-            w.with_node::<LsrrHostNode, _>(s, |h, ctx| {
-                h.send_udp(ctx, dst, DATA_PORT, DATA_PORT, payload)
-            });
-        }),
-        send_m_to_s: Box::new(move |w, dst, payload| {
-            w.with_node::<LsrrMobileNode, _>(m, |h, ctx| h.send_udp(ctx, dst, 5002, 5002, payload));
-        }),
+        send_s_to_m: send_path::<LsrrHost>(s, DATA_PORT),
+        send_m_to_s: send_path::<LsrrMobile>(m, 5002),
         mobile_rx: Box::new(move |w| udp_filter(&w.node::<LsrrMobileNode>(m).endpoint.log)),
         control_messages: Box::new(|w| w.stats().counter("lsrr.registrations")),
     }

@@ -225,16 +225,6 @@ impl Journey {
     pub fn loop_detected(&self) -> bool {
         self.events.iter().any(|e| matches!(e.kind, EventKind::LoopDetected { .. }))
     }
-
-    /// Timestamp of the first event, if any.
-    pub fn started_at_nanos(&self) -> Option<u64> {
-        self.events.first().map(|e| e.at_nanos)
-    }
-
-    /// Timestamp of the last event, if any.
-    pub fn ended_at_nanos(&self) -> Option<u64> {
-        self.events.last().map(|e| e.at_nanos)
-    }
 }
 
 #[cfg(test)]
